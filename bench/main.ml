@@ -636,8 +636,8 @@ let envelope_sizer e =
    fact batches cross every link in both directions. *)
 let ft_attendees = [ "alice"; "bob"; "carol"; "dave" ]
 
-let ft_load ?incremental ?domains sys =
-  let sigmod = System.add_peer sys ?incremental ?domains "sigmod" in
+let ft_load ?incremental sys =
+  let sigmod = System.add_peer sys ?incremental "sigmod" in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     "ext attendee@sigmod(a);\nint album@sigmod(id, name, owner);\n";
@@ -649,7 +649,7 @@ let ft_load ?incremental ?domains sys =
   ok (Peer.load_string sigmod (Buffer.contents buf));
   List.iter
     (fun a ->
-      let p = System.add_peer sys ?incremental ?domains a in
+      let p = System.add_peer sys ?incremental a in
       ok
         (Peer.load_string p
            (Printf.sprintf
@@ -1106,7 +1106,9 @@ let store_measure ~n =
   Array.iter (fun t -> ignore (Wdl_store.Relation.insert col_probe t)) probe_tuples;
   Array.iter (fun t -> ignore (Boxed.insert boxed_probe t)) probe_tuples;
   let col_hits = ref 0 and boxed_hits = ref 0 in
-  Wdl_store.Relation.ensure_index col [| 1 |];
+  (* One compiled-plan probe with a stored key builds and pins the
+     column-1 index. *)
+  Wdl_store.Relation.lookup_key col [| 1 |] [| tuples.(0).(1) |] ignore;
   Boxed.build_index boxed [| 1 |];
   let join_row =
     ( "join",
@@ -2255,186 +2257,13 @@ let stream_smoke () =
     exit 1
   end
 
-(* {1 PAR: multi-core parallel fixpoint -> BENCH_par.json}
-
-   The sharded semi-naive engine (delta split by hash of each tuple's
-   interned first column across worker domains, canonical merge at the
-   iteration barrier) against the sequential ablation, on the two
-   canonical scenarios: the 64-node transitive-closure chain and the
-   album delegation exchange.  Every parallel end state is checked
-   byte-identical to the [domains:1] run before its time is reported —
-   the engine is only allowed to be fast if it is also exact.  The JSON
-   records the host's hardware thread count: on a single-core box the
-   scaling curve is flat by construction (domains time-slice one core
-   and pay the barrier), so speedups are only meaningful when
-   [hardware_threads] exceeds the domain count. *)
-
-let par_domain_counts = [ 1; 2; 4; 8 ]
-
-let par_tc_setup ~domains () =
-  let sys = System.create () in
-  let p = System.add_peer sys ~domains "p" in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "int tc@p(x, y);\n";
-  List.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "edge@p(%d, %d);\n" a b))
-    (Wdl_wepic.Workload.chain_edges ~n:64);
-  Buffer.add_string buf "tc@p($x, $y) :- edge@p($x, $y);\n";
-  Buffer.add_string buf "tc@p($x, $z) :- tc@p($x, $y), edge@p($y, $z);\n";
-  ok (Peer.load_string p (Buffer.contents buf));
-  sys
-
-let par_album_setup ~domains () =
-  let sys = System.create () in
-  ft_load ~domains sys;
-  sys
-
-let par_scenarios =
-  [ ("tc_chain64", par_tc_setup); ("album", par_album_setup) ]
-
-(* One (scenario, domains) cell: best-of-3 run-to-quiescence wall time,
-   the end-state dump, and the parallel engine's own counters from the
-   last run. *)
-let par_cell setup ~domains =
-  let wall_us = ref infinity and dump = ref "" in
-  let engaged0 = !Wdl_eval.Fixpoint.par_runs_total in
-  for _ = 1 to 3 do
-    Wdl_obs.Obs.clear Wdl_obs.Obs.default;
-    let sys = setup ~domains () in
-    let t0 = Wdl_obs.Obs.now_us () in
-    ignore (ok (System.run sys));
-    wall_us := Float.min !wall_us (Wdl_obs.Obs.now_us () -. t0);
-    dump := ft_dump sys
-  done;
-  let engaged = !Wdl_eval.Fixpoint.par_runs_total > engaged0 in
-  let iters = obs_sum_metric "wdl_par_iterations_total" in
-  let rerouted = obs_sum_metric "wdl_par_rerouted_tuples_total" in
-  Wdl_obs.Obs.clear Wdl_obs.Obs.default;
-  (!wall_us /. 1e3, !dump, engaged, iters, rerouted)
-
-let par_measure () =
-  List.map
-    (fun (name, setup) ->
-      let seq_ms, seq_dump, seq_engaged, _, _ = par_cell setup ~domains:1 in
-      if seq_engaged then
-        failwith (name ^ ": domains:1 must take the sequential path");
-      let cells =
-        List.map
-          (fun domains ->
-            if domains = 1 then (1, seq_ms, true, 0., 0.)
-            else begin
-              let ms, dump, engaged, iters, rerouted =
-                par_cell setup ~domains
-              in
-              if dump <> seq_dump then
-                failwith
-                  (Printf.sprintf "%s: %d-domain end state diverged" name
-                     domains);
-              if not engaged then
-                failwith
-                  (Printf.sprintf "%s: parallel engine never engaged at %d"
-                     name domains);
-              (domains, ms, true, iters, rerouted)
-            end)
-          par_domain_counts
-      in
-      (name, cells))
-    par_scenarios
-
-let par_write_json results =
-  let oc = open_out "BENCH_par.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"par\",\n  \"schema\": 1,\n  \"hardware_threads\": %d,\n\
-    \  \"scenarios\": ["
-    (Domain.recommended_domain_count ());
-  List.iteri
-    (fun i (name, cells) ->
-      let _, seq_ms, _, _, _ = List.hd cells in
-      Printf.fprintf oc "%s\n    { \"name\": %S, \"runs\": ["
-        (if i > 0 then "," else "")
-        name;
-      List.iteri
-        (fun j (domains, ms, identical, iters, rerouted) ->
-          Printf.fprintf oc
-            "%s\n      { \"domains\": %d, \"wall_ms\": %.3f, \
-             \"speedup_vs_seq\": %.2f, \"end_state_identical\": %b, \
-             \"par_iterations\": %.0f, \"rerouted_tuples\": %.0f }"
-            (if j > 0 then "," else "")
-            domains ms (seq_ms /. ms) identical iters rerouted)
-        cells;
-      Printf.fprintf oc "\n    ] }")
-    results;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc
-
-let par () =
-  header "PAR  sharded parallel fixpoint vs sequential ablation -> BENCH_par.json";
-  pf "hardware threads: %d@." (Domain.recommended_domain_count ());
-  let results = par_measure () in
-  List.iter
-    (fun (name, cells) ->
-      let _, seq_ms, _, _, _ = List.hd cells in
-      pf "@.%-16s %8s %10s %10s %12s %10s@." name "domains" "wall_ms"
-        "speedup" "iterations" "rerouted";
-      List.iter
-        (fun (domains, ms, _, iters, rerouted) ->
-          pf "%-16s %8d %10.3f %9.2fx %12.0f %10.0f@." "" domains ms
-            (seq_ms /. ms) iters rerouted)
-        cells)
-    results;
-  par_write_json results;
-  pf "@.wrote BENCH_par.json@."
-
-(* Deterministic equivalence smoke for the cram suite and CI: parallel
-   end states must be byte-identical to the sequential ablation, the
-   engine must actually engage above one domain and must stay on the
-   untouched sequential path at [domains:1].  No timing in the check
-   lines; exit 1 on any failure.  Writes BENCH_par.json as the CI
-   artifact (its wall numbers are whatever this host produced). *)
-let par_smoke () =
-  let failures = ref 0 in
-  let check label ok_ =
-    if not ok_ then incr failures;
-    pf "%-46s %s@." label (if ok_ then "ok" else "FAIL")
-  in
-  pf "PAR-SMOKE parallel fixpoint equivalence (deterministic)@.";
-  let results =
-    try Some (par_measure ()) with
-    | Failure msg ->
-      pf "%s@." msg;
-      None
-  in
-  (match results with
-  | None -> check "parallel == sequential end state" false
-  | Some results ->
-    List.iter
-      (fun (name, cells) ->
-        List.iter
-          (fun (domains, _, identical, _, _) ->
-            if domains > 1 then
-              check
-                (Printf.sprintf "%s: %d-domain end state byte-identical" name
-                   domains)
-                identical)
-          cells;
-        check (name ^ ": domains:1 takes the sequential path") true)
-      results;
-    par_write_json results;
-    pf "wrote BENCH_par.json@.");
-  if !failures = 0 then pf "PAR-SMOKE passed@."
-  else begin
-    pf "PAR-SMOKE: %d check(s) failed@." !failures;
-    exit 1
-  end
-
 let experiments =
   [ ("t1", t1); ("t2", t2); ("t3", t3); ("t4", t4); ("t5", t5); ("t6", t6);
     ("t7", t7); ("a1", a1); ("a2", a2); ("f2", f2); ("f3", f3); ("d1", d1);
     ("d3", d3); ("d4", d4); ("ft", ft); ("ft-smoke", ft_smoke); ("obs", obs);
     ("eval", eval); ("eval-smoke", eval_smoke); ("net", net);
     ("net-smoke", net_smoke); ("chaos", chaos); ("chaos-smoke", chaos_smoke);
-    ("stream", stream); ("stream-smoke", stream_smoke); ("par", par);
-    ("par-smoke", par_smoke) ]
+    ("stream", stream); ("stream-smoke", stream_smoke) ]
 
 let () =
   let requested =
@@ -2442,12 +2271,14 @@ let () =
     | _ :: (_ :: _ as names) -> List.map String.lowercase_ascii names
     | _ -> List.map fst experiments
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-        pf "unknown experiment %s (known: %s)@." name
-          (String.concat ", " (List.map fst experiments)))
-    requested;
+  (match
+     List.filter (fun name -> not (List.mem_assoc name experiments)) requested
+   with
+  | [] -> ()
+  | unknown ->
+    pf "unknown experiment %s (known: %s)@."
+      (String.concat ", " unknown)
+      (String.concat ", " (List.map fst experiments));
+    exit 2);
+  List.iter (fun name -> (List.assoc name experiments) ()) requested;
   pf "@.done.@."

@@ -32,7 +32,6 @@ type t = {
   mutable enforce_authz : bool;
   trace : Trace.t;
   strategy : Wdl_eval.Fixpoint.strategy;
-  domains : int;  (* fixpoint worker domains; 1 = sequential ablation *)
   diff_batches : bool;
   mutable track_provenance : bool;
   prov : Wdl_eval.Fixpoint.derivation Fact_tbl.t;
@@ -194,17 +193,10 @@ let register_metrics t =
 
 let create ?(strategy = Wdl_eval.Fixpoint.Seminaive) ?policy ?indexing
     ?trace_capacity ?(diff_batches = true) ?(incremental = true)
-    ?(replan = true) ?(inbox_capacity = max_int) ?(shed = Drop_newest)
-    ?domains name =
+    ?(replan = true) ?(inbox_capacity = max_int) ?(shed = Drop_newest) name =
   if name = "" then invalid_arg "Peer.create: empty name";
   if inbox_capacity < 1 then
     invalid_arg "Peer.create: inbox_capacity must be at least 1";
-  let domains =
-    match domains with
-    | Some d when d >= 1 -> d
-    | Some _ -> invalid_arg "Peer.create: domains must be at least 1"
-    | None -> Wdl_eval.Parallel.default_domains ()
-  in
   let t = {
     name;
     db = Database.create ?indexing ();
@@ -213,7 +205,6 @@ let create ?(strategy = Wdl_eval.Fixpoint.Seminaive) ?policy ?indexing
     enforce_authz = false;
     trace = Trace.create ?capacity:trace_capacity ();
     strategy;
-    domains;
     diff_batches;
     track_provenance = false;
     prov = Fact_tbl.create 64;
@@ -1663,9 +1654,8 @@ let stage t =
   let outbound =
     match
       Wdl_eval.Fixpoint.run ~strategy:t.strategy
-        ~record_provenance:t.track_provenance ~schedule:t.incremental
-        ~domains:t.domains ?seed ?program ~handles:t.eval_handles
-        ~self:t.name t.db (all_rules t)
+        ~record_provenance:t.track_provenance ~schedule:t.incremental ?seed
+        ?program ~handles:t.eval_handles ~self:t.name t.db (all_rules t)
     with
     | Error e ->
       (* The fixpoint did not run: retained intensional state is not a

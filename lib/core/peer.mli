@@ -32,7 +32,6 @@ val create :
   ?replan:bool ->
   ?inbox_capacity:int ->
   ?shed:shed_policy ->
-  ?domains:int ->
   string ->
   t
 (** [inbox_capacity] (default unbounded) bounds {!receive}'s queue:
@@ -57,11 +56,7 @@ val create :
     recompiled when any relation's cardinality crosses a power-of-two
     band, counted in [wdl_eval_replans_total{peer=...}]. Turning it
     off evaluates bodies exactly as written — the mode the WDL031
-    lint hint still targets. [domains] (default: the [WDL_DOMAINS]
-    environment variable, else 1) runs this peer's fixpoints on that
-    many worker domains over first-column-sharded deltas
-    (see {!Wdl_eval.Fixpoint.run}); 1 is the sequential ablation.
-    Raises [Invalid_argument] below 1. *)
+    lint hint still targets. *)
 
 val name : t -> string
 val database : t -> Wdl_store.Database.t

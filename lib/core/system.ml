@@ -218,12 +218,12 @@ let adopt_peer t p =
   flush_dead_letters t name
 
 let add_peer t ?strategy ?policy ?indexing ?diff_batches ?incremental ?replan
-    ?inbox_capacity ?shed ?domains name =
+    ?inbox_capacity ?shed name =
   if Hashtbl.mem t.peers name then
     invalid_arg (Printf.sprintf "System.add_peer: peer %s already exists" name);
   let p =
     Peer.create ?strategy ?policy ?indexing ?diff_batches ?incremental ?replan
-      ?inbox_capacity ?shed ?domains name
+      ?inbox_capacity ?shed name
   in
   Hashtbl.replace t.peers name p;
   t.order <- name :: t.order;

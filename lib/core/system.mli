@@ -45,7 +45,6 @@ val add_peer :
   ?replan:bool ->
   ?inbox_capacity:int ->
   ?shed:Peer.shed_policy ->
-  ?domains:int ->
   string ->
   Peer.t
 (** Raises [Invalid_argument] if the name is already taken. All

@@ -78,9 +78,6 @@ type state = {
   mutable derivations : int;
   mutable iterations : int;
   schedule : bool;  (* skip (plan, pos) pairs whose delta is absent *)
-  ro : bool;
-      (* read-only store discipline: this state is a parallel worker,
-         shared db relations must be probed without index builds *)
   delta_hist : Wdl_obs.Obs.histogram;
   skipped_ctr : Wdl_obs.Obs.counter;
 }
@@ -111,8 +108,8 @@ let delta_add st rel tuple =
 
 (* [src] is the rule as the user wrote it. When two written rules
    produce the same residual for the same target, keep the smallest by
-   [Rule.compare] — an order-independent tie-break, so the sequential
-   and parallel engines attribute identically. *)
+   [Rule.compare] — an order-independent tie-break, so attribution
+   does not depend on which rule the evaluator happened to run first. *)
 let suspend ?src st target rule =
   Susp_tbl.replace st.suspensions (target, rule) ();
   match src with
@@ -315,15 +312,7 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
          per-tuple trail. *)
       let np = Array.length m.Plan.bpos in
       let key = Array.make np (Value.Int 0) in
-      (* [shared] sources live in the database and may be probed by
-         several worker domains at once; a worker state ([st.ro])
-         must use the read-only probe. Delta sources are private to
-         this state, so the normal path is always safe there. *)
-      let run_source ~shared relation =
-        let lookup =
-          if st.ro && shared then Relation.lookup_key_ro
-          else Relation.lookup_key
-        in
+      let run_source relation =
         for k = 0 to np - 1 do
           match m.Plan.bsrc.(k) with
           | Plan.Const v -> key.(k) <- v
@@ -334,7 +323,7 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
               (* Statically bound: a linear plan binds deterministically. *)
               assert false)
         done;
-        lookup relation m.Plan.bpos key (fun tuple ->
+        Relation.lookup_key relation m.Plan.bpos key (fun tuple ->
             let binds = m.Plan.out_binds in
             let nb = Array.length binds in
             for j = 0 to nb - 1 do
@@ -363,12 +352,12 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
            up directly — no intermediate list. *)
         if use_delta then (
           match Hashtbl.find_opt st.delta c with
-          | Some r when Relation.arity r = arity -> run_source ~shared:false r
+          | Some r when Relation.arity r = arity -> run_source r
           | Some _ | None -> ())
         else (
           match Database.find st.db c with
           | Some info when info.Database.arity = arity ->
-            run_source ~shared:true info.Database.data
+            run_source info.Database.data
           | Some _ | None -> ())
       | RUnbound _ ->
         let enum_slot =
@@ -379,7 +368,7 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
             (match enum_slot with
             | Some s -> env.(s) <- Some (Value.String name)
             | None -> ());
-            run_source ~shared:(not use_delta) relation;
+            run_source relation;
             match enum_slot with Some s -> env.(s) <- None | None -> ())
           (readable_relations st ~use_delta ~rel_name:None ~arity))
   in
@@ -560,274 +549,15 @@ let seminaive_iteration st (stratum : Prog.stratum) =
     if skipped > 0 then Wdl_obs.Obs.inc ~by:skipped st.skipped_ctr
   end
 
-(* {1 Parallel semi-naive iterations}
-
-   Work unit: the same (plan, delta position) activations the
-   sequential scheduler runs, with each worker's view of the delta
-   restricted to the shards it owns (shard = hash of the interned
-   first column; worker = shard mod domains — the dynamic-data-exchange
-   scheme). Workers never touch the database or the observability
-   registry: they evaluate against a frozen snapshot and park derived
-   heads in per-worker outboxes; the master replays every outbox
-   through [dispatch_head] at the merge barrier in canonical order
-   (worker 0 first, push order within a worker), so the database,
-   delta, journal and trace contents are independent of thread timing.
-
-   Relative to the sequential engine the only semantic difference is
-   mid-iteration visibility: a head derived by an earlier activation
-   of the same iteration becomes probe-visible in the *next* iteration
-   rather than the current one. The fixpoint (and every result set) is
-   identical; programs where a rule's non-delta atom reads a relation
-   written in the same stratum may take extra iterations to converge.
-   Single-recursive-atom programs (tc, the album views) keep identical
-   iteration and derivation counts, which is what keeps trace events
-   byte-identical on the benchmark workloads. *)
-
-let par_runs_total = ref 0
-
-type par = {
-  p_domains : int;
-  p_shards : int;
-  p_workers : state array;  (* p_workers.(w) drives worker w *)
-  p_outboxes : Shard.Outbox.t array;
-  p_busy : float array;  (* microseconds busy, by worker, per iteration *)
-  p_barrier_hist : Wdl_obs.Obs.histogram;
-  p_util_hist : Wdl_obs.Obs.histogram;
-  p_rerouted : Wdl_obs.Obs.counter;
-  p_iters : Wdl_obs.Obs.counter;
-}
-
-let par_metrics ~self =
-  let peer_labels = [ ("peer", self) ] in
-  ( Wdl_obs.Obs.histogram ~labels:peer_labels
-      ~help:
-        "Master wait at the parallel fixpoint merge barrier (time \
-         between the master finishing its own shard work and the \
-         slowest worker finishing)"
-      ~buckets:Wdl_obs.Obs.latency_buckets "wdl_par_barrier_wait_microseconds",
-    Wdl_obs.Obs.histogram ~labels:peer_labels
-      ~help:
-        "Domain utilization per parallel iteration: summed worker \
-         busy time over (domains * wall time), 0..1"
-      ~buckets:[| 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 |]
-      "wdl_par_domain_utilization",
-    Wdl_obs.Obs.counter ~labels:peer_labels
-      ~help:
-        "Derived tuples whose owning shard belongs to a different \
-         worker than the one that derived them (crossed the exchange \
-         at the merge barrier)"
-      "wdl_par_rerouted_tuples_total",
-    Wdl_obs.Obs.counter ~labels:peer_labels
-      ~help:"Semi-naive iterations executed by the parallel engine"
-      "wdl_par_iterations_total" )
-
-let worker_state (st : state) =
-  {
-    self = st.self;
-    db = st.db;
-    delta = Hashtbl.create 1;
-    delta_next = Hashtbl.create 1;
-    (* Workers route heads through their outbox, not these tables;
-       they exist only to satisfy the state shape. *)
-    deduced = Head_tbl.create 1;
-    induced = Head_tbl.create 1;
-    messages = Head_tbl.create 1;
-    suspensions = Susp_tbl.create 8;
-    origins = Susp_tbl.create 8;
-    susp_src = Susp_tbl.create 8;
-    provenance = None;
-    errors = [];
-    error_count = 0;
-    derivations = 0;
-    iterations = 0;
-    schedule = st.schedule;
-    ro = true;
-    delta_hist = st.delta_hist;
-    skipped_ctr = st.skipped_ctr;
-  }
-
-let make_par ~domains ~shards st =
-  let barrier, util, rerouted, iters = par_metrics ~self:st.self in
-  {
-    p_domains = domains;
-    p_shards = shards;
-    p_workers = Array.init domains (fun _ -> worker_state st);
-    p_outboxes = Array.init domains (fun _ -> Shard.Outbox.create ());
-    p_busy = Array.make domains 0.;
-    p_barrier_hist = barrier;
-    p_util_hist = util;
-    p_rerouted = rerouted;
-    p_iters = iters;
-  }
-
-(* The activation list for this iteration, in a canonical order
-   (sorted delta relation names, source order within a relation,
-   wildcards last) — every worker walks the same list. *)
-let materialize_activations st (stratum : Prog.stratum) =
-  let rels =
-    Hashtbl.fold (fun name _ acc -> name :: acc) st.delta []
-    |> List.sort String.compare
-  in
-  let keyed =
-    List.concat_map
-      (fun name ->
-        match Hashtbl.find_opt stratum.Prog.by_rel name with
-        | None -> []
-        | Some acts -> List.map (fun a -> (Some name, a)) acts)
-      rels
-  in
-  keyed @ List.map (fun a -> (None, a)) stratum.Prog.wildcard
-
-(* Pre-build (and pin) the binding-pattern indexes every plan's
-   database reads will probe, so read-only workers never fall back to
-   scans on relations that deserve an index. *)
-let prebuild_indexes db (prog : Prog.t) =
-  Array.iter
-    (fun (stratum : Prog.stratum) ->
-      List.iter
-        (fun (p : Plan.t) ->
-          List.iter
-            (function
-              | Plan.Match m when not m.Plan.neg -> (
-                match m.Plan.rel with
-                | Plan.Fixed c -> (
-                  match Database.find db c with
-                  | Some info
-                    when info.Database.arity = Array.length m.Plan.args
-                         && Array.length m.Plan.bpos > 0 ->
-                    Relation.ensure_index info.Database.data m.Plan.bpos
-                  | Some _ | None -> ())
-                | Plan.Name_slot _ -> ())
-              | Plan.Match _ | Plan.Cmp _ | Plan.Assign _ -> ())
-            p.Plan.steps)
-        stratum.Prog.plans)
-    prog.Prog.strata
-
-(* One parallel semi-naive iteration: split the delta, fan activations
-   out over the pool, then replay outboxes through the master's
-   dispatch in canonical order. *)
-let par_iteration st par (stratum : Prog.stratum) =
-  Wdl_obs.Obs.inc par.p_iters;
-  let acts = materialize_activations st stratum in
-  let executed = ref 0 in
-  List.iter (fun _ -> incr executed) acts;
-  let skipped = stratum.Prog.n_activations - !executed in
-  if st.schedule && skipped > 0 then Wdl_obs.Obs.inc ~by:skipped st.skipped_ctr;
-  let parts =
-    Shard.split_delta
-      ~pool:(Database.pool st.db)
-      ~shards:par.p_shards ~domains:par.p_domains st.delta
-  in
-  let wall0 = Wdl_obs.Obs.now_us () in
-  let master_done = ref wall0 in
-  ignore
-    (Parallel.run ~domains:par.p_domains (fun w ->
-         let t0 = Wdl_obs.Obs.now_us () in
-         let wst = par.p_workers.(w) in
-         wst.delta <- parts.(w);
-         let ob = par.p_outboxes.(w) in
-         List.iter
-           (fun ((rel, a) : string option * Prog.activation) ->
-             let relevant =
-               match rel with
-               | None -> true  (* wildcard: may read any delta *)
-               | Some r -> Hashtbl.mem wst.delta r
-             in
-             if relevant then
-               exec_plan wst a.Prog.plan ~delta_pos:(Some a.Prog.pos)
-                 ~emit:(fun env ->
-                   match head_key wst a.Prog.plan env with
-                   | None -> ()
-                   | Some (rel, peer, tuple) ->
-                     (* Outbox items carry no rule; the worker records
-                        the remote-head origin locally and the barrier
-                        folds it into the master. The origin *set* is
-                        valuation-determined, so it is identical to the
-                        sequential engine's regardless of sharding. *)
-                     if not (String.equal peer wst.self) then
-                       Susp_tbl.replace wst.origins
-                         (peer, a.Prog.plan.Plan.source) ();
-                     Shard.Outbox.push ob { Shard.rel; peer; tuple }))
-           acts;
-         let t1 = Wdl_obs.Obs.now_us () in
-         par.p_busy.(w) <- t1 -. t0;
-         if w = 0 then master_done := t1));
-  let wall1 = Wdl_obs.Obs.now_us () in
-  Wdl_obs.Obs.observe par.p_barrier_hist (max 0. (wall1 -. !master_done));
-  let busy = Array.fold_left ( +. ) 0. par.p_busy in
-  let wall = wall1 -. wall0 in
-  if wall > 0. then
-    Wdl_obs.Obs.observe par.p_util_hist
-      (busy /. (float_of_int par.p_domains *. wall));
-  (* Merge barrier: canonical replay — worker index order, push order
-     within each outbox. Heads re-enter the exact sequential routing
-     (db insert, delta staging, induced/message tables). Provenance is
-     off in parallel mode (gated in [run]), so [prov] is never forced. *)
-  let no_prov _ = assert false in
-  let pool = Database.pool st.db in
-  Array.iteri
-    (fun w ob ->
-      Shard.Outbox.iter
-        (fun ({ rel; peer; tuple } : Shard.emission) ->
-          dispatch_head st ~prov:no_prov ~rel ~peer tuple;
-          if
-            String.equal peer st.self
-            && Tuple.arity tuple > 0
-            && Database.kind st.db rel = Some Decl.Intensional
-          then
-            match Intern.find pool tuple.(0) with
-            | Some id
-              when Shard.worker_of ~shards:par.p_shards
-                     ~domains:par.p_domains id
-                   <> w ->
-              Wdl_obs.Obs.inc par.p_rerouted
-            | Some _ | None -> ())
-        ob;
-      (* Reset the outbox for the next iteration. *)
-      par.p_outboxes.(w) <- Shard.Outbox.create ())
-    par.p_outboxes;
-  (* Fold worker-side errors and delegation suspensions into the
-     master, in worker order. *)
-  Array.iter
-    (fun wst ->
-      List.iter (report st) (List.rev wst.errors);
-      wst.errors <- [];
-      wst.error_count <- 0;
-      Susp_tbl.iter
-        (fun k () -> Susp_tbl.replace st.suspensions k ())
-        wst.suspensions;
-      Susp_tbl.reset wst.suspensions;
-      Susp_tbl.iter (fun k () -> Susp_tbl.replace st.origins k ()) wst.origins;
-      Susp_tbl.reset wst.origins;
-      (* Same min-rule tie-break as [suspend], so attribution is
-         independent of which worker saw the residual first. *)
-      Susp_tbl.iter
-        (fun k s ->
-          match Susp_tbl.find_opt st.susp_src k with
-          | Some s0 when Rule.compare s0 s <= 0 -> ()
-          | Some _ | None -> Susp_tbl.replace st.susp_src k s)
-        wst.susp_src;
-      Susp_tbl.reset wst.susp_src)
-    par.p_workers
-
-let run_stratum ?seed ?par st strategy (stratum : Prog.stratum) =
+let run_stratum ?seed st strategy (stratum : Prog.stratum) =
   st.delta <- Hashtbl.create 8;
   st.delta_next <- Hashtbl.create 8;
-  let iteration () =
-    match par with
-    | Some p -> par_iteration st p stratum
-    | None -> seminaive_iteration st stratum
-  in
   (* Aggregate rules read complete lower strata, so they run once, up
      front; their outputs then feed the stratum's fixpoint normally. *)
   List.iter (fun p -> eval_agg_plan st p) stratum.Prog.agg_plans;
   (match seed with
   | None ->
-    (* Iteration 1: full evaluation of every rule. Stays on the master
-       even in parallel mode — the full pass relies on mid-pass
-       visibility (plan k reads heads plan j < k just stored), which a
-       frozen snapshot cannot honour; iterations after it are driven
-       purely by deltas and fan out. *)
+    (* Iteration 1: full evaluation of every rule. *)
     List.iter (fun p -> eval_plan st ~delta_pos:None p) stratum.Prog.plans
   | Some pairs ->
     (* Delta staging: the database already holds the previous fixpoint
@@ -836,7 +566,7 @@ let run_stratum ?seed ?par st strategy (stratum : Prog.stratum) =
     List.iter (fun (rel, tuple) -> delta_add st rel tuple) pairs;
     st.delta <- st.delta_next;
     st.delta_next <- Hashtbl.create 8;
-    iteration ());
+    seminaive_iteration st stratum);
   st.iterations <- st.iterations + 1;
   let rec loop () =
     if Hashtbl.length st.delta_next = 0 then ()
@@ -854,7 +584,7 @@ let run_stratum ?seed ?par st strategy (stratum : Prog.stratum) =
         List.iter
           (fun p -> eval_plan st ~delta_pos:None p)
           stratum.Prog.plans
-      | Seminaive -> iteration ());
+      | Seminaive -> seminaive_iteration st stratum);
       loop ()
     end
   in
@@ -897,7 +627,7 @@ let handles ~self =
   }
 
 let run ?(strategy = Seminaive) ?(record_provenance = false) ?(schedule = true)
-    ?(domains = 1) ?shards ?seed ?program ?handles:h ~self db rules =
+    ?seed ?program ?handles:h ~self db rules =
   let compiled =
     match program with
     | Some p -> Ok p
@@ -932,26 +662,9 @@ let run ?(strategy = Seminaive) ?(record_provenance = false) ?(schedule = true)
         derivations = 0;
         iterations = 0;
         schedule;
-        ro = false;
         delta_hist = h.h_delta_hist;
         skipped_ctr = h.h_skipped_ctr;
       }
-    in
-    (* The parallel engine requires semi-naive activation scheduling
-       (its work unit) and no provenance (derivation envs never cross
-       the barrier); anything else — including [?domains:1], the
-       sequential ablation — takes the unmodified sequential path. *)
-    let par =
-      if
-        domains <= 1 || record_provenance || strategy <> Seminaive
-        || not schedule
-      then None
-      else begin
-        incr par_runs_total;
-        prebuild_indexes db prog;
-        let shards = match shards with Some s -> max s domains | None -> domains in
-        Some (make_par ~domains ~shards st)
-      end
     in
     (* Seeding is only meaningful for a single-stratum (monotone)
        program — a higher stratum reads complete lower strata, which a
@@ -960,12 +673,12 @@ let run ?(strategy = Seminaive) ?(record_provenance = false) ?(schedule = true)
       if Array.length prog.Prog.strata > 1 then None else seed
     in
     Wdl_obs.Obs.time h.stage_hist (fun () ->
-        Array.iter (run_stratum ?seed ?par st strategy) prog.Prog.strata);
+        Array.iter (run_stratum ?seed st strategy) prog.Prog.strata);
     Wdl_obs.Obs.observe h.iter_hist (float_of_int st.iterations);
-    (* Canonical result assembly: both engines sort derived sets the
-       same way, so journal writes, snapshots and trace fact order are
-       a function of the result *sets* alone — never of hash-table or
-       thread-arrival order. *)
+    (* Canonical result assembly: derived sets are sorted, so journal
+       writes, snapshots and trace fact order are a function of the
+       result *sets* alone — never of hash-table iteration order. Their
+       bytes depend on it. *)
     let to_list tbl =
       Head_tbl.fold (fun k () acc -> Head_key.to_fact k :: acc) tbl []
       |> List.sort Fact.compare

@@ -46,7 +46,8 @@ type result = {
   susp_sources : ((string * Wdl_syntax.Rule.t) * Wdl_syntax.Rule.t) list;
       (** per suspension key, the source rule (as written) whose
           evaluation shipped the residual; ties broken toward the
-          smallest rule by [Rule.compare], so both engines agree *)
+          smallest rule by [Rule.compare], independent of evaluation
+          order *)
   errors : Runtime_error.t list;
   iterations : int;       (** fixpoint iterations summed over strata *)
   derivations : int;      (** successful head instantiations, incl. dups *)
@@ -68,18 +69,10 @@ val handles : self:string -> handles
     bundle to {!run} to keep registry lookups off the per-stage path.
     After a registry clear, resolve a fresh bundle. *)
 
-val par_runs_total : int ref
-(** Runs that actually engaged the parallel engine (mirrors
-    [wdl_par_iterations_total] at run granularity). Lets tests assert
-    that [?domains:1] — the sequential ablation — and the default take
-    the identical code path: the counter must not move. *)
-
 val run :
   ?strategy:strategy ->
   ?record_provenance:bool ->
   ?schedule:bool ->
-  ?domains:int ->
-  ?shards:int ->
   ?seed:(string * Wdl_store.Tuple.t) list ->
   ?program:Program.t ->
   ?handles:handles ->
@@ -119,17 +112,6 @@ val run :
     paid for; [~schedule:false] restores exhaustive execution (the
     pre-optimization engine, kept as the bench baseline).
 
-    [domains] (default 1) runs semi-naive iterations on a pool of
-    worker domains: each relation's delta is sharded by the hash of
-    its interned first column ([shards] shards, default [domains];
-    worker = shard mod domains), workers evaluate the iteration's
-    activations against a frozen snapshot, and derived heads are
-    replayed through the master's dispatch at a merge barrier in
-    canonical (worker, push) order. Result sets are identical to the
-    sequential engine and both engines sort result lists canonically,
-    so journals, snapshots and trace fact order are byte-identical;
-    programs whose rules read same-stratum relations at non-delta
-    positions may report more [iterations] (never different facts).
-    [?domains:1] is the sequential ablation — it takes the unmodified
-    sequential path, as do provenance recording, [Naive] strategy and
-    [~schedule:false]. *)
+    Every result list is sorted canonically, so journals, snapshots
+    and trace fact order depend only on the result sets, never on
+    hash-table iteration order. *)

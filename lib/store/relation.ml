@@ -397,15 +397,6 @@ let fold f r acc =
 let to_list r = fold List.cons r []
 let to_sorted_list r = List.sort Tuple.compare (to_list r)
 
-(* Tuples together with the interned id of their first column — the
-   shard key for the parallel engine. Arity-0 tuples hand id 0. *)
-let iter_first_id f r =
-  for s = 0 to r.limit - 1 do
-    if Bytes.unsafe_get r.live s <> '\000' then
-      let id = if r.arity = 0 then 0 else Array.unsafe_get r.rows (s * r.arity) in
-      f (Array.unsafe_get r.boxed s) id
-  done
-
 (* Scan live rows on interned ids — no boxed compares. *)
 let scan_ids r (positions : int array) (key : int array) f =
   let np = Array.length positions in
@@ -453,39 +444,6 @@ let lookup_key r (positions : int array) (vkey : Value.t array) f =
         if r.indexing && r.n >= index_threshold then
           probe_bucket r (build_index r ~pinned:true positions) key f
         else scan_ids r positions key f
-
-let ensure_index r positions =
-  if r.indexing && find_index r positions = None then
-    ignore (build_index r ~pinned:true positions : index)
-
-(* Read-only variant for concurrent readers (parallel fixpoint
-   workers): never materialises an index, never bumps use counters —
-   no store mutation whatsoever. Callers pre-build hot indexes with
-   {!ensure_index} before fanning out. *)
-let lookup_key_ro r (positions : int array) (vkey : Value.t array) f =
-  if Array.length positions = 0 then iter f r
-  else
-    let np = Array.length positions in
-    let key = Array.make np 0 in
-    let rec ids k =
-      if k >= np then true
-      else
-        match Intern.find r.pool vkey.(k) with
-        | None -> false
-        | Some id ->
-          key.(k) <- id;
-          ids (k + 1)
-    in
-    if ids 0 then
-      match find_index r positions with
-      | Some idx -> (
-        match Ikey_tbl.find_opt idx.buckets key with
-        | None -> ()
-        | Some b ->
-          for k = 0 to b.Ivec.n - 1 do
-            f r.boxed.(b.Ivec.a.(k))
-          done)
-      | None -> scan_ids r positions key f
 
 let lookup r bound f =
   match bound with

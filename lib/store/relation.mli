@@ -7,9 +7,8 @@
     pattern indexes on positions [{i1 < … < ik}] map the interned
     projection to the matching slots:
 
-    - {!lookup_key} (the compiled-plan path) and {!ensure_index} build
-      indexes eagerly and {e pin} them — the planner asked, so reuse
-      is certain;
+    - {!lookup_key} (the compiled-plan path) builds indexes eagerly
+      and {e pin} them — the planner asked, so reuse is certain;
     - {!lookup} (the ad-hoc path) builds an index only from the second
       probe of a signature on — one-off probes scan;
     - at most a fixed number of indexes live per relation; crossing the
@@ -65,23 +64,6 @@ val lookup_key :
     Builds (and pins) the index for [positions] once the relation
     crosses the index threshold. A key value foreign to the pool
     answers instantly: nothing can match. *)
-
-val lookup_key_ro :
-  t -> int array -> Wdl_syntax.Value.t array -> (Tuple.t -> unit) -> unit
-(** Like {!lookup_key} but strictly read-only: never materialises an
-    index and never touches use counters, so concurrent readers (the
-    parallel fixpoint's worker domains) can probe one relation safely.
-    Falls back to a scan when no index exists — pre-build hot ones
-    with {!ensure_index}. *)
-
-val iter_first_id : (Tuple.t -> int -> unit) -> t -> unit
-(** Iterate tuples with the interned id of their first column — the
-    shard key for the parallel engine. Arity-0 tuples hand id 0. *)
-
-val ensure_index : t -> int array -> unit
-(** Materialise (and pin) the index on the given sorted positions now
-    — explicit planner-driven index selection. No-op when present or
-    when indexing is disabled. *)
 
 val clear : t -> unit
 val copy : t -> t

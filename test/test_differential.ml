@@ -124,7 +124,8 @@ let run_engine engine spec =
 
    Drives a full [Peer] — compiled-program cache, activation
    scheduling, quiescence fast path — through several stages with
-   facts, rule additions and delegation installs arriving mid-run
+   facts, rule additions and deletions and delegation installs arriving
+   mid-run
    (each of which invalidates the cached program), and checks it
    against (a) a peer with the incremental engine disabled, i.e. the
    pre-cache per-stage recompilation path, and (b) the [Reference]
@@ -134,6 +135,7 @@ let run_engine engine spec =
 type stage_ev = {
   inserts : (string * int list) list;
   new_rule : string option;  (* added locally mid-run *)
+  del_rule : int option;  (* remove the nth rule currently installed *)
   delegate : string option;  (* arrives as a delegation install from q *)
 }
 
@@ -157,12 +159,15 @@ let stage_ev_gen =
     let* inserts = list_size (int_range 0 3) fact_gen in
     let* with_rule = int_range 0 2 in
     let* rule = oneofl rule_pool in
+    let* with_del = int_range 0 2 in
+    let* del_at = int_range 0 5 in
     let* with_deleg = int_range 0 3 in
     let* deleg = oneofl deleg_pool in
     return
       {
         inserts;
         new_rule = (if with_rule = 0 then Some rule else None);
+        del_rule = (if with_del = 0 then Some del_at else None);
         delegate = (if with_deleg = 0 then Some deleg else None);
       })
 
@@ -174,7 +179,7 @@ let script_gen =
 
 let script_print s =
   let ev e =
-    Printf.sprintf "inserts=[%s] rule=%s deleg=%s"
+    Printf.sprintf "inserts=[%s] rule=%s del=%s deleg=%s"
       (String.concat "; "
          (List.map
             (fun (r, args) ->
@@ -182,6 +187,7 @@ let script_print s =
                 (String.concat "," (List.map string_of_int args)))
             e.inserts))
       (Option.value ~default:"-" e.new_rule)
+      (match e.del_rule with None -> "-" | Some i -> string_of_int i)
       (Option.value ~default:"-" e.delegate)
   in
   dspec_print s.base ^ "\n" ^ String.concat "\n" (List.map ev s.stage_evs)
@@ -220,13 +226,20 @@ let drive ~incremental script =
       ignore (Peer.insert p (Fact.make ~rel:"names" ~peer:"p" [ Value.String n ])))
     script.base.names;
   List.iter (fun r -> ignore (Peer.add_rule p (parse_rule_str r))) script.base.rules;
-  let quiet = { inserts = []; new_rule = None; delegate = None } in
+  let quiet = { inserts = []; new_rule = None; del_rule = None; delegate = None } in
   List.map
     (fun ev ->
       List.iter insert_fact ev.inserts;
       Option.iter
         (fun r -> ignore (Peer.add_rule p (parse_rule_str r)))
         ev.new_rule;
+      Option.iter
+        (fun i ->
+          match Peer.rules p with
+          | [] -> ()
+          | rules ->
+            ignore (Peer.remove_rule p (List.nth rules (i mod List.length rules))))
+        ev.del_rule;
       Option.iter
         (fun r ->
           Peer.receive p
