@@ -191,35 +191,14 @@ let flow_cmd =
 
 (* run *)
 
-let strategy_conv =
-  Arg.enum
-    [ ("seminaive", Wdl_eval.Fixpoint.Seminaive);
-      ("naive", Wdl_eval.Fixpoint.Naive) ]
-
-let strategy_arg =
-  Arg.(
-    value
-    & opt strategy_conv Wdl_eval.Fixpoint.Seminaive
-    & info [ "strategy" ] ~docv:"S")
-
-let no_replan_arg =
-  Arg.(
-    value & flag
-    & info [ "no-replan" ]
-        ~doc:"Evaluate rule bodies exactly as written: disable \
-              cost-based join ordering and cardinality-band \
-              replanning")
-
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let peer_name =
     Arg.(value & opt string "local" & info [ "peer" ] ~docv:"NAME")
   in
-  let run peer_name strategy no_replan file =
+  let run peer_name file =
     let sys = Webdamlog.System.create () in
-    let peer =
-      Webdamlog.System.add_peer sys ~strategy ~replan:(not no_replan) peer_name
-    in
+    let peer = Webdamlog.System.add_peer sys peer_name in
     or_die (Webdamlog.Peer.load_string peer (read_file file));
     let rounds = or_die (Webdamlog.System.run sys) in
     Format.printf "fixpoint after %d round(s)@.@." rounds;
@@ -235,7 +214,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run one peer's program to fixpoint and dump its relations")
-    Term.(const run $ peer_name $ strategy_arg $ no_replan_arg $ file)
+    Term.(const run $ peer_name $ file)
 
 (* simulate *)
 

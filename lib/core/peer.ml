@@ -31,8 +31,6 @@ type t = {
   authz : Authz.t;
   mutable enforce_authz : bool;
   trace : Trace.t;
-  strategy : Wdl_eval.Fixpoint.strategy;
-  diff_batches : bool;
   mutable track_provenance : bool;
   prov : Wdl_eval.Fixpoint.derivation Fact_tbl.t;
   mutable journal : Journal.t option;
@@ -71,18 +69,16 @@ type t = {
      added/removed, delegation installed/retracted, relation declared.
      [program] caches the compiled program for the version it was built
      at; a stale version forces recompilation. *)
-  incremental : bool;
   mutable rules_version : int;
   mutable program : Wdl_eval.Program.t option;
   mutable n_cache_hits : int;
   mutable n_fastpath : int;
-  (* Cost-based join planning.  [replan] (default true) lets the
-     compiler reorder rule bodies by live relation cardinalities; the
-     cached program stays valid while every relation's cardinality
-     stays within the power-of-two band it was compiled against
-     ([program_bands]).  Crossing a band re-runs the planner even
-     though the rule set is unchanged — counted by [n_replans]. *)
-  replan : bool;
+  (* Cost-based join planning: the compiler reorders rule bodies by
+     live relation cardinalities; the cached program stays valid while
+     every relation's cardinality stays within the power-of-two band it
+     was compiled against ([program_bands]).  Crossing a band re-runs
+     the planner even though the rule set is unchanged — counted by
+     [n_replans]. *)
   mutable program_bands : (string * int) array;
   mutable n_replans : int;
   (* Delta staging.  [stage_adds = Some facts] means every base-data
@@ -191,21 +187,18 @@ let register_metrics t =
     "Approximate private-state footprint of this peer's builtin modules"
     (fun s -> s.Builtin.memory_bytes)
 
-let create ?(strategy = Wdl_eval.Fixpoint.Seminaive) ?policy ?indexing
-    ?trace_capacity ?(diff_batches = true) ?(incremental = true)
-    ?(replan = true) ?(inbox_capacity = max_int) ?(shed = Drop_newest) name =
+let create ?policy ?trace_capacity ?(inbox_capacity = max_int)
+    ?(shed = Drop_newest) name =
   if name = "" then invalid_arg "Peer.create: empty name";
   if inbox_capacity < 1 then
     invalid_arg "Peer.create: inbox_capacity must be at least 1";
   let t = {
     name;
-    db = Database.create ?indexing ();
+    db = Database.create ();
     acl = Acl.create ?policy ();
     authz = Authz.create ();
     enforce_authz = false;
     trace = Trace.create ?capacity:trace_capacity ();
-    strategy;
-    diff_batches;
     track_provenance = false;
     prov = Fact_tbl.create 64;
     journal = None;
@@ -235,12 +228,10 @@ let create ?(strategy = Wdl_eval.Fixpoint.Seminaive) ?policy ?indexing
     stage_no = 0;
     dirty = false;
     last_errors = [];
-    incremental;
     rules_version = 0;
     program = None;
     n_cache_hits = 0;
     n_fastpath = 0;
-    replan;
     program_bands = [||];
     n_replans = 0;
     (* The first stage of any peer (fresh or restored) is a full one. *)
@@ -665,8 +656,7 @@ let ask t src =
           ~body:rule.Rule.body
       in
       match
-        Wdl_eval.Fixpoint.run ~strategy:t.strategy ~self:t.name db
-          (all_rules t @ [ qrule ])
+        Wdl_eval.Fixpoint.run ~self:t.name db (all_rules t @ [ qrule ])
       with
       | Error e -> Error (Format.asprintf "%a" Wdl_eval.Stratify.pp_error e)
       | Ok result ->
@@ -1425,20 +1415,14 @@ let live_cardinal t rel =
   | Some i -> Relation.cardinal i.Database.data
   | None -> 0
 
-let order_fn t =
-  if t.replan then
-    Some (Wdl_eval.Plan.order_body ~self:t.name ~stats:(live_cardinal t))
-  else None
-
 (* Return the cached compiled program if it is still valid for the
    current rule set, recompiling otherwise.  Valid means: same rule-set
-   version AND (with replanning on) no relation has crossed a
-   cardinality band since compilation — crossing one recompiles with
-   fresh statistics and counts as a replan.  [None] on stratification
-   errors — [Fixpoint.run] then recomputes and reports the error
-   itself. *)
+   version AND no relation has crossed a cardinality band since
+   compilation — crossing one recompiles with fresh statistics and
+   counts as a replan.  [None] on stratification errors —
+   [Fixpoint.run] then recomputes and reports the error itself. *)
 let compiled_program t =
-  let bands = if t.replan then band_signature t.db else [||] in
+  let bands = band_signature t.db in
   match t.program with
   | Some p
     when Wdl_eval.Program.version p = t.rules_version
@@ -1451,7 +1435,8 @@ let compiled_program t =
       t.n_replans <- t.n_replans + 1
     | _ -> ());
     match
-      Wdl_eval.Program.compile ~version:t.rules_version ?order:(order_fn t)
+      Wdl_eval.Program.compile ~version:t.rules_version
+        ~order:(Wdl_eval.Plan.order_body ~self:t.name ~stats:(live_cardinal t))
         ~self:t.name ~intensional:(intensional t) (all_rules t)
     with
     | Ok p ->
@@ -1513,13 +1498,11 @@ let batch_additions t (msg : Message.t) acc =
       in
       walk cached batch acc
 
-(* The static half of the delta-staging gate: engine configuration and
+(* The static half of the delta-staging gate: peer features and
    rule-set shape. The dynamic half — were this stage's inputs purely
    additive? — is [stage_adds] plus the inbox walk in [stage]. *)
 let delta_capable t =
-  t.incremental && t.diff_batches
-  && (not t.track_provenance)
-  && t.strategy = Wdl_eval.Fixpoint.Seminaive
+  (not t.track_provenance)
   && Builtin.Registry.is_empty t.builtins
   && monotone_rules t
 
@@ -1553,15 +1536,9 @@ let stage t =
      (extensional db, remote cache, rules).  When none of those changed
      since the previous stage, its outputs are identical, so every
      diffed batch and delegation diff is empty — skip the whole thing.
-     Requires [diff_batches]: with diffing off, identical non-empty
-     batches are legitimately resent every stage.  [last_errors] is
-     deliberately left as-is: re-running would reproduce the same
-     errors. *)
-  if
-    t.incremental && t.diff_batches && (not t.dirty)
-    && t.induced_pending = []
-    && Queue.is_empty t.inbox
-  then begin
+     [last_errors] is deliberately left as-is: re-running would
+     reproduce the same errors. *)
+  if not (has_work t) then begin
     t.n_fastpath <- t.n_fastpath + 1;
     record_event t (Trace.Stage_start { peer = t.name; stage = stage_no });
     record_event t
@@ -1636,25 +1613,10 @@ let stage t =
   ignore (Builtin.Registry.flush_all t.builtins : bool);
   (* Step 2: fixpoint, against the cached compiled program when the
      rule set is unchanged. *)
-  let program =
-    if t.incremental then compiled_program t
-    else
-      (* The baseline engine caches nothing, but it must apply the same
-         join ordering as the incremental one — the two engines are
-         checked for step-equivalence, and ordering changes which
-         delegation a mixed body produces. *)
-      match
-        Wdl_eval.Program.compile ~version:t.rules_version
-          ?order:(order_fn t) ~self:t.name ~intensional:(intensional t)
-          (all_rules t)
-      with
-      | Ok p -> Some p
-      | Error _ -> None
-  in
+  let program = compiled_program t in
   let outbound =
     match
-      Wdl_eval.Fixpoint.run ~strategy:t.strategy
-        ~record_provenance:t.track_provenance ~schedule:t.incremental ?seed
+      Wdl_eval.Fixpoint.run ~record_provenance:t.track_provenance ?seed
         ?program ~handles:t.eval_handles ~self:t.name t.db (all_rules t)
     with
     | Error e ->
@@ -1699,7 +1661,7 @@ let stage t =
          changes still cross bands against this reference. Other peers
          keep the compile-time reference: their next compile measures
          the post-[refill_intensional] store it was taken against. *)
-      if t.replan && delta_capable t then begin
+      if delta_capable t then begin
         match t.program with
         | Some p when Wdl_eval.Program.version p = t.rules_version ->
           t.program_bands <- band_signature t.db
@@ -1791,11 +1753,11 @@ let stage t =
             List.sort Fact.compare
               (Option.value ~default:[] (Hashtbl.find_opt by_dst dst))
           in
-          if t.diff_batches && List.equal Fact.equal batch last then None
+          if List.equal Fact.equal batch last then None
           else begin
             Hashtbl.replace t.last_batches dst batch;
             Hashtbl.replace t.batch_origins dst (stage_origins dst);
-            if batch = [] && last = [] then None else Some batch
+            Some batch
           end
       in
       let susp = result.Wdl_eval.Fixpoint.suspensions in

@@ -23,13 +23,8 @@ type shed_policy = Drop_newest | Drop_oldest
 val shed_policy_string : shed_policy -> string
 
 val create :
-  ?strategy:Wdl_eval.Fixpoint.strategy ->
   ?policy:Acl.policy ->
-  ?indexing:bool ->
   ?trace_capacity:int ->
-  ?diff_batches:bool ->
-  ?incremental:bool ->
-  ?replan:bool ->
   ?inbox_capacity:int ->
   ?shed:shed_policy ->
   string ->
@@ -38,25 +33,19 @@ val create :
     beyond it, messages are shed per [shed] (default [Drop_newest]),
     counted in [wdl_sys_inbox_shed_total{peer=...}] and traced as
     [Inbox_shed] — one hot sender cannot OOM a slow peer.
-    Raises [Invalid_argument] on an empty name. [diff_batches] (default
-    true) sends per-destination fact batches only when they changed;
-    turning it off re-sends on every stage — the naive messaging
-    discipline measured by the A1 ablation benchmark. [incremental]
-    (default true) enables the incremental evaluation engine: the
-    compiled program is cached across stages (invalidated by rule
-    changes, delegation installs/retracts, and declarations),
-    semi-naive iterations skip plans whose delta relations are empty,
-    and quiescent stages (no new facts, messages, or rule changes)
-    skip the fixpoint entirely. Turning it off restores full
-    per-stage recompilation and exhaustive plan execution — the
-    baseline measured by the eval benchmark. [replan] (default true)
-    enables cost-based join ordering: rule bodies are reordered at
-    compile time by live relation cardinalities (the WDL031 greedy
-    reorder promoted into the planner), and the cached program is
-    recompiled when any relation's cardinality crosses a power-of-two
-    band, counted in [wdl_eval_replans_total{peer=...}]. Turning it
-    off evaluates bodies exactly as written — the mode the WDL031
-    lint hint still targets. *)
+    Raises [Invalid_argument] on an empty name.
+
+    Every peer runs the one evaluation engine. Per-destination fact
+    batches are sent only when they changed. The compiled program is
+    cached across stages (invalidated by rule changes, delegation
+    installs/retracts, and declarations); semi-naive iterations skip
+    plans whose delta relations are empty; quiescent stages (no new
+    facts, messages, or rule changes) skip the fixpoint entirely.
+    Join ordering is cost-based: rule bodies are reordered at compile
+    time by live relation cardinalities (the WDL031 greedy reorder
+    promoted into the planner), and the cached program is recompiled
+    when any relation's cardinality crosses a power-of-two band,
+    counted in [wdl_eval_replans_total{peer=...}]. *)
 
 val name : t -> string
 val database : t -> Wdl_store.Database.t

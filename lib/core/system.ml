@@ -1,6 +1,5 @@
 type t = {
   transport : Message.t Wdl_net.Transport.t;
-  batch : bool;  (* coalesce each round's outbox per destination *)
   drop_unknown : bool;
   peers : (string, Peer.t) Hashtbl.t;
   mutable order : string list;  (* reverse registration order *)
@@ -23,7 +22,7 @@ type t = {
   mutable purgers : (string -> unit) list;
 }
 
-let create ?transport ?(batch = true) ?drop_unknown ?membership
+let create ?transport ?drop_unknown ?membership
     ?(dead_letter_capacity = 256) () =
   (* With the default in-process transport a message to an unknown peer
      can never be delivered, so it is dropped; with an explicit
@@ -40,7 +39,6 @@ let create ?transport ?(batch = true) ?drop_unknown ?membership
   let t =
     {
       transport;
-      batch;
       drop_unknown;
       peers = Hashtbl.create 8;
       order = [];
@@ -217,14 +215,10 @@ let adopt_peer t p =
     (peers t);
   flush_dead_letters t name
 
-let add_peer t ?strategy ?policy ?indexing ?diff_batches ?incremental ?replan
-    ?inbox_capacity ?shed name =
+let add_peer t ?policy ?inbox_capacity ?shed name =
   if Hashtbl.mem t.peers name then
     invalid_arg (Printf.sprintf "System.add_peer: peer %s already exists" name);
-  let p =
-    Peer.create ?strategy ?policy ?indexing ?diff_batches ?incremental ?replan
-      ?inbox_capacity ?shed name
-  in
+  let p = Peer.create ?policy ?inbox_capacity ?shed name in
   Hashtbl.replace t.peers name p;
   t.order <- name :: t.order;
   Membership.track t.membership ~round:t.rounds ~registered:true name;
@@ -333,26 +327,19 @@ let round t =
   (* An unreachable peer must not kill everyone else's round: the
      transport is expected to park-and-retry (Tcp) or retransmit
      (Reliable); anything that still escapes is counted and the batch
-     (or message) abandoned. *)
+     abandoned. *)
   List.iter
     (fun dst ->
       let items = List.rev !(Hashtbl.find outbox dst) in
       match items with
-      | [ (src, msg) ] when t.batch ->
+      | [ (src, msg) ] ->
         (* Size-1 fast path: a singleton group gains nothing from the
            batch frame, so skip the batching bookkeeping entirely. *)
         (try t.transport.Wdl_net.Transport.send ~src ~dst msg
          with _ -> t.transport_errors <- t.transport_errors + 1)
-      | _ ->
-        if t.batch then (
-          try t.transport.Wdl_net.Transport.send_many ~dst items
-          with _ -> t.transport_errors <- t.transport_errors + 1)
-        else
-          List.iter
-            (fun (src, msg) ->
-              try t.transport.Wdl_net.Transport.send ~src ~dst msg
-              with _ -> t.transport_errors <- t.transport_errors + 1)
-            items)
+      | _ -> (
+        try t.transport.Wdl_net.Transport.send_many ~dst items
+        with _ -> t.transport_errors <- t.transport_errors + 1))
     (List.rev !dsts);
   t.transport.Wdl_net.Transport.advance 1.0;
   let revived = ref [] in

@@ -12,19 +12,17 @@ type t
 
 val create :
   ?transport:Message.t Wdl_net.Transport.t ->
-  ?batch:bool ->
   ?drop_unknown:bool ->
   ?membership:Membership.config ->
   ?dead_letter_capacity:int ->
   unit ->
   t
 (** Default transport: {!Wdl_net.Inmem} sized with {!Message.size}.
-    [batch] (default [true]) coalesces each round's outbox per
-    destination into one [send_many] — the delivery schedule is
-    unchanged (everything still lands in the same round; per-stage
-    observability is preserved), only the number of wire units drops;
-    singleton groups skip the batch frame entirely. Set [false] for
-    the per-message ablation. [drop_unknown] controls messages to
+    Each round's outbox is coalesced per destination into one
+    [send_many] — the delivery schedule is unchanged (everything still
+    lands in the same round; per-stage observability is preserved),
+    only the number of wire units drops; singleton groups skip the
+    batch frame entirely. [drop_unknown] controls messages to
     peers this system doesn't host: dropped when using the default
     in-process transport (they could never be delivered), sent
     otherwise (over TCP the peer may live in another process).
@@ -37,18 +35,13 @@ val create :
 
 val add_peer :
   t ->
-  ?strategy:Wdl_eval.Fixpoint.strategy ->
   ?policy:Acl.policy ->
-  ?indexing:bool ->
-  ?diff_batches:bool ->
-  ?incremental:bool ->
-  ?replan:bool ->
   ?inbox_capacity:int ->
   ?shed:Peer.shed_policy ->
   string ->
   Peer.t
-(** Raises [Invalid_argument] if the name is already taken. All
-    optional flags are forwarded to {!Peer.create}. *)
+(** Raises [Invalid_argument] if the name is already taken. The
+    optional arguments are forwarded to {!Peer.create}. *)
 
 val adopt_peer : t -> Peer.t -> unit
 (** Registers an existing peer (e.g. one rebuilt by {!Persist.recover})

@@ -5,8 +5,6 @@ module Prog = Program
 open Wdl_syntax
 open Wdl_store
 
-type strategy = Seminaive | Naive
-
 type derivation = {
   fact : Fact.t;
   rule : Rule.t;
@@ -77,7 +75,6 @@ type state = {
   mutable error_count : int;
   mutable derivations : int;
   mutable iterations : int;
-  schedule : bool;  (* skip (plan, pos) pairs whose delta is absent *)
   delta_hist : Wdl_obs.Obs.histogram;
   skipped_ctr : Wdl_obs.Obs.counter;
 }
@@ -505,51 +502,34 @@ let eval_agg_plan st (plan : Plan.t) =
 
 (* {1 Strata} *)
 
-(* Positions of positive atoms in a plan (candidate delta spots). *)
-let pos_atom_positions (plan : Plan.t) =
-  List.filter_map
-    (function
-      | Plan.Match { neg = false; pos; _ } -> Some pos
-      | Plan.Match _ | Plan.Cmp _ | Plan.Assign _ -> None)
-    plan.Plan.steps
-
-(* One semi-naive iteration over the stratum's activations. With
-   scheduling on, only (plan, pos) pairs whose delta relation received
-   tuples last iteration execute — running the others costs the full
-   enumeration of the body prefix before [pos] just to find an empty
-   delta. Wildcard positions (relation variables) may read any delta,
-   so they always run. *)
+(* One semi-naive iteration over the stratum's activations: only
+   (plan, pos) pairs whose delta relation received tuples last
+   iteration execute — running the others costs the full enumeration
+   of the body prefix before [pos] just to find an empty delta.
+   Wildcard positions (relation variables) may read any delta, so they
+   always run. *)
 let seminaive_iteration st (stratum : Prog.stratum) =
-  if not st.schedule then
-    List.iter
-      (fun p ->
+  let executed = ref 0 in
+  Hashtbl.iter
+    (fun name _delta ->
+      match Hashtbl.find_opt stratum.Prog.by_rel name with
+      | None -> ()
+      | Some acts ->
         List.iter
-          (fun pos -> eval_plan st ~delta_pos:(Some pos) p)
-          (pos_atom_positions p))
-      stratum.Prog.plans
-  else begin
-    let executed = ref 0 in
-    Hashtbl.iter
-      (fun name _delta ->
-        match Hashtbl.find_opt stratum.Prog.by_rel name with
-        | None -> ()
-        | Some acts ->
-          List.iter
-            (fun (a : Prog.activation) ->
-              incr executed;
-              eval_plan st ~delta_pos:(Some a.Prog.pos) a.Prog.plan)
-            acts)
-      st.delta;
-    List.iter
-      (fun (a : Prog.activation) ->
-        incr executed;
-        eval_plan st ~delta_pos:(Some a.Prog.pos) a.Prog.plan)
-      stratum.Prog.wildcard;
-    let skipped = stratum.Prog.n_activations - !executed in
-    if skipped > 0 then Wdl_obs.Obs.inc ~by:skipped st.skipped_ctr
-  end
+          (fun (a : Prog.activation) ->
+            incr executed;
+            eval_plan st ~delta_pos:(Some a.Prog.pos) a.Prog.plan)
+          acts)
+    st.delta;
+  List.iter
+    (fun (a : Prog.activation) ->
+      incr executed;
+      eval_plan st ~delta_pos:(Some a.Prog.pos) a.Prog.plan)
+    stratum.Prog.wildcard;
+  let skipped = stratum.Prog.n_activations - !executed in
+  if skipped > 0 then Wdl_obs.Obs.inc ~by:skipped st.skipped_ctr
 
-let run_stratum ?seed st strategy (stratum : Prog.stratum) =
+let run_stratum ?seed st (stratum : Prog.stratum) =
   st.delta <- Hashtbl.create 8;
   st.delta_next <- Hashtbl.create 8;
   (* Aggregate rules read complete lower strata, so they run once, up
@@ -579,12 +559,7 @@ let run_stratum ?seed st strategy (stratum : Prog.stratum) =
       st.delta <- st.delta_next;
       st.delta_next <- Hashtbl.create 8;
       st.iterations <- st.iterations + 1;
-      (match strategy with
-      | Naive ->
-        List.iter
-          (fun p -> eval_plan st ~delta_pos:None p)
-          stratum.Prog.plans
-      | Seminaive -> seminaive_iteration st stratum);
+      seminaive_iteration st stratum;
       loop ()
     end
   in
@@ -626,8 +601,7 @@ let handles ~self =
         "wdl_eval_plans_skipped_total";
   }
 
-let run ?(strategy = Seminaive) ?(record_provenance = false) ?(schedule = true)
-    ?seed ?program ?handles:h ~self db rules =
+let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
   let compiled =
     match program with
     | Some p -> Ok p
@@ -661,7 +635,6 @@ let run ?(strategy = Seminaive) ?(record_provenance = false) ?(schedule = true)
         error_count = 0;
         derivations = 0;
         iterations = 0;
-        schedule;
         delta_hist = h.h_delta_hist;
         skipped_ctr = h.h_skipped_ctr;
       }
@@ -673,7 +646,7 @@ let run ?(strategy = Seminaive) ?(record_provenance = false) ?(schedule = true)
       if Array.length prog.Prog.strata > 1 then None else seed
     in
     Wdl_obs.Obs.time h.stage_hist (fun () ->
-        Array.iter (run_stratum ?seed st strategy) prog.Prog.strata);
+        Array.iter (run_stratum ?seed st) prog.Prog.strata);
     Wdl_obs.Obs.observe h.iter_hist (float_of_int st.iterations);
     (* Canonical result assembly: derived sets are sorted, so journal
        writes, snapshots and trace fact order are a function of the

@@ -15,13 +15,11 @@
       remaining literals kept) is returned in [suspensions] — these
       become the paper's delegations.
 
-    Both semi-naive (default) and naive strategies implement identical
-    semantics; naive is kept as the benchmark baseline (T1). *)
+    Evaluation is semi-naive with rule-activation scheduling; see
+    {!run}. *)
 
 (* No [open Wdl_syntax] here: it would shadow this library's [Program]
    module with the syntax-level one of the same name. *)
-
-type strategy = Seminaive | Naive
 
 type derivation = {
   fact : Wdl_syntax.Fact.t;
@@ -70,9 +68,7 @@ val handles : self:string -> handles
     After a registry clear, resolve a fresh bundle. *)
 
 val run :
-  ?strategy:strategy ->
   ?record_provenance:bool ->
-  ?schedule:bool ->
   ?seed:(string * Wdl_store.Tuple.t) list ->
   ?program:Program.t ->
   ?handles:handles ->
@@ -104,13 +100,10 @@ val run :
     the per-call [Stratify.compute] + [Plan.compile] work. [Peer]
     caches one program per rule-set version.
 
-    [schedule] (default true) enables rule-activation scheduling:
-    semi-naive iterations after the first execute only the
-    [(plan, delta position)] pairs whose delta relation is non-empty.
-    Scheduling never changes results — a skipped pair reads an empty
-    delta and derives nothing — only which no-op plan executions are
-    paid for; [~schedule:false] restores exhaustive execution (the
-    pre-optimization engine, kept as the bench baseline).
+    Semi-naive iterations after the first execute only the
+    [(plan, delta position)] pairs whose delta relation is non-empty
+    (rule-activation scheduling). A skipped pair would read an empty
+    delta and derive nothing, so scheduling never changes results.
 
     Every result list is sorted canonically, so journals, snapshots
     and trace fact order depend only on the result sets, never on

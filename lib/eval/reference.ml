@@ -321,7 +321,7 @@ let pos_positions (rule : Rule.t) =
          | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> [])
        rule.Rule.body)
 
-let run_stratum st strategy all_rules =
+let run_stratum st all_rules =
   let agg_rules, rules = List.partition Rule.is_aggregate all_rules in
   st.delta <- Hashtbl.create 8;
   st.delta_next <- Hashtbl.create 8;
@@ -334,20 +334,16 @@ let run_stratum st strategy all_rules =
       st.delta <- st.delta_next;
       st.delta_next <- Hashtbl.create 8;
       st.iterations <- st.iterations + 1;
-      (match strategy with
-      | Fixpoint.Naive -> List.iter (fun r -> eval_rule st ~delta_pos:None r) rules
-      | Fixpoint.Seminaive ->
-        List.iter
-          (fun r ->
-            List.iter (fun p -> eval_rule st ~delta_pos:(Some p) r) (pos_positions r))
-          rules);
+      List.iter
+        (fun r ->
+          List.iter (fun p -> eval_rule st ~delta_pos:(Some p) r) (pos_positions r))
+        rules;
       loop ()
     end
   in
   loop ()
 
-let run ?(strategy = Fixpoint.Seminaive) ?(record_provenance = false) ~self db
-    rules =
+let run ?(record_provenance = false) ~self db rules =
   let intensional rel =
     match Database.kind db rel with
     | Some Decl.Intensional -> true
@@ -374,7 +370,7 @@ let run ?(strategy = Fixpoint.Seminaive) ?(record_provenance = false) ~self db
         iterations = 0;
       }
     in
-    Array.iter (fun rules -> run_stratum st strategy rules) strata;
+    Array.iter (run_stratum st) strata;
     let to_list tbl = Fact_tbl.fold (fun f () acc -> f :: acc) tbl [] in
     Ok
       {

@@ -12,7 +12,6 @@
     intensional relations, returns the same {!Fixpoint.result}. *)
 
 val run :
-  ?strategy:Fixpoint.strategy ->
   ?record_provenance:bool ->
   self:string ->
   Wdl_store.Database.t ->

@@ -105,7 +105,6 @@ type control = {
   local : (string, unit) Hashtbl.t;  (* peers that drained here at least once *)
   conns : (string, Unix.file_descr) Hashtbl.t;  (* outbound, by host:port *)
   inbound : (Unix.file_descr, inconn) Hashtbl.t;
-  reuse : bool;
   connect_timeout : float;
   read_timeout : float;
   retry_delay : float;
@@ -209,35 +208,24 @@ let drop_conn ctl key sock =
   Hashtbl.remove ctl.conns key;
   try Unix.close sock with Unix.Unix_error _ -> ()
 
-(* Put [data] on the wire towards [ep]. With [reuse] (the default) the
-   connection persists across calls; a cached connection that turns out
-   stale (peer restarted) gets one retry on a fresh socket before the
-   failure surfaces. Without [reuse] this is the historical
-   connect-per-frame discipline, kept as the benchmark ablation. *)
+(* Put [data] on the wire towards [ep]. The connection persists across
+   calls; a cached connection that turns out stale (peer restarted)
+   gets one retry on a fresh socket before the failure surfaces. *)
 let write_conn ctl ep data =
-  if not ctl.reuse then begin
+  let key = ep_key ep in
+  match Hashtbl.find_opt ctl.conns key with
+  | None ->
     let sock = fresh_conn ctl ep in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
-      (fun () ->
-        write_all sock data;
-        Unix.shutdown sock Unix.SHUTDOWN_SEND)
-  end
-  else
-    let key = ep_key ep in
-    match Hashtbl.find_opt ctl.conns key with
-    | None ->
+    Hashtbl.replace ctl.conns key sock;
+    (try write_all sock data with e -> drop_conn ctl key sock; raise e)
+  | Some sock -> (
+    match write_all sock data with
+    | () -> ctl.conns_reused <- ctl.conns_reused + 1
+    | exception _ ->
+      drop_conn ctl key sock;
       let sock = fresh_conn ctl ep in
       Hashtbl.replace ctl.conns key sock;
-      (try write_all sock data with e -> drop_conn ctl key sock; raise e)
-    | Some sock -> (
-      match write_all sock data with
-      | () -> ctl.conns_reused <- ctl.conns_reused + 1
-      | exception _ ->
-        drop_conn ctl key sock;
-        let sock = fresh_conn ctl ep in
-        Hashtbl.replace ctl.conns key sock;
-        (try write_all sock data with e -> drop_conn ctl key sock; raise e))
+      (try write_all sock data with e -> drop_conn ctl key sock; raise e))
 
 type outcome = Delivered | Failed | No_route
 
@@ -380,8 +368,7 @@ let pump ctl stats =
       conns
   end
 
-let create ?(sizer = String.length) ?(port = 0) ?(reuse = true)
-    ?(connect_timeout = 5.0) ?(read_timeout = 5.0) ?(retry_delay = 0.05)
+let create ?(sizer = String.length) ?(port = 0) ?(connect_timeout = 5.0) ?(read_timeout = 5.0) ?(retry_delay = 0.05)
     ?(max_retries = 24) () =
   (* A write to a peer that vanished must surface as EPIPE, not kill
      the process. *)
@@ -405,7 +392,6 @@ let create ?(sizer = String.length) ?(port = 0) ?(reuse = true)
       local = Hashtbl.create 8;
       conns = Hashtbl.create 8;
       inbound = Hashtbl.create 8;
-      reuse;
       connect_timeout;
       read_timeout;
       retry_delay;

@@ -5,7 +5,7 @@
     One {!create} per process: it listens on a local port and serves
     every peer hosted by the process. Remote peers are located through
     {!register}. A connection to each registered endpoint is opened
-    once and reused for every subsequent frame ([reuse], the default) —
+    once and reused for every subsequent frame —
     no connect-per-send, no shutdown-per-frame — and a [send_many]
     batch rides the wire as one write. [drain] never blocks: it
     accepts pending connections and reads whatever bytes each open
@@ -38,7 +38,6 @@ type control
 val create :
   ?sizer:(string -> int) ->
   ?port:int ->
-  ?reuse:bool ->
   ?connect_timeout:float ->
   ?read_timeout:float ->
   ?retry_delay:float ->
@@ -46,8 +45,7 @@ val create :
   unit ->
   string Transport.t * control
 (** Listens on [127.0.0.1:port] (default [0]: ephemeral). Defaults:
-    [reuse = true] (set [false] for the historical connect-per-frame
-    behaviour — the benchmark ablation), [connect_timeout = 5.0] s,
+    [connect_timeout = 5.0] s,
     [read_timeout = 5.0] s, [retry_delay = 0.05] s (doubling per
     attempt, capped), [max_retries = 24]. *)
 

@@ -9,7 +9,6 @@ type info = {
 }
 
 type t = {
-  indexing : bool;
   pool : Intern.t;  (* shared by every relation of this database *)
   rels : (string, info) Hashtbl.t;
 }
@@ -25,15 +24,14 @@ let pp_error ppf = function
     Format.fprintf ppf "relation %s is already declared %a" rel Decl.pp_kind
       declared
 
-let create ?(indexing = true) () =
-  { indexing; pool = Intern.create (); rels = Hashtbl.create 16 }
+let create () = { pool = Intern.create (); rels = Hashtbl.create 16 }
 
 let pool t = t.pool
 
 let make_info t ~name ~kind ~arity ~cols =
   let info =
     { name; kind; arity; cols;
-      data = Relation.create ~pool:t.pool ~indexing:t.indexing ~arity () }
+      data = Relation.create ~pool:t.pool ~arity () }
   in
   Hashtbl.replace t.rels name info;
   info
@@ -100,10 +98,7 @@ let memory_bytes t =
 let copy t =
   (* The pool is shared with the copy: interning is append-only, so
      the copy's inserts can only extend it, never corrupt ids. *)
-  let fresh =
-    { indexing = t.indexing; pool = t.pool;
-      rels = Hashtbl.create (Hashtbl.length t.rels) }
-  in
+  let fresh = { pool = t.pool; rels = Hashtbl.create (Hashtbl.length t.rels) } in
   Hashtbl.iter
     (fun name info ->
       Hashtbl.replace fresh.rels name { info with data = Relation.copy info.data })

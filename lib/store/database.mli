@@ -25,7 +25,7 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val create : ?indexing:bool -> unit -> t
+val create : unit -> t
 
 val pool : t -> Intern.t
 (** The intern pool shared by every relation of this database (and by

@@ -16,7 +16,7 @@
       [wdl_store_index_builds_total] / [wdl_store_index_evictions_total]).
 
     [~indexing:false] disables index creation (used for one-iteration
-    delta relations and the T4 ablation benchmark). *)
+    delta relations). *)
 
 type t
 

@@ -200,9 +200,9 @@ let tests =
             in
             List.equal Tuple.equal (collect indexed) (collect plain))
           (List.init 12 (fun i -> i)));
-    QCheck.Test.make ~count:50 ~name:"seminaive equals naive on random TC"
+    QCheck.Test.make ~count:50 ~name:"fixpoint equals reference on random TC"
       (QCheck.make edges_gen) (fun edges ->
-        let mk strategy =
+        let mk run =
           let db = Database.create () in
           ignore
             (Database.declare db
@@ -217,7 +217,7 @@ let tests =
             [ Parser.parse_rule "tc@p($x,$y) :- edge@p($x,$y)";
               Parser.parse_rule "tc@p($x,$z) :- tc@p($x,$y), edge@p($y,$z)" ]
           in
-          match Wdl_eval.Fixpoint.run ~strategy ~self:"p" db rules with
+          match run ~self:"p" db rules with
           | Ok _ ->
             (match Database.find db "tc" with
             | Some info -> Relation.to_sorted_list info.Database.data
@@ -225,8 +225,8 @@ let tests =
           | Error _ -> []
         in
         List.equal Tuple.equal
-          (mk Wdl_eval.Fixpoint.Seminaive)
-          (mk Wdl_eval.Fixpoint.Naive));
+          (mk (fun ~self db rules -> Wdl_eval.Fixpoint.run ~self db rules))
+          (mk (fun ~self db rules -> Wdl_eval.Reference.run ~self db rules)));
     QCheck.Test.make ~count:30
       ~name:"distributed view equals the centralised join"
       (QCheck.make

@@ -299,21 +299,6 @@ let suite =
         ignore (ok (System.run sys));
         check_int "retracted" 0 (List.length (Peer.delegated_rules emilien));
         check_int "view empty" 0 (List.length (Peer.query jules "attendeePictures")));
-    tc "peers with different strategies interoperate" (fun () ->
-        let sys = System.create () in
-        let jules =
-          System.add_peer sys ~strategy:Wdl_eval.Fixpoint.Naive "Jules"
-        in
-        let emilien = System.add_peer sys "Emilien" in
-        ok
-          (Peer.load_string jules
-             {|ext sel@Jules(a); int view@Jules(i); sel@Jules("Emilien");
-               view@Jules($i) :- sel@Jules($a), pics@$a($i);|});
-        ok
-          (Peer.load_string emilien
-             "ext pics@Emilien(i); pics@Emilien(1); pics@Emilien(2);");
-        ignore (ok (System.run sys));
-        check_int "view" 2 (List.length (Peer.query jules "view")));
     tc "a delegation chain that returns to its origin stabilises" (fun () ->
         let sys = System.create () in
         let a = System.add_peer sys "a" in
