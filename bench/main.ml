@@ -795,7 +795,7 @@ let obs () =
 
    Microbenchmark for the tuple-storage core on relations of 100k+
    tuples. The columnar side is the live [Wdl_store.Relation] (interned
-   flat int rows, open-addressing dedup, pinned int-key indexes); the
+   flat int rows, open-addressing dedup, int-key indexes); the
    boxed baseline reconstructs the seed layout in place — a generic
    hashtable keyed by boxed [Tuple.t] for dedup plus a per-column
    value-keyed hashtable for probes — so the rows measure exactly what
@@ -982,20 +982,20 @@ let store_measure ~n =
   Array.iter (fun t -> ignore (Wdl_store.Relation.insert col_probe t)) probe_tuples;
   Array.iter (fun t -> ignore (Boxed.insert boxed_probe t)) probe_tuples;
   let col_hits = ref 0 and boxed_hits = ref 0 in
-  (* One compiled-plan probe with a stored key builds and pins the
-     column-1 index. *)
+  (* One probe with a stored key builds the column-1 index. *)
   Wdl_store.Relation.lookup_key col [| 1 |] [| tuples.(0).(1) |] ignore;
   Boxed.build_index boxed [| 1 |];
   let join_row =
     ( "join",
       store_best_of_3 (fun () ->
           col_hits := 0;
-          Wdl_store.Relation.iter
-            (fun t ->
-              Wdl_store.Relation.lookup col
-                [ (1, t.(0)) ]
-                (fun _ -> incr col_hits))
-            col_probe),
+          (* The fixpoint's pattern: a full scan of the probe side, then
+             one keyed lookup per slot, reading the key column from the
+             pool. *)
+          Wdl_store.Relation.lookup_key col_probe [||] [||] (fun slot ->
+              Wdl_store.Relation.lookup_key col [| 1 |]
+                [| Wdl_store.Relation.value col_probe slot 0 |]
+                (fun _ -> incr col_hits))),
       store_best_of_3 (fun () ->
           boxed_hits := 0;
           Boxed.iter

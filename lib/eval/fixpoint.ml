@@ -320,12 +320,14 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
               (* Statically bound: a linear plan binds deterministically. *)
               assert false)
         done;
-        Relation.lookup_key relation m.Plan.bpos key (fun tuple ->
+        (* The store hands back a slot; columns are read straight from
+           the pool, so a hit allocates no tuple. *)
+        Relation.lookup_key relation m.Plan.bpos key (fun slot ->
             let binds = m.Plan.out_binds in
             let nb = Array.length binds in
             for j = 0 to nb - 1 do
               let i, s = binds.(j) in
-              env.(s) <- Some tuple.(i)
+              env.(s) <- Some (Relation.value relation slot i)
             done;
             let checks = m.Plan.out_checks in
             let nc = Array.length checks in
@@ -333,7 +335,9 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
             for j = 0 to nc - 1 do
               let i, s = checks.(j) in
               match env.(s) with
-              | Some v -> if not (Value.equal v tuple.(i)) then ok := false
+              | Some v ->
+                if not (Value.equal v (Relation.value relation slot i)) then
+                  ok := false
               | None -> assert false
             done;
             if !ok then step rest;

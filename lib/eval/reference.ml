@@ -122,8 +122,10 @@ let match_tuple sigma (args : Term.t list) (tuple : Tuple.t) =
     in
     go sigma 0 args
 
-let bound_positions (args : Term.t list) =
-  List.concat (List.mapi (fun i t -> match t with Term.Const v -> [ (i, v) ] | Term.Var _ -> []) args)
+(* Positions (ascending) and values of an atom's constant arguments. *)
+let bound_key (args : Term.t list) =
+  let bound = List.concat (List.mapi (fun i t -> match t with Term.Const v -> [ (i, v) ] | Term.Var _ -> []) args) in
+  (Array.of_list (List.map fst bound), Array.of_list (List.map snd bound))
 
 let rec walk st rule ~emit ~delta_pos pos sigma lits =
   match lits with
@@ -185,8 +187,9 @@ let rec walk st rule ~emit ~delta_pos pos sigma lits =
               match sigma with
               | None -> ()
               | Some sigma ->
-                Relation.lookup relation (bound_positions a.Atom.args)
-                  (fun tuple ->
+                let positions, key = bound_key a.Atom.args in
+                Relation.lookup_key relation positions key (fun slot ->
+                    let tuple = Array.init arity (Relation.value relation slot) in
                     match match_tuple sigma a.Atom.args tuple with
                     | Some sigma ->
                       walk st rule ~emit ~delta_pos (pos + 1) sigma rest

@@ -96,12 +96,15 @@ let memory_bytes t =
     (Intern.memory_bytes t.pool)
 
 let copy t =
-  (* The pool is shared with the copy: interning is append-only, so
-     the copy's inserts can only extend it, never corrupt ids. *)
-  let fresh = { pool = t.pool; rels = Hashtbl.create (Hashtbl.length t.rels) } in
+  (* The copy gets its own pool with the same ids, so values it derives
+     (an ad-hoc query's, say) never grow the original's pool. *)
+  let fresh =
+    { pool = Intern.copy t.pool; rels = Hashtbl.create (Hashtbl.length t.rels) }
+  in
   Hashtbl.iter
     (fun name info ->
-      Hashtbl.replace fresh.rels name { info with data = Relation.copy info.data })
+      Hashtbl.replace fresh.rels name
+        { info with data = Relation.copy ~pool:fresh.pool info.data })
     t.rels;
   fresh
 

@@ -29,7 +29,7 @@ val create : unit -> t
 
 val pool : t -> Intern.t
 (** The intern pool shared by every relation of this database (and by
-    per-run delta relations and copies — see {!copy}). *)
+    per-run delta relations). *)
 
 val interned_count : t -> int
 (** Distinct values interned by this database's pool. *)
@@ -64,8 +64,9 @@ val clear_intensional : t -> unit
 (** Empties every intensional relation (start of a stage). *)
 
 val copy : t -> t
-(** Deep copy: relations, kinds and contents. Used to evaluate ad-hoc
-    queries without touching live state. *)
+(** Deep copy: relations, kinds, contents and the intern pool (same
+    ids, {!Intern.copy}). Used to evaluate ad-hoc queries without
+    touching live state, pool included. *)
 
 val pp : peer:string -> Format.formatter -> t -> unit
 (** Dump as re-parseable facts, sorted. *)

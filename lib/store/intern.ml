@@ -52,6 +52,9 @@ let intern t v =
       Array.blit t.rev 0 bigger 0 id;
       t.rev <- bigger
     end;
+    (* [-0.] and [0.] are equal, so they share an id; store the
+       canonical [0.] whichever the first sight was. *)
+    let v = match v with Value.Float 0. -> Value.Float 0. | v -> v in
     t.rev.(id) <- v;
     Value_tbl.add t.fwd v id;
     t.next <- id + 1;
@@ -59,6 +62,8 @@ let intern t v =
     id
 
 let find t v = Value_tbl.find_opt t.fwd v
+
+let copy t = { t with fwd = Value_tbl.copy t.fwd; rev = Array.copy t.rev }
 
 let value t id =
   if id < 0 || id >= t.next then

@@ -7,9 +7,10 @@
     array] projection — no boxed traversal on any hot path.
 
     The pool is append-only: ids are never reused, so a pool may be
-    shared freely across relations, database copies and per-iteration
-    delta relations (sharing is what makes cross-relation joins pure
-    int comparisons). A pool lives as long as its database family;
+    shared freely across relations and per-iteration delta relations
+    (sharing is what makes cross-relation joins pure int comparisons).
+    A database copy gets its own {!copy}, so work on the copy never
+    grows the original's pool. A pool lives as long as its database;
     dropping every relation drops the pool with it. *)
 
 type t
@@ -18,7 +19,8 @@ val create : unit -> t
 
 val intern : t -> Wdl_syntax.Value.t -> int
 (** Get the id for a value, assigning the next dense id on first
-    sight. O(1) amortised. *)
+    sight. O(1) amortised. [-0.] and [0.] share one id, which decodes
+    to [0.]. *)
 
 val find : t -> Wdl_syntax.Value.t -> int option
 (** The id if the value was ever interned — never grows the pool. A
@@ -28,6 +30,10 @@ val find : t -> Wdl_syntax.Value.t -> int option
 val value : t -> int -> Wdl_syntax.Value.t
 (** Inverse mapping. Raises [Invalid_argument] on an id never handed
     out. *)
+
+val copy : t -> t
+(** An independent pool with the same ids: interning into the copy
+    never grows the original. *)
 
 val size : t -> int
 (** Distinct values interned so far. *)

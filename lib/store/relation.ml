@@ -2,21 +2,17 @@ module Value = Wdl_syntax.Value
 
 (* Interned columnar storage.
 
-   A relation stores each tuple twice, on purpose:
-
-   - [rows]: the interned image, a flat [int array] with [arity]
-     consecutive ids per slot — index keys and bound scans work on
-     ints with no boxed traversal;
-   - [boxed]: the caller's [Tuple.t] for that slot — iteration and
-     lookup hand tuples back with zero decode cost and the same
-     aliasing the previous hashtable store had.
+   A relation keeps each tuple once, as its interned image: [rows] is a
+   flat [int array] with [arity] consecutive pool ids per slot. Dedup,
+   index keys and bound scans are pure int work; reads decode through
+   the pool — [value] one column at a time for the compiled-plan
+   lookup, whole tuples for [iter]/[fold]/[to_list].
 
    Slots are recycled through a free list; [live] marks which slots
    hold a tuple. Set-semantics dedup is an open-addressing table of
-   slot ids hashed over the *interned row*: insert interns each value
+   slot ids hashed over the interned row: insert interns each value
    exactly once (find-or-add) and every subsequent compare is int
-   work — one array, no per-entry allocation, no second traversal of
-   the boxed tuple. *)
+   work — one array, no per-entry allocation. *)
 
 (* Growable int vector (index buckets, free list). *)
 module Ivec = struct
@@ -77,8 +73,6 @@ module Ikey_tbl = Hashtbl.Make (Ikey)
 type index = {
   positions : int array;  (** sorted *)
   buckets : Ivec.t Ikey_tbl.t;  (** projection key -> slots *)
-  mutable pinned : bool;  (** planner-requested: never evicted *)
-  mutable uses : int;
 }
 
 type t = {
@@ -87,7 +81,6 @@ type t = {
   pool : Intern.t;
   scratch : int array;  (** arity-sized intern buffer for [insert] *)
   mutable rows : int array;  (** capacity * arity interned ids *)
-  mutable boxed : Tuple.t array;  (** slot -> stored tuple *)
   mutable live : Bytes.t;  (** '\001' iff the slot holds a tuple *)
   mutable limit : int;  (** slots ever allocated (high-water mark) *)
   mutable n : int;  (** live tuples *)
@@ -95,22 +88,10 @@ type t = {
   mutable table : int array;  (** dedup: slot, -1 empty, -2 tombstone *)
   mutable entries : int;  (** live + tombstone dedup entries *)
   mutable indexes : index list;
-  probes : int ref Ikey_tbl.t;  (** ad-hoc signature -> probe count *)
 }
 
 (* Below this size a scan is cheaper than building an index. *)
 let index_threshold = 16
-
-(* Unhinted lookups build an index only from the Nth probe of a
-   signature on — a one-off probe scans instead of materialising a
-   structure nobody will reuse. *)
-let adhoc_probe_threshold = 2
-
-(* Materialised indexes per relation; crossing it evicts the
-   least-used unpinned index. *)
-let max_indexes = 8
-
-let dummy_tuple : Tuple.t = [||]
 
 let create ?pool ?(indexing = true) ~arity () =
   let pool = match pool with Some p -> p | None -> Intern.create () in
@@ -120,7 +101,6 @@ let create ?pool ?(indexing = true) ~arity () =
     pool;
     scratch = Array.make arity 0;
     rows = Array.make (16 * arity) 0;
-    boxed = Array.make 16 dummy_tuple;
     live = Bytes.make 16 '\000';
     limit = 0;
     n = 0;
@@ -128,7 +108,6 @@ let create ?pool ?(indexing = true) ~arity () =
     table = Array.make 32 (-1);
     entries = 0;
     indexes = [];
-    probes = Ikey_tbl.create 4;
   }
 
 let arity r = r.arity
@@ -140,11 +119,11 @@ let is_empty r = r.n = 0
 
    Keyed on the *interned row*: insert resolves each value through the
    pool exactly once (find-or-add — a duplicate's values are already
-   pooled, so duplicates never grow it) and dedup probes then compare
-   flat ints with no boxed traversal. [mem]/[delete] resolve ids with
-   the read-only [Intern.find]: a value foreign to the pool cannot be
-   stored here, so the answer is immediate and the pool never grows on
-   the query path. *)
+   pooled, so duplicates never grow it) and dedup lookups then compare
+   flat ints. [mem]/[delete] resolve ids with the read-only
+   [Intern.find]: a value foreign to the pool cannot be stored here, so
+   the answer is immediate and the pool never grows on the query
+   path. *)
 
 (* FNV-1a over [arity] ids starting at [off]. *)
 let row_hash rows off arity =
@@ -247,7 +226,6 @@ let find_index r positions =
   List.find_opt (fun idx -> Ikey.equal idx.positions positions) r.indexes
 
 let builds_total = ref 0
-let evictions_total = ref 0
 
 (* Metrics are process-global monotone counts; resolving the
    instrument per build is fine — builds are rare by design. *)
@@ -258,43 +236,19 @@ let count_build () =
        ~help:"Relation binding-pattern indexes materialised"
        "wdl_store_index_builds_total")
 
-let count_eviction () =
-  incr evictions_total;
-  Wdl_obs.Obs.inc
-    (Wdl_obs.Obs.counter
-       ~help:"Relation indexes evicted by the per-relation cap (least-used first)"
-       "wdl_store_index_evictions_total")
-
-let build_index r ~pinned positions =
+let build_index r positions =
   count_build ();
-  let idx = { positions; buckets = Ikey_tbl.create 64; pinned; uses = 0 } in
+  let idx = { positions; buckets = Ikey_tbl.create 64 } in
   for s = 0 to r.limit - 1 do
     if Bytes.unsafe_get r.live s <> '\000' then index_add r idx s
   done;
   r.indexes <- idx :: r.indexes;
-  (if List.length r.indexes > max_indexes then
-     (* Evict the least-used unpinned index (not the one just built). *)
-     let victim =
-       List.fold_left
-         (fun acc i ->
-           if i == idx || i.pinned then acc
-           else
-             match acc with
-             | Some v when v.uses <= i.uses -> acc
-             | _ -> Some i)
-         None r.indexes
-     in
-     match victim with
-     | None -> ()
-     | Some v ->
-       count_eviction ();
-       r.indexes <- List.filter (fun i -> i != v) r.indexes);
   idx
 
 (* {2 Updates} *)
 
 let grow_slots_to r want =
-  let cap = Array.length r.boxed in
+  let cap = Bytes.length r.live in
   let cap' = ref (max 16 cap) in
   while !cap' < want do
     cap' := 2 * !cap'
@@ -304,15 +258,12 @@ let grow_slots_to r want =
     let rows = Array.make (cap' * r.arity) 0 in
     Array.blit r.rows 0 rows 0 (cap * r.arity);
     r.rows <- rows;
-    let boxed = Array.make cap' dummy_tuple in
-    Array.blit r.boxed 0 boxed 0 cap;
-    r.boxed <- boxed;
     let live = Bytes.make cap' '\000' in
     Bytes.blit r.live 0 live 0 cap;
     r.live <- live
   end
 
-let grow_slots r = grow_slots_to r (Array.length r.boxed + 1)
+let grow_slots r = grow_slots_to r (Bytes.length r.live + 1)
 
 let reserve r extra =
   let want = r.n + extra in
@@ -345,14 +296,13 @@ let insert r t =
     let slot =
       if r.free.Ivec.n > 0 then Ivec.pop r.free
       else begin
-        if r.limit >= Array.length r.boxed then grow_slots r;
+        if r.limit >= Bytes.length r.live then grow_slots r;
         let s = r.limit in
         r.limit <- r.limit + 1;
         s
       end
     in
     Array.blit ids 0 r.rows (slot * r.arity) r.arity;
-    r.boxed.(slot) <- t;
     Bytes.unsafe_set r.live slot '\001';
     if table_put r.table (Array.length r.table - 1) h slot then
       r.entries <- r.entries + 1;
@@ -372,7 +322,6 @@ let delete r t =
       List.iter (fun idx -> index_remove r idx slot) r.indexes;
       r.table.(pos) <- -2;
       Bytes.unsafe_set r.live slot '\000';
-      r.boxed.(slot) <- dummy_tuple;
       Ivec.push r.free slot;
       r.n <- r.n - 1;
       true)
@@ -384,9 +333,11 @@ let mem r t =
 
 (* {2 Reads} *)
 
+let value r slot i = Intern.value r.pool r.rows.((slot * r.arity) + i)
+
 let iter f r =
   for s = 0 to r.limit - 1 do
-    if Bytes.unsafe_get r.live s <> '\000' then f (Array.unsafe_get r.boxed s)
+    if Bytes.unsafe_get r.live s <> '\000' then f (Array.init r.arity (value r s))
   done
 
 let fold f r acc =
@@ -397,95 +348,53 @@ let fold f r acc =
 let to_list r = fold List.cons r []
 let to_sorted_list r = List.sort Tuple.compare (to_list r)
 
-(* Scan live rows on interned ids — no boxed compares. *)
-let scan_ids r (positions : int array) (key : int array) f =
-  let np = Array.length positions in
+(* Does the row at [off] hold [key] at [positions], from the [k]th on?
+   Top-level, so a scan allocates no closure per row. *)
+let rec row_matches rows off (positions : int array) (key : int array) k =
+  k >= Array.length positions
+  || rows.(off + positions.(k)) = key.(k)
+     && row_matches rows off positions key (k + 1)
+
+(* Scan live rows on interned ids. *)
+let scan_ids r positions key f =
   for s = 0 to r.limit - 1 do
-    if Bytes.unsafe_get r.live s <> '\000' then begin
-      let off = s * r.arity in
-      let rec matches k =
-        k >= np || (r.rows.(off + positions.(k)) = key.(k) && matches (k + 1))
-      in
-      if matches 0 then f (Array.unsafe_get r.boxed s)
-    end
+    if
+      Bytes.unsafe_get r.live s <> '\000'
+      && row_matches r.rows (s * r.arity) positions key 0
+    then f s
   done
 
-let probe_bucket r idx (key : int array) f =
-  idx.uses <- idx.uses + 1;
+let probe_bucket idx (key : int array) f =
   match Ikey_tbl.find_opt idx.buckets key with
   | None -> ()
   | Some b ->
     for k = 0 to b.Ivec.n - 1 do
-      f r.boxed.(b.Ivec.a.(k))
+      f b.Ivec.a.(k)
     done
 
-(* Hinted lookup: the caller (a compiled plan) knows its bound
-   positions statically and will probe the same signature for every
-   candidate binding, so the index is built eagerly (once the relation
-   is big enough) and pinned against eviction. *)
+(* The caller (a compiled plan) knows its bound positions statically
+   and will probe the same signature for every candidate binding, so
+   the index is built on first use once the relation is big enough,
+   and kept. *)
 let lookup_key r (positions : int array) (vkey : Value.t array) f =
-  if Array.length positions = 0 then iter f r
-  else
-    let np = Array.length positions in
-    let key = Array.make np 0 in
-    let rec ids k =
-      if k >= np then true
-      else
-        match Intern.find r.pool vkey.(k) with
-        | None -> false
-        | Some id ->
-          key.(k) <- id;
-          ids (k + 1)
-    in
-    if ids 0 then
-      match find_index r positions with
-      | Some idx -> probe_bucket r idx key f
-      | None ->
-        if r.indexing && r.n >= index_threshold then
-          probe_bucket r (build_index r ~pinned:true positions) key f
-        else scan_ids r positions key f
-
-let lookup r bound f =
-  match bound with
-  | [] -> iter f r
-  | bound ->
-    (* One sort of the bindings gives both the index signature and the
-       probe key, position-aligned. *)
-    let sorted = List.sort (fun (i, _) (j, _) -> Int.compare i j) bound in
-    let np = List.length sorted in
-    let positions = Array.make np 0 in
-    let key = Array.make np 0 in
-    let rec ids k = function
-      | [] -> true
-      | (i, v) :: rest -> (
-        positions.(k) <- i;
-        match Intern.find r.pool v with
-        | None -> false
-        | Some id ->
-          key.(k) <- id;
-          ids (k + 1) rest)
-    in
-    if ids 0 sorted then (
-      match find_index r positions with
-      | Some idx -> probe_bucket r idx key f
-      | None ->
-        let hot =
-          r.indexing
-          && r.n >= index_threshold
-          &&
-          let count =
-            match Ikey_tbl.find_opt r.probes positions with
-            | Some c ->
-              incr c;
-              !c
-            | None ->
-              Ikey_tbl.add r.probes (Array.copy positions) (ref 1);
-              1
-          in
-          count >= adhoc_probe_threshold
-        in
-        if hot then probe_bucket r (build_index r ~pinned:false positions) key f
-        else scan_ids r positions key f)
+  let np = Array.length positions in
+  let key = Array.make np 0 in
+  let rec ids k =
+    if k >= np then true
+    else
+      match Intern.find r.pool vkey.(k) with
+      | None -> false
+      | Some id ->
+        key.(k) <- id;
+        ids (k + 1)
+  in
+  if ids 0 then
+    match find_index r positions with
+    | Some idx -> probe_bucket idx key f
+    | None ->
+      if r.indexing && np > 0 && r.n >= index_threshold then
+        probe_bucket (build_index r positions) key f
+      else scan_ids r positions key f
 
 (* {2 Lifecycle} *)
 
@@ -496,46 +405,32 @@ let clear r =
   Array.fill r.table 0 (Array.length r.table) (-1);
   r.entries <- 0;
   Bytes.fill r.live 0 (Bytes.length r.live) '\000';
-  Array.fill r.boxed 0 (Array.length r.boxed) dummy_tuple;
   (* Keep index skeletons: a planner hint survives the per-stage clear
      of intensional relations, so refills re-index incrementally. *)
-  List.iter (fun idx -> Ikey_tbl.reset idx.buckets) r.indexes;
-  Ikey_tbl.reset r.probes
+  List.iter (fun idx -> Ikey_tbl.reset idx.buckets) r.indexes
 
 let copy_index idx =
   let buckets = Ikey_tbl.create (Ikey_tbl.length idx.buckets) in
   Ikey_tbl.iter (fun k v -> Ikey_tbl.add buckets k (Ivec.copy v)) idx.buckets;
   { idx with buckets }
 
-let copy r =
+let copy ~pool r =
   {
     r with
-    (* The pool is shared: ids stay valid across copies, and interning
-       is append-only, so a copy can never corrupt the original. *)
+    pool;
     scratch = Array.copy r.scratch;
     rows = Array.copy r.rows;
-    boxed = Array.copy r.boxed;
     live = Bytes.copy r.live;
     free = Ivec.copy r.free;
     table = Array.copy r.table;
     indexes = List.map copy_index r.indexes;
-    probes =
-      (let p = Ikey_tbl.create 4 in
-       Ikey_tbl.iter (fun k c -> Ikey_tbl.add p k (ref !c)) r.probes;
-       p);
   }
 
 let index_count r = List.length r.indexes
 
-let index_uses r =
-  List.map (fun idx -> (Array.to_list idx.positions, idx.uses)) r.indexes
-
 let memory_bytes r =
   let base =
-    8 * (Array.length r.rows + Array.length r.boxed + Array.length r.table)
-    + Bytes.length r.live
-    (* Boxed tuple spines (their values live in the pool). *)
-    + (r.n * (r.arity + 1) * 8)
+    8 * (Array.length r.rows + Array.length r.table) + Bytes.length r.live
   in
   List.fold_left
     (fun acc idx ->

@@ -1,22 +1,18 @@
 (** A relation instance: a set of same-arity tuples stored columnar
     over an intern pool.
 
-    Internally every tuple is a flat run of interned ids in one [int
-    array] (plus the caller's boxed tuple for zero-cost hand-back), so
-    dedup, index keys and bound scans are pure int work. Binding
-    pattern indexes on positions [{i1 < … < ik}] map the interned
-    projection to the matching slots:
+    Every tuple is kept once, as a flat run of interned ids in one
+    [int array] slot, so dedup, index keys and bound scans are pure
+    int work. Reads decode through the pool: {!value} reads one column
+    of a slot, {!iter}/{!fold}/{!to_list} build whole tuples.
 
-    - {!lookup_key} (the compiled-plan path) builds indexes eagerly
-      and {e pin} them — the planner asked, so reuse is certain;
-    - {!lookup} (the ad-hoc path) builds an index only from the second
-      probe of a signature on — one-off probes scan;
-    - at most a fixed number of indexes live per relation; crossing the
-      cap evicts the least-used unpinned one (both counted by
-      [wdl_store_index_builds_total] / [wdl_store_index_evictions_total]).
-
-    [~indexing:false] disables index creation (used for one-iteration
-    delta relations). *)
+    {!lookup_key} is the one lookup. It serves a binding pattern on
+    positions [{i1 < … < ik}] from an index mapping the interned
+    projection to the matching slots, built on the pattern's first
+    probe once the relation holds 16 tuples (counted by
+    [wdl_store_index_builds_total]) and kept for the relation's
+    lifetime. [~indexing:false] disables index creation (used for
+    one-iteration delta relations). *)
 
 type t
 
@@ -44,6 +40,11 @@ val delete : t -> Tuple.t -> bool
 (** [true] iff the tuple was present. Never grows the pool. *)
 
 val mem : t -> Tuple.t -> bool
+
+val value : t -> int -> int -> Wdl_syntax.Value.t
+(** [value r slot i] is column [i] of the tuple in [slot], as handed to
+    a {!lookup_key} callback. Valid until that slot is deleted. *)
+
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> Tuple.t list
@@ -51,36 +52,27 @@ val to_list : t -> Tuple.t list
 
 val to_sorted_list : t -> Tuple.t list
 
-val lookup : t -> (int * Wdl_syntax.Value.t) list -> (Tuple.t -> unit) -> unit
-(** [lookup rel bound f] calls [f] on every tuple agreeing with the
-    [(position, value)] constraints. [bound] may be empty (full
-    scan). Ad-hoc path: indexes materialise only for repeated
-    signatures. *)
-
 val lookup_key :
-  t -> int array -> Wdl_syntax.Value.t array -> (Tuple.t -> unit) -> unit
-(** [lookup_key rel positions key f]: the compiled-plan fast path.
-    [positions] must be sorted ascending and [key] aligned with it.
-    Builds (and pins) the index for [positions] once the relation
-    crosses the index threshold. A key value foreign to the pool
-    answers instantly: nothing can match. *)
+  t -> int array -> Wdl_syntax.Value.t array -> (int -> unit) -> unit
+(** [lookup_key rel positions key f] calls [f] on the slot of every
+    tuple whose columns [positions] hold [key]; read its columns with
+    {!value}. [positions] must be sorted ascending and [key] aligned
+    with it; empty [positions] scans every tuple. A key value foreign
+    to the pool answers instantly: nothing can match. *)
 
 val clear : t -> unit
-val copy : t -> t
-(** Deep copy sharing the pool. Indexes are copied, not dropped — a
-    snapshot answers its first lookup at full speed. *)
+val copy : pool:Intern.t -> t -> t
+(** Deep copy whose values resolve through [pool], which must be
+    [pool r] (shared) or an {!Intern.copy} of it (independent). Indexes
+    are copied, not dropped — a snapshot answers its first lookup at
+    full speed. *)
 
 val index_count : t -> int
 (** Number of materialised indexes (observability for tests/bench). *)
 
-val index_uses : t -> (int list * int) list
-(** [(positions, use count)] per index. *)
-
 val memory_bytes : t -> int
-(** Approximate heap footprint of rows, dedup table, boxed spines and
-    index structures (pool excluded — it is shared). *)
+(** Approximate heap footprint of rows, dedup table and index
+    structures (pool excluded — it is shared). *)
 
 val builds_total : int ref
 (** Process-wide index builds (mirrors [wdl_store_index_builds_total]). *)
-
-val evictions_total : int ref

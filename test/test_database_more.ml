@@ -8,10 +8,7 @@ let check_int msg = Alcotest.check Alcotest.int msg
 
 let t ints = Tuple.of_list (List.map (fun n -> Value.Int n) ints)
 
-let collect rel bound =
-  let acc = ref [] in
-  Relation.lookup rel bound (fun tu -> acc := tu :: !acc);
-  List.sort Tuple.compare !acc
+let collect = Test_store.collect_lookup
 
 let suite =
   [
@@ -20,53 +17,20 @@ let suite =
         for i = 0 to 99 do
           ignore (Relation.insert r (t [ i mod 4; i mod 5; i ]))
         done;
-        (* The ad-hoc path builds an index on a signature's second
-           probe; one-off probes scan. *)
-        let probe_twice bound = ignore (collect r bound); ignore (collect r bound) in
-        probe_twice [ (0, Value.Int 1) ];
-        probe_twice [ (1, Value.Int 2) ];
-        probe_twice [ (0, Value.Int 1); (1, Value.Int 2) ];
+        (* Past the threshold, a signature's first probe builds its
+           index. *)
+        ignore (collect r [ (0, Value.Int 1) ]);
+        ignore (collect r [ (1, Value.Int 2) ]);
+        ignore (collect r [ (0, Value.Int 1); (1, Value.Int 2) ]);
         check_int "three indexes" 3 (Relation.index_count r);
         (* Reusing a pattern does not create another. *)
         ignore (collect r [ (0, Value.Int 3) ]);
         check_int "still three" 3 (Relation.index_count r));
-    tc "one-off probes never materialise an index" (fun () ->
-        let r = Relation.create ~arity:2 () in
-        for i = 0 to 99 do
-          ignore (Relation.insert r (t [ i mod 3; i ]))
-        done;
-        ignore (collect r [ (0, Value.Int 1) ]);
-        ignore (collect r [ (1, Value.Int 7) ]);
-        check_int "no indexes from single probes" 0 (Relation.index_count r));
-    tc "index cap evicts the least-used unpinned index" (fun () ->
-        let r = Relation.create ~arity:8 () in
-        for i = 0 to 99 do
-          ignore
-            (Relation.insert r
-               (t [ i mod 2; i mod 3; i mod 4; i mod 5; i mod 6; i mod 7; i mod 8; i ]))
-        done;
-        (* Ten distinct single-position signatures, probed twice each:
-           only [max_indexes] = 8 may survive, evictions counted. *)
-        let before = !Relation.evictions_total in
-        for p = 0 to 7 do
-          ignore (collect r [ (p, Value.Int 1) ]);
-          ignore (collect r [ (p, Value.Int 1) ])
-        done;
-        for p = 0 to 1 do
-          let bound = [ (p, Value.Int 0); (7, Value.Int 5) ] in
-          ignore (collect r bound);
-          ignore (collect r bound)
-        done;
-        check_bool "capped" (Relation.index_count r <= 8);
-        check_bool "evicted" (!Relation.evictions_total > before);
-        (* Results stay correct through evictions. *)
-        check_int "bucket" 50 (List.length (collect r [ (0, Value.Int 1) ])));
     tc "clear drops data, keeps index skeletons usable" (fun () ->
         let r = Relation.create ~arity:2 () in
         for i = 0 to 49 do
           ignore (Relation.insert r (t [ i mod 3; i ]))
         done;
-        ignore (collect r [ (0, Value.Int 1) ]);
         ignore (collect r [ (0, Value.Int 1) ]);
         check_bool "indexed" (Relation.index_count r > 0);
         Relation.clear r;
@@ -80,10 +44,9 @@ let suite =
           ignore (Relation.insert r (t [ i mod 3; i ]))
         done;
         ignore (collect r [ (0, Value.Int 1) ]);
-        ignore (collect r [ (0, Value.Int 1) ]);
         check_bool "indexed" (Relation.index_count r > 0);
         let builds = !Relation.builds_total in
-        let c = Relation.copy r in
+        let c = Relation.copy ~pool:(Relation.pool r) r in
         (* Regression (satellite): copy used to drop every index, so a
            snapshot's first lookup triggered a rebuild storm. *)
         check_int "copy keeps the indexes" (Relation.index_count r)

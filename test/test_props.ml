@@ -193,11 +193,7 @@ let tests =
         let indexed = mk true and plain = mk false in
         List.for_all
           (fun key ->
-            let collect r =
-              let acc = ref [] in
-              Relation.lookup r [ (0, Value.Int key) ] (fun t -> acc := t :: !acc);
-              List.sort Tuple.compare !acc
-            in
+            let collect r = Test_store.collect_lookup r [ (0, Value.Int key) ] in
             List.equal Tuple.equal (collect indexed) (collect plain))
           (List.init 12 (fun i -> i)));
     QCheck.Test.make ~count:50 ~name:"fixpoint equals reference on random TC"
@@ -380,54 +376,81 @@ let tests =
         in
         run () = run ());
     (* Differential oracle for the columnar store: drive it and a naive
-       list model through the same random schedule of inserts, deletes
-       and single-column lookups, checking every return value and the
-       final contents. The small value domain forces duplicate inserts,
-       deletes of absent tuples, and slot reuse after tombstones. *)
+       list model through the same random schedule of inserts, deletes,
+       lookups on either column, copies and clears, checking every
+       return value and the final contents. An indexed and a scanning
+       store run side by side, so both lookup paths meet the model. The
+       small value domain forces duplicate inserts, deletes of absent
+       tuples, and slot reuse after tombstones and clears; the string
+       column makes every read decode a pooled value. *)
     QCheck.Test.make ~count:200
       ~name:"columnar store equals a naive list model"
+      (* op: 0-19 insert, 20-26 delete, 27-36 lookup, 37-38 copy, 39
+         clear; clears stay rare so relations cross the index
+         threshold. *)
       (QCheck.list
          (QCheck.triple
-            (QCheck.make (QCheck.Gen.int_range 0 2))
+            (QCheck.make (QCheck.Gen.int_range 0 39))
             (QCheck.make (QCheck.Gen.int_range 0 6))
             (QCheck.make (QCheck.Gen.int_range 0 6))))
       (fun ops ->
-        let r = Relation.create ~arity:2 () in
+        let stores =
+          [| Relation.create ~arity:2 ();
+             Relation.create ~indexing:false ~arity:2 () |]
+        in
         let model = ref [] in
-        let tup (a, b) = Tuple.of_list [ Value.Int a; Value.Int b ] in
+        let tup (a, b) =
+          Tuple.of_list [ Value.Int a; Value.String (string_of_int b) ]
+        in
+        let sorted_tups ps = List.sort Tuple.compare (List.map tup ps) in
         let ok = ref true in
+        let each f = Array.iter (fun r -> if not (f r) then ok := false) stores in
         List.iter
           (fun (op, a, b) ->
-            match op with
-            | 0 ->
-              let fresh = Relation.insert r (tup (a, b)) in
-              let model_fresh = not (List.mem (a, b) !model) in
-              if model_fresh then model := (a, b) :: !model;
-              if fresh <> model_fresh then ok := false
-            | 1 ->
-              let removed = Relation.delete r (tup (a, b)) in
-              let model_removed = List.mem (a, b) !model in
+            if op < 20 then begin
+              let fresh = not (List.mem (a, b) !model) in
+              if fresh then model := (a, b) :: !model;
+              each (fun r -> Relation.insert r (tup (a, b)) = fresh)
+            end
+            else if op < 27 then begin
+              let present = List.mem (a, b) !model in
               model := List.filter (fun p -> p <> (a, b)) !model;
-              if removed <> model_removed then ok := false
-            | _ ->
-              let acc = ref [] in
-              Relation.lookup r [ (0, Value.Int a) ] (fun t ->
-                  acc := t :: !acc);
-              let got = List.sort Tuple.compare !acc in
-              let want =
-                List.sort Tuple.compare
-                  (List.filter_map
-                     (fun (x, y) -> if x = a then Some (tup (x, y)) else None)
-                     !model)
+              each (fun r -> Relation.delete r (tup (a, b)) = present)
+            end
+            else if op < 37 then begin
+              let bound, keep =
+                if op < 32 then ([ (0, Value.Int a) ], fun (x, _) -> x = a)
+                else ([ (1, Value.String (string_of_int b)) ], fun (_, y) -> y = b)
               in
-              if not (List.equal Tuple.equal got want) then ok := false)
+              let want = sorted_tups (List.filter keep !model) in
+              each (fun r ->
+                  List.equal Tuple.equal (Test_store.collect_lookup r bound) want)
+            end
+            else if op < 39 then
+              (* Go on with a copy (sharing the pool or on its own pool
+                 copy), then wipe and reuse the original: the copy must
+                 not notice. *)
+              Array.iteri
+                (fun i r ->
+                  let pool =
+                    if a mod 2 = 0 then Relation.pool r
+                    else Intern.copy (Relation.pool r)
+                  in
+                  stores.(i) <- Relation.copy ~pool r;
+                  Relation.clear r;
+                  ignore (Relation.insert r (tup (b, 7))))
+                stores
+            else begin
+              model := [];
+              Array.iter Relation.clear stores
+            end)
           ops;
-        !ok
-        && Relation.cardinal r = List.length !model
-        && List.for_all (fun p -> Relation.mem r (tup p)) !model
-        && List.equal Tuple.equal
-             (Relation.to_sorted_list r)
-             (List.sort Tuple.compare (List.map tup !model)));
+        let want = sorted_tups !model in
+        each (fun r ->
+            Relation.cardinal r = List.length !model
+            && List.for_all (fun p -> Relation.mem r (tup p)) !model
+            && List.equal Tuple.equal (Relation.to_sorted_list r) want);
+        !ok);
     QCheck.Test.make ~count:500 ~name:"intern round-trips every value"
       (QCheck.make
          QCheck.Gen.(

@@ -35,7 +35,17 @@ let suite =
         let before = List.length (Peer.relation_names p) in
         ignore (ok' (Peer.ask p "q@p($x) :- base@p($x)"));
         check_int "relations unchanged" before (List.length (Peer.relation_names p));
-        check_bool "no new work" (not (Peer.has_work p)));
+        check_bool "no new work" (not (Peer.has_work p));
+        (* Values a query derives live in its copy's pool, not the
+           peer's. *)
+        let interned () = Wdl_store.Database.interned_count (Peer.database p) in
+        let pooled = interned () in
+        for k = 1 to 50 do
+          let q = Printf.sprintf "q@p($y) :- base@p($x), $y := $x + %d" k in
+          let a = ok' (Peer.ask p q) in
+          check_bool "derived" (a.Peer.rows = [ [ Value.Int (1 + k) ] ])
+        done;
+        check_int "interned values unchanged" pooled (interned ()));
     tc "recursive ad-hoc query" (fun () ->
         let p = peer_with "e@p(1,2); e@p(2,3); e@p(3,4);" in
         (* The query head itself can be recursive through the program's

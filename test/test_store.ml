@@ -7,9 +7,15 @@ let check_int msg = Alcotest.check Alcotest.int msg
 
 let t ints = Tuple.of_list (List.map (fun n -> Value.Int n) ints)
 
+(* Every tuple matching the [(position, value)] constraints, decoded
+   from the slots [Relation.lookup_key] hands back, sorted. *)
 let collect_lookup rel bound =
+  let bound = List.sort compare bound in
   let acc = ref [] in
-  Relation.lookup rel bound (fun tu -> acc := tu :: !acc);
+  Relation.lookup_key rel
+    (Array.of_list (List.map fst bound))
+    (Array.of_list (List.map snd bound))
+    (fun slot -> acc := Array.init (Relation.arity rel) (Relation.value rel slot) :: !acc);
   List.sort Tuple.compare !acc
 
 let suite =
@@ -41,24 +47,6 @@ let suite =
         check_int "hits" 1 (List.length (collect_lookup r [ (0, Value.Int 2) ]));
         check_int "none" 0 (List.length (collect_lookup r [ (0, Value.Int 9) ]));
         check_int "no index yet" 0 (Relation.index_count r));
-    tc "lookup: index built beyond threshold and stays correct" (fun () ->
-        let r = Relation.create ~arity:2 () in
-        for i = 0 to 99 do
-          ignore (Relation.insert r (t [ i mod 10; i ]))
-        done;
-        let hits = collect_lookup r [ (0, Value.Int 3) ] in
-        check_int "bucket" 10 (List.length hits);
-        (* Ad-hoc probes build the index on the second use of a
-           signature, not the first. *)
-        check_int "no index on first probe" 0 (Relation.index_count r);
-        check_int "bucket again" 10
-          (List.length (collect_lookup r [ (0, Value.Int 3) ]));
-        check_int "one index" 1 (Relation.index_count r);
-        (* Index maintained across inserts and deletes. *)
-        ignore (Relation.insert r (t [ 3; 1000 ]));
-        ignore (Relation.delete r (t [ 3; 3 ]));
-        check_int "after updates" 10
-          (List.length (collect_lookup r [ (0, Value.Int 3) ])));
     tc "lookup: indexing disabled never builds indexes" (fun () ->
         let r = Relation.create ~indexing:false ~arity:2 () in
         for i = 0 to 99 do
@@ -81,7 +69,7 @@ let suite =
     tc "relation: copy is independent" (fun () ->
         let r = Relation.create ~arity:1 () in
         ignore (Relation.insert r (t [ 1 ]));
-        let c = Relation.copy r in
+        let c = Relation.copy ~pool:(Relation.pool r) r in
         ignore (Relation.insert c (t [ 2 ]));
         check_int "orig" 1 (Relation.cardinal r);
         check_int "copy" 2 (Relation.cardinal c));
