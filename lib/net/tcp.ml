@@ -110,6 +110,7 @@ type control = {
   retry_delay : float;
   max_retries : int;
   parked : Pheap.t;
+  chunk : Bytes.t;  (* the one read buffer every [pump] reuses *)
   mutable park_seq : int;
   mutable conns_opened : int;
   mutable conns_reused : int;
@@ -194,6 +195,9 @@ let ep_key ep = ep.host ^ ":" ^ string_of_int ep.port
 
 let fresh_conn ctl ep =
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* A round's frames leave as soon as they are written: no Nagle
+     holding a second frame until the first is ACKed (DESIGN.md S26). *)
+  Unix.setsockopt sock Unix.TCP_NODELAY true;
   (try
      connect_with_timeout sock
        (Unix.ADDR_INET (Unix.inet_addr_of_string ep.host, ep.port))
@@ -324,7 +328,10 @@ let extract_frames ctl ic =
    ready, without ever blocking: per-connection buffers mean a stalled
    or slow writer delays only its own frames (no head-of-line
    blocking), and a writer silent mid-frame past [read_timeout] is
-   dropped. *)
+   dropped. Reads go through the endpoint's one [chunk]; its bytes are
+   copied into the connection's buffer before the next read, so
+   sharing it is safe in this single-threaded pump. A connection that
+   brought no new bytes holds no new frame and is not re-parsed. *)
 let pump ctl stats =
   if not ctl.closed then begin
     retry_parked ctl stats;
@@ -341,16 +348,17 @@ let pump ctl stats =
     accept_loop ();
     let now = Unix.gettimeofday () in
     let conns = Hashtbl.fold (fun _ ic acc -> ic :: acc) ctl.inbound [] in
-    let chunk = Bytes.create 65536 in
+    let chunk = ctl.chunk in
     List.iter
       (fun ic ->
-        let closed = ref false in
+        let closed = ref false and fresh = ref false in
         let rec read_ready () =
           match Unix.read ic.fd chunk 0 (Bytes.length chunk) with
           | 0 -> closed := true
           | n ->
             Buffer.add_subbytes ic.ibuf chunk 0 n;
             ic.last <- now;
+            fresh := true;
             read_ready ()
           | exception Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN), _, _)
             ->
@@ -358,7 +366,7 @@ let pump ctl stats =
           | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> closed := true
         in
         read_ready ();
-        extract_frames ctl ic;
+        if !fresh then extract_frames ctl ic;
         if !closed then drop_inbound ctl ic
         else if Buffer.length ic.ibuf > 0 && now -. ic.last > ctl.read_timeout
         then
@@ -397,6 +405,7 @@ let create ?(sizer = String.length) ?(port = 0) ?(connect_timeout = 5.0) ?(read_
       retry_delay;
       max_retries;
       parked = Pheap.create ();
+      chunk = Bytes.create 65536;
       park_seq = 0;
       conns_opened = 0;
       conns_reused = 0;
@@ -477,12 +486,17 @@ let create ?(sizer = String.length) ?(port = 0) ?(connect_timeout = 5.0) ?(read_
     stats.Netstats.delivered <- stats.Netstats.delivered + List.length msgs;
     msgs
   in
-  let pending () =
-    pump ctl stats;
+  let queued () =
     Hashtbl.fold (fun _ q acc -> acc + Queue.length q) ctl.queues 0
     + Pheap.size ctl.parked
   in
-  Netstats.register_pending ~transport:"tcp" pending;
+  let pending () =
+    pump ctl stats;
+    queued ()
+  in
+  (* A scrape only reads: pumping here would accept, read and retry
+     (even dead-letter) sends behind the round loop's back. *)
+  Netstats.register_pending ~transport:"tcp" queued;
   let transport =
     {
       Transport.send;

@@ -7,10 +7,16 @@
     {!register}. A connection to each registered endpoint is opened
     once and reused for every subsequent frame —
     no connect-per-send, no shutdown-per-frame — and a [send_many]
-    batch rides the wire as one write. [drain] never blocks: it
-    accepts pending connections and reads whatever bytes each open
-    connection has ready into per-connection buffers, so a stalled
-    writer delays only its own frames (no head-of-line blocking).
+    batch rides the wire as one write. Outbound connections set
+    [TCP_NODELAY]: the engine never batches across rounds (DESIGN.md
+    S26), so a frame must leave when it is written rather than wait
+    for the ACK of the connection's previous frame (Nagle's
+    algorithm). [drain] never blocks: it accepts pending connections
+    and reads whatever bytes each open connection has ready into
+    per-connection buffers, so a stalled writer delays only its own
+    frames (no head-of-line blocking). An endpoint owns one read
+    buffer, allocated by {!create} and reused by every read, so a
+    drain that finds nothing allocates no buffer.
 
     Failure handling: a connect or write that fails (ECONNREFUSED,
     EHOSTUNREACH, timeout) never escapes as an exception — the send is
@@ -27,6 +33,10 @@
     At-least/at-most-once gaps left by this best-effort discipline are
     what {!Reliable} (over {!Webdamlog.Wire.envelope_transport})
     closes.
+
+    The [wdl_net_pending] gauge reads the queue lengths and the parked
+    count without pumping: a metrics scrape never accepts, reads or
+    retries a send.
 
     The payload is an opaque string — the engine's message codec is
     {!Webdamlog.Wire}. *)

@@ -221,4 +221,109 @@ let suite =
         Alcotest.check (Alcotest.list Alcotest.string) "subsequent frames ok"
           [ "still alive" ] (t.Transport.drain "b");
         Tcp.close c);
+    tc "tcp: a metrics scrape reads wdl_net_pending without pumping"
+      (fun () ->
+        (* With zero retries the first pump past the backoff deadline
+           dead-letters the send; a scrape must not be that pump. *)
+        let t, c = Tcp.create ~retry_delay:0.001 ~max_retries:0 () in
+        t.Transport.send ~src:"a" ~dst:"no such peer" "hello?";
+        Unix.sleepf 0.01;
+        let pending =
+          List.find_map
+            (fun (s : Wdl_obs.Obs.sample) ->
+              match s.s_value with
+              | `Value v
+                when s.s_name = "wdl_net_pending"
+                     && List.mem ("transport", "tcp") s.s_labels ->
+                Some v
+              | _ -> None)
+            (Wdl_obs.Obs.collect ())
+        in
+        Alcotest.(check (option (float 0.))) "gauge counts the parked send"
+          (Some 1.) pending;
+        check_int "still parked" 1 (Tcp.parked_sends c);
+        check_int "no dead letter" 0 (Tcp.dead_letters c);
+        Tcp.close c);
+    tc "tcp: an idle drain allocates nothing on the major heap" (fun () ->
+        let ta, ca = Tcp.create () in
+        let tb, cb = Tcp.create () in
+        Tcp.register ca ~peer:"bob"
+          { Tcp.host = "127.0.0.1"; port = Tcp.port cb };
+        ta.Transport.send ~src:"alice" ~dst:"bob" "hi";
+        let deadline = Unix.gettimeofday () +. 5.0 in
+        let rec await () =
+          match tb.Transport.drain "bob" with
+          | [] when Unix.gettimeofday () < deadline ->
+            Unix.sleepf 0.001;
+            await ()
+          | got -> got
+        in
+        Alcotest.(check (list string)) "frame over the open connection"
+          [ "hi" ] (await ());
+        let direct () =
+          let s = Gc.quick_stat () in
+          s.Gc.major_words -. s.Gc.promoted_words
+        in
+        let before = direct () in
+        for _ = 1 to 1000 do
+          ignore (tb.Transport.drain "bob")
+        done;
+        let bytes = (direct () -. before) *. float_of_int (Sys.word_size / 8) in
+        check_bool
+          (Printf.sprintf "direct major allocation %.0f bytes < 1 MiB" bytes)
+          (bytes < 1048576.);
+        Tcp.close ca;
+        Tcp.close cb);
+    tc "tcp: frames larger than the read buffer arrive intact, in order"
+      (fun () ->
+        (* Two senders share the receiver's one read buffer; payloads
+           of 200 KiB (over three buffer fills, newlines included)
+           interleave with small frames on both connections. *)
+        let rx, crx = Tcp.create () in
+        let senders =
+          List.map
+            (fun name ->
+              let t, c = Tcp.create () in
+              Tcp.register c ~peer:"rx"
+                { Tcp.host = "127.0.0.1"; port = Tcp.port crx };
+              (name, t, c))
+            [ "s1"; "s2" ]
+        in
+        let payload name i =
+          let head = Printf.sprintf "%s#%d:" name i in
+          if name = "s1" = (i mod 2 = 0) then
+            head
+            ^ String.init (200 * 1024) (fun k ->
+                  Char.chr (((k * 31) + i) land 255))
+          else head ^ "small"
+        in
+        let rounds = 4 in
+        let got = ref [] in
+        let drain () = got := !got @ rx.Transport.drain "rx" in
+        for i = 0 to rounds - 1 do
+          List.iter
+            (fun (name, t, _) ->
+              t.Transport.send ~src:name ~dst:"rx" (payload name i))
+            senders;
+          drain ()
+        done;
+        let total = rounds * List.length senders in
+        let deadline = Unix.gettimeofday () +. 10.0 in
+        while List.length !got < total && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.001;
+          drain ()
+        done;
+        check_int "every frame arrived" total (List.length !got);
+        List.iter
+          (fun (name, _, c) ->
+            let mine =
+              List.filter
+                (fun p -> String.starts_with ~prefix:(name ^ "#") p)
+                !got
+            in
+            check_bool (name ^ ": byte-equal, in send order")
+              (mine = List.init rounds (payload name));
+            Tcp.close c)
+          senders;
+        Tcp.close crx);
   ]
