@@ -1044,11 +1044,9 @@ let store_write_json ~n rows =
 (* {1 EVAL: the stage engine on repeated-stage workloads}
 
    Wall time of the engine (compiled-program cache, delta-driven
-   activation scheduling, delta staging, quiescence fast path) on two
-   scenarios, three repeated-stage workloads each:
+   activation scheduling, delta staging) on two scenarios, two
+   repeated-stage workloads each:
 
-   - quiescent: the system has settled; stages keep coming (the
-     paper's timestep loop never stops) but carry no new inputs.
    - trickle: one extensional fact lands per round, then the system
      re-converges.
    - burst: a batch of facts lands per round.
@@ -1078,16 +1076,6 @@ let eval_album_setup () =
   ignore (ok (System.run sys));
   sys
 
-(* Workloads.  Quiescent stages go through [Peer.stage] directly:
-   [System.run] would skip idle peers via [has_work], but the timestep
-   semantics stage peers regardless — that per-stage cost is exactly
-   what the fast path removes. *)
-let eval_quiescent ~rounds sys () =
-  let peers = System.peers sys in
-  for _ = 1 to rounds do
-    List.iter (fun p -> ignore (p |> Peer.stage)) peers
-  done
-
 let eval_trickle ~rounds ~fresh_fact sys () =
   for i = 1 to rounds do
     ok (Peer.insert (System.peer sys (fst (fresh_fact i))) (snd (fresh_fact i)));
@@ -1114,11 +1102,9 @@ let eval_album_fact i =
 
 let eval_workloads ~tc_n ~rounds =
   let tc = eval_tc_setup ~n:tc_n in
-  [ ("tc_quiescent", tc, fun sys -> eval_quiescent ~rounds sys);
-    ("tc_trickle", tc, fun sys -> eval_trickle ~rounds ~fresh_fact:eval_tc_fact sys);
+  [ ("tc_trickle", tc, fun sys -> eval_trickle ~rounds ~fresh_fact:eval_tc_fact sys);
     ("tc_burst", tc,
      fun sys -> eval_burst ~rounds:(max 1 (rounds / 4)) ~batch:8 ~fresh_fact:eval_tc_fact sys);
-    ("album_quiescent", eval_album_setup, fun sys -> eval_quiescent ~rounds sys);
     ("album_trickle", eval_album_setup,
      fun sys -> eval_trickle ~rounds ~fresh_fact:eval_album_fact sys);
     ("album_burst", eval_album_setup,
@@ -1180,8 +1166,7 @@ let eval () =
    delegations installed from peers outside [sys] (delegations between
    its own peers are re-derived), run to quiescence. Every peer's first
    stage is a full one, so the rebuild is the oracle for a system that
-   reached the same inputs through cached, delta and fast-path
-   stages. *)
+   reached the same inputs through cached and delta stages. *)
 let eval_rebuild sys =
   let fresh = System.create () in
   List.iter
@@ -1232,8 +1217,8 @@ let eval_matches_rebuild sys =
 (* Deterministic equivalence smoke for the stage engine: after every
    kind of change — trickled facts, a rule added mid-run (cache
    invalidation), a delegation installed mid-run — the system must
-   equal a from-scratch rebuild with the same final inputs, and
-   quiescent stages must emit nothing.  Also writes BENCH_eval.json
+   equal a from-scratch rebuild with the same final inputs, and idle
+   stages (ordinary stages with no new inputs) must emit nothing.  Also writes BENCH_eval.json
    (reduced sizes) so the cram suite can check its schema without
    paying full measurement time. *)
 let eval_smoke () =

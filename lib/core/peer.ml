@@ -72,7 +72,6 @@ type t = {
   mutable rules_version : int;
   mutable program : Wdl_eval.Program.t option;
   mutable n_cache_hits : int;
-  mutable n_fastpath : int;
   (* Cost-based join planning: the compiler reorders rule bodies by
      live relation cardinalities; the cached program stays valid while
      every relation's cardinality stays within the power-of-two band it
@@ -86,9 +85,10 @@ type t = {
      insertions — then, for a monotone rule set with purely additive
      inbox batches, the stage keeps the previous intensional state and
      seeds semi-naive with just the delta.  Any deletion, rule change,
-     cache eviction or restore sets [None], forcing the next stage to
-     recompute from scratch.  [mono]/[mono_version] cache "is the rule
-     set negation- and aggregate-free" per rule-set version. *)
+     cache eviction, restore or stage that reported runtime errors sets
+     [None], forcing the next stage to recompute from scratch.
+     [mono]/[mono_version] cache "is the rule set negation- and
+     aggregate-free" per rule-set version. *)
   mutable stage_adds : Fact.t list option;
   mutable n_delta_stages : int;
   mutable mono : bool;
@@ -140,9 +140,6 @@ let register_metrics t =
   field "wdl_eval_program_cache_hits_total"
     "Stages served by the cached compiled program (no restratification)"
     (fun () -> t.n_cache_hits);
-  field "wdl_eval_stage_fastpath_total"
-    "Quiescent stages that skipped the fixpoint entirely" (fun () ->
-      t.n_fastpath);
   field "wdl_eval_replans_total"
     "Program recompilations forced by a relation crossing a \
      cardinality band (rule set unchanged)" (fun () -> t.n_replans);
@@ -231,7 +228,6 @@ let create ?policy ?trace_capacity ?(inbox_capacity = max_int)
     rules_version = 0;
     program = None;
     n_cache_hits = 0;
-    n_fastpath = 0;
     program_bands = [||];
     n_replans = 0;
     (* The first stage of any peer (fresh or restored) is a full one. *)
@@ -804,9 +800,9 @@ type explanation =
   | Received of string list
   | Unknown
 
-(* Toggling provenance marks the peer dirty: the next stage must run
-   the fixpoint for real to (re)populate or drop the derivation table,
-   rather than taking the quiescence fast path. *)
+(* Toggling provenance marks the peer dirty: callers gating on
+   [has_work] must run the next stage to (re)populate or drop the
+   derivation table. *)
 let set_track_provenance t b =
   if b <> t.track_provenance then t.dirty <- true;
   t.track_provenance <- b
@@ -1262,33 +1258,33 @@ let pp_stats ppf s =
 let has_work t =
   t.dirty || t.induced_pending <> [] || not (Queue.is_empty t.inbox)
 
-let apply_extensional t fact =
+let record_store_error t rel message =
+  t.last_errors <-
+    Wdl_eval.Runtime_error.Store_error { rel; message } :: t.last_errors
+
+(* The store write behind every stage input: true iff [tuple] is new.
+   A store error is recorded in [last_errors] instead of raised. *)
+let insert_tuple t rel tuple =
+  match Database.insert t.db ~rel tuple with
+  | Ok fresh -> fresh
+  | Error e ->
+    record_store_error t rel (Format.asprintf "%a" Database.pp_error e);
+    false
+
+let apply_extensional t (fact : Fact.t) =
   match Builtin.Registry.find t.builtins fact.Fact.rel with
   | Some inst -> (
     (* Induced heads and remote updates for a builtin relation go
        through its guarded write path, like local inserts. *)
     match builtin_write t inst Builtin.Insert fact with
     | Ok () -> ()
-    | Error msg ->
-      t.last_errors <-
-        Wdl_eval.Runtime_error.Store_error { rel = fact.Fact.rel; message = msg }
-        :: t.last_errors)
-  | None -> (
-    let tuple = Tuple.of_list fact.Fact.args in
-    match Database.insert t.db ~rel:fact.Fact.rel tuple with
-    | Ok fresh ->
-      if fresh then begin
-        (match t.stage_adds with
-        | Some adds -> t.stage_adds <- Some (fact :: adds)
-        | None -> ());
-        journal_entry t (Journal.Insert fact);
-        record_event t (Trace.Fact_inserted { peer = t.name; fact })
-      end
-    | Error e ->
-      t.last_errors <-
-        Wdl_eval.Runtime_error.Store_error
-          { rel = fact.Fact.rel; message = Format.asprintf "%a" Database.pp_error e }
-        :: t.last_errors)
+    | Error msg -> record_store_error t fact.Fact.rel msg)
+  | None ->
+    if insert_tuple t fact.Fact.rel (Tuple.of_list fact.Fact.args) then begin
+      t.stage_adds <- Option.map (List.cons fact) t.stage_adds;
+      journal_entry t (Journal.Insert fact);
+      record_event t (Trace.Fact_inserted { peer = t.name; fact })
+    end
 
 let process_message t (msg : Message.t) =
   record_event t (Trace.Message_received { msg });
@@ -1365,19 +1361,11 @@ let refill_intensional t =
   Hashtbl.iter
     (fun _src batch ->
       List.iter
-        (fun fact ->
+        (fun (fact : Fact.t) ->
           if intensional t fact.Fact.rel then
-            let tuple = Tuple.of_list fact.Fact.args in
-            match Database.insert t.db ~rel:fact.Fact.rel tuple with
-            | Ok _ -> ()
-            | Error e ->
-              t.last_errors <-
-                Wdl_eval.Runtime_error.Store_error
-                  {
-                    rel = fact.Fact.rel;
-                    message = Format.asprintf "%a" Database.pp_error e;
-                  }
-                :: t.last_errors)
+            ignore
+              (insert_tuple t fact.Fact.rel (Tuple.of_list fact.Fact.args)
+                : bool))
         batch)
     t.remote_cache
 
@@ -1500,30 +1488,35 @@ let batch_additions t (msg : Message.t) acc =
 
 (* The static half of the delta-staging gate: peer features and
    rule-set shape. The dynamic half — were this stage's inputs purely
-   additive? — is [stage_adds] plus the inbox walk in [stage]. *)
+   additive? — is [stage_adds] plus the inbox walk in [ingest]. *)
 let delta_capable t =
   (not t.track_provenance)
   && Builtin.Registry.is_empty t.builtins
   && monotone_rules t
 
-let stage t =
-  let stage_no = t.stage_no + 1 in
-  (* Builtin modules tick as the stage opens: time refresh, window and
-     TTL expiry. Deliberately before the quiescence check below — an
-     expiry or a clock refresh is work, and stage-indexed horizons must
-     only advance when the peer actually runs a stage. *)
+(* {2 The stage, phase by phase}
+
+   [stage] runs [tick], [ingest], [prepare], [evaluate] and [emit] in
+   that order: the builtin tick, then §2's load inputs → fixpoint →
+   send, with the delta-or-full choice between loading and
+   evaluating. *)
+
+(* How [evaluate] runs the fixpoint: one semi-naive pass seeded with
+   exactly these new tuples over the retained fixpoint, or a recompute
+   from scratch. *)
+type prepared = Delta of (string * Tuple.t) list | Full
+
+(* tick: builtin modules advance to [stage_no] — time refresh, window
+   and TTL expiry — and a change marks the peer dirty. *)
+let tick t ~stage_no =
   if not (Builtin.Registry.is_empty t.builtins) then begin
     let changed, expired =
       Builtin.Registry.tick_all t.builtins ~stage:stage_no ~now:(t.clock ())
     in
     List.iter
       (fun (rel, tuple) ->
-        record_event t
-          (Trace.Fact_deleted
-             {
-               peer = t.name;
-               fact = Fact.make ~rel ~peer:t.name (Tuple.to_list tuple);
-             }))
+        let fact = Fact.make ~rel ~peer:t.name (Tuple.to_list tuple) in
+        record_event t (Trace.Fact_deleted { peer = t.name; fact }))
       expired;
     if changed then begin
       record_event t
@@ -1531,303 +1524,246 @@ let stage t =
            { peer = t.name; stage = stage_no; expired = List.length expired });
       t.dirty <- true
     end
-  end;
-  (* Quiescence fast path: the fixpoint is a deterministic function of
-     (extensional db, remote cache, rules).  When none of those changed
-     since the previous stage, its outputs are identical, so every
-     diffed batch and delegation diff is empty — skip the whole thing.
-     [last_errors] is deliberately left as-is: re-running would
-     reproduce the same errors. *)
-  if not (has_work t) then begin
-    t.n_fastpath <- t.n_fastpath + 1;
-    record_event t (Trace.Stage_start { peer = t.name; stage = stage_no });
-    record_event t
-      (Trace.Stage_end
-         { peer = t.name; stage = stage_no; derivations = 0; iterations = 0 });
-    t.stage_no <- stage_no;
-    []
   end
-  else begin
-  t.last_errors <- [];
-  record_event t (Trace.Stage_start { peer = t.name; stage = stage_no });
-  (* Step 1: load inputs. The monotone-inbox walk reads each source's
-     cached batch just before [process_message] replaces it, so batch
-     additions are extracted in the same pass. *)
+
+(* ingest: applies the pending inductive updates and the inbox, and
+   returns the facts the inbox batches add over the cached ones — [None]
+   when some message is not purely additive. Each source's cached batch
+   is read just before [process_message] replaces it. *)
+let ingest t =
   List.iter (apply_extensional t) t.induced_pending;
   t.induced_pending <- [];
-  let inbox_adds = ref (Some []) in
-  Queue.iter
-    (fun msg ->
-      (match !inbox_adds with
-      | Some acc -> inbox_adds := batch_additions t msg acc
-      | None -> ());
-      process_message t msg)
-    t.inbox;
+  let inbox_adds =
+    Queue.fold
+      (fun adds msg ->
+        let adds = Option.bind adds (batch_additions t msg) in
+        process_message t msg;
+        adds)
+      (Some []) t.inbox
+  in
   Queue.clear t.inbox;
-  (* Delta staging: when every change since the last completed stage
-     is purely additive — only fresh local/induced insertions
-     ([stage_adds]) and inbox batches that are supersets of the cached
-     ones — and the rule set is monotone, the previous fixpoint is a
-     sub-fixpoint of the next one. Keep the intensional store as-is,
-     insert just the new facts, and seed semi-naive with exactly that
-     delta. Everything else takes the full path: clear intensional
-     state, reload the caches, evaluate from scratch. *)
-  let seed =
-    if delta_capable t then
-      match (t.stage_adds, !inbox_adds) with
-      | Some local, Some inbox ->
-        (* New intensional facts held in remote caches enter the store
-           here; the full path instead reloads every cached fact in
-           [refill_intensional]. *)
-        let pairs = ref [] in
-        List.iter
+  inbox_adds
+
+(* prepare: chooses [Delta] when every change since the last completed
+   stage is additive — fresh local or induced insertions ([stage_adds])
+   and inbox batches extending the cached ones — and the peer is
+   delta-capable: the previous fixpoint is then a sub-fixpoint of the
+   next, so the intensional store stays and only the new intensional
+   inbox facts enter it. Otherwise [Full]: intensional state is reloaded
+   from the remote caches. Aggregate builtins then rematerialize, so the
+   fixpoint reads one consistent snapshot. *)
+let prepare t inbox_adds =
+  let prepared =
+    match (t.stage_adds, inbox_adds) with
+    | Some local, Some inbox when delta_capable t ->
+      let inserted =
+        List.filter_map
           (fun (f : Fact.t) ->
-            pairs := (f.Fact.rel, Tuple.of_list f.Fact.args) :: !pairs)
-          local;
-        List.iter
-          (fun (f : Fact.t) ->
-            if intensional t f.Fact.rel then
+            if not (intensional t f.Fact.rel) then None
+            else
               let tuple = Tuple.of_list f.Fact.args in
-              match Database.insert t.db ~rel:f.Fact.rel tuple with
-              | Ok true -> pairs := (f.Fact.rel, tuple) :: !pairs
-              | Ok false -> ()
-              | Error e ->
-                t.last_errors <-
-                  Wdl_eval.Runtime_error.Store_error
-                    {
-                      rel = f.Fact.rel;
-                      message = Format.asprintf "%a" Database.pp_error e;
-                    }
-                  :: t.last_errors)
-          inbox;
-        Some !pairs
-      | _, _ -> None
-    else None
+              if insert_tuple t f.Fact.rel tuple then Some (f.Fact.rel, tuple)
+              else None)
+          inbox
+      in
+      let pair (f : Fact.t) = (f.Fact.rel, Tuple.of_list f.Fact.args) in
+      t.n_delta_stages <- t.n_delta_stages + 1;
+      Delta (List.rev_append inserted (List.rev_map pair local))
+    | _ ->
+      refill_intensional t;
+      Full
   in
-  (match seed with
-  | Some _ -> t.n_delta_stages <- t.n_delta_stages + 1
-  | None -> refill_intensional t);
-  (* Aggregate builtins (topk, cms) rematerialize once the stage's
-     inputs are all applied, so the fixpoint reads one consistent
-     snapshot. *)
   ignore (Builtin.Registry.flush_all t.builtins : bool);
-  (* Step 2: fixpoint, against the cached compiled program when the
-     rule set is unchanged. *)
+  prepared
+
+(* evaluate: runs the fixpoint (against the cached compiled program
+   while it is valid) and settles the post-fixpoint state — provenance,
+   errors, inductive updates, the next additive run, the band
+   reference. [None] when the program does not stratify. *)
+let evaluate t prepared =
+  let seed = match prepared with Delta seed -> Some seed | Full -> None in
   let program = compiled_program t in
-  let outbound =
-    match
-      Wdl_eval.Fixpoint.run ~record_provenance:t.track_provenance ?seed
-        ?program ~handles:t.eval_handles ~self:t.name t.db (all_rules t)
-    with
-    | Error e ->
-      (* The fixpoint did not run: retained intensional state is not a
-         fixpoint of anything, so the next stage must be a full one. *)
-      t.stage_adds <- None;
-      t.last_errors <-
-        Wdl_eval.Runtime_error.Store_error
-          { rel = "<program>"; message = Format.asprintf "%a" Wdl_eval.Stratify.pp_error e }
-        :: t.last_errors;
-      record_event t
-        (Trace.Stage_end
-           { peer = t.name; stage = stage_no; derivations = 0; iterations = 0 });
-      []
-    | Ok result ->
-      if t.track_provenance then begin
-        Fact_tbl.reset t.prov;
-        List.iter
-          (fun (d : Wdl_eval.Fixpoint.derivation) ->
-            Fact_tbl.replace t.prov d.Wdl_eval.Fixpoint.fact d)
-          result.Wdl_eval.Fixpoint.provenance
-      end;
-      t.last_errors <- result.Wdl_eval.Fixpoint.errors @ t.last_errors;
-      if t.last_errors <> [] then
-        record_event t
-          (Trace.Runtime_errors { peer = t.name; errors = t.last_errors });
-      (* Inductive updates: only genuinely new facts carry to the next
-         stage, otherwise a stable program would never quiesce. *)
-      t.induced_pending <-
-        List.filter
-          (fun (f : Fact.t) ->
-            not (Database.mem t.db ~rel:f.Fact.rel (Tuple.of_list f.Fact.args)))
-          result.Wdl_eval.Fixpoint.induced;
-      (* A completed stage starts a fresh additive run. *)
-      t.stage_adds <- Some [];
-      (* Re-anchor the band reference to the post-fixpoint store. A
-         delta-capable peer's next compile measures retained state
-         (delta staging keeps intensional contents), so leaving the
-         reference where [compiled_program] took it — before this
-         stage's derivations — would read every in-fixpoint growth
-         spurt as a band crossing and replan on the spot. Inter-stage
-         changes still cross bands against this reference. Other peers
-         keep the compile-time reference: their next compile measures
-         the post-[refill_intensional] store it was taken against. *)
-      if delta_capable t then begin
-        match t.program with
-        | Some p when Wdl_eval.Program.version p = t.rules_version ->
-          t.program_bands <- band_signature t.db
-        | _ -> ()
-      end;
-      let delta_mode = seed <> None in
-      (* Step 3: emit. Fact batches are diffed against the last batch
-         sent to each destination; delegations are diffed as a set. A
-         delta stage derived only *new* facts and suspensions, so its
-         batches merge into the last sent ones (the wire protocol
-         sends full replacement batches) and its delegations are pure
-         additions — nothing previously sent can have lapsed. *)
-      let by_dst = group_facts_by_dst result.Wdl_eval.Fixpoint.messages in
-      let current_dsts =
-        Hashtbl.fold (fun dst _ acc -> Sset.add dst acc) by_dst Sset.empty
-      in
-      let previous_dsts =
-        (* Under monotone growth a destination with no new derivations
-           keeps its batch unchanged; only the full recompute must
-           revisit every previously non-empty destination in case its
-           batch shrank or emptied. *)
-        if delta_mode then Sset.empty
-        else
-          Hashtbl.fold
-            (fun dst batch acc -> if batch <> [] then Sset.add dst acc else acc)
-            t.last_batches Sset.empty
-      in
-      (* Origin attribution for this stage's emissions: which rules fed
-         each destination's batch, and which rule's evaluation shipped
-         each suspension. Both are diagnostic — they tag outbound
-         messages for the knowledge-flow oracle and never affect what
-         is sent. *)
-      let stage_origins =
-        let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun (dst, rule) ->
-            match rule_id t rule with
-            | None -> ()
-            | Some id ->
-              let cur =
-                Option.value ~default:Sset.empty (Hashtbl.find_opt tbl dst)
-              in
-              Hashtbl.replace tbl dst (Sset.add id cur))
-          result.Wdl_eval.Fixpoint.origins;
-        fun dst ->
-          Option.value ~default:Sset.empty (Hashtbl.find_opt tbl dst)
-      in
-      let susp_origin =
-        let tbl =
-          Deleg_tbl.create
-            (2 * List.length result.Wdl_eval.Fixpoint.susp_sources)
-        in
-        List.iter
-          (fun (key, src_rule) -> Deleg_tbl.replace tbl key src_rule)
-          result.Wdl_eval.Fixpoint.susp_sources;
-        fun key ->
-          match Deleg_tbl.find_opt tbl key with
-          | Some src_rule -> (
-            match rule_id t src_rule with
-            | Some id -> id
-            | None -> t.name ^ "#?")
-          | None -> t.name ^ "#?"
-      in
-      let fact_part dst =
-        let last = Option.value ~default:[] (Hashtbl.find_opt t.last_batches dst) in
-        if delta_mode then
-          match Hashtbl.find_opt by_dst dst with
-          | None -> None
-          | Some fresh ->
-            let merged =
-              List.sort_uniq Fact.compare (List.rev_append fresh last)
-            in
-            (* [merged] is a superset of [last]: same length = no change. *)
-            if List.compare_lengths merged last = 0 then None
-            else begin
-              Hashtbl.replace t.last_batches dst merged;
-              (* A delta stage only extends the batch, so its origin
-                 set unions into the remembered one. *)
-              let prev =
-                Option.value ~default:Sset.empty
-                  (Hashtbl.find_opt t.batch_origins dst)
-              in
-              Hashtbl.replace t.batch_origins dst
-                (Sset.union prev (stage_origins dst));
-              Some merged
-            end
-        else
-          let batch =
-            List.sort Fact.compare
-              (Option.value ~default:[] (Hashtbl.find_opt by_dst dst))
-          in
-          if List.equal Fact.equal batch last then None
-          else begin
-            Hashtbl.replace t.last_batches dst batch;
-            Hashtbl.replace t.batch_origins dst (stage_origins dst);
-            Some batch
-          end
-      in
-      let susp = result.Wdl_eval.Fixpoint.suspensions in
-      let installs =
-        List.filter (fun s -> not (Deleg_tbl.mem t.last_delegations s)) susp
-      in
-      let retracts =
-        if delta_mode then []
-        else
-          let susp_set = Deleg_tbl.create (List.length susp * 2) in
-          List.iter (fun s -> Deleg_tbl.replace susp_set s ()) susp;
-          let retracts =
-            Deleg_tbl.fold
-              (fun s () acc -> if Deleg_tbl.mem susp_set s then acc else s :: acc)
-              t.last_delegations []
-          in
-          t.last_delegations <- susp_set;
-          retracts
-      in
-      if delta_mode then
-        List.iter (fun s -> Deleg_tbl.replace t.last_delegations s ()) installs;
-      let deleg_dsts =
-        List.fold_left (fun acc (d, _) -> Sset.add d acc) Sset.empty
-          (installs @ retracts)
-      in
-      let all_dsts = Sset.union (Sset.union current_dsts previous_dsts) deleg_dsts in
-      let messages =
-        Sset.fold
-          (fun dst acc ->
-            let facts = fact_part dst in
-            let installs_for =
-              List.filter_map
-                (fun (d, r) -> if d = dst then Some r else None)
-                installs
-            in
-            let msg =
-              Message.make ~src:t.name ~dst ~stage:stage_no ~facts
-                ~installs:installs_for
-                ~retracts:
-                  (List.filter_map
-                     (fun (d, r) -> if d = dst then Some r else None)
-                     retracts)
-                ~fact_origins:
-                  (match facts with
-                  | None -> []
-                  | Some _ ->
-                    Sset.elements
-                      (Option.value ~default:Sset.empty
-                         (Hashtbl.find_opt t.batch_origins dst)))
-                ~install_origins:
-                  (List.map (fun r -> susp_origin (dst, r)) installs_for)
-                ()
-            in
-            if Message.is_empty msg then acc else msg :: acc)
-          all_dsts []
-      in
+  match
+    Wdl_eval.Fixpoint.run ~record_provenance:t.track_provenance ?seed
+      ?program ~handles:t.eval_handles ~self:t.name t.db (all_rules t)
+  with
+  | Error e ->
+    (* The fixpoint did not run: retained intensional state is not a
+       fixpoint of anything, so the next stage must be a full one. *)
+    t.stage_adds <- None;
+    record_store_error t "<program>"
+      (Format.asprintf "%a" Wdl_eval.Stratify.pp_error e);
+    None
+  | Ok result ->
+    if t.track_provenance then begin
+      Fact_tbl.reset t.prov;
       List.iter
-        (fun msg -> record_event t (Trace.Message_sent { msg }))
-        messages;
+        (fun (d : Wdl_eval.Fixpoint.derivation) ->
+          Fact_tbl.replace t.prov d.Wdl_eval.Fixpoint.fact d)
+        result.Wdl_eval.Fixpoint.provenance
+    end;
+    t.last_errors <- result.Wdl_eval.Fixpoint.errors @ t.last_errors;
+    if t.last_errors <> [] then
       record_event t
-        (Trace.Stage_end
-           {
-             peer = t.name;
-             stage = stage_no;
-             derivations = result.Wdl_eval.Fixpoint.derivations;
-             iterations = result.Wdl_eval.Fixpoint.iterations;
-           });
-      messages
+        (Trace.Runtime_errors { peer = t.name; errors = t.last_errors });
+    (* Inductive updates: only genuinely new facts carry to the next
+       stage, otherwise a stable program would never quiesce. *)
+    t.induced_pending <-
+      List.filter
+        (fun (f : Fact.t) ->
+          not (Database.mem t.db ~rel:f.Fact.rel (Tuple.of_list f.Fact.args)))
+        result.Wdl_eval.Fixpoint.induced;
+    (* A completed stage starts a fresh additive run, unless it
+       reported runtime errors: a seeded pass only meets the new
+       tuples, so it would drop the errors the retained state still
+       causes. *)
+    t.stage_adds <-
+      (if result.Wdl_eval.Fixpoint.errors = [] then Some [] else None);
+    (* A delta-capable peer's next compile measures retained state, so
+       its band reference moves to the post-fixpoint store: one taken
+       before this stage's derivations would read every in-fixpoint
+       growth spurt as a band crossing. Other peers' next compile
+       measures the post-[refill_intensional] store the compile-time
+       reference was taken against. *)
+    if delta_capable t then begin
+      match t.program with
+      | Some p when Wdl_eval.Program.version p = t.rules_version ->
+        t.program_bands <- band_signature t.db
+      | _ -> ()
+    end;
+    Some result
+
+(* emit: the messages that bring every destination up to this stage's
+   outputs — fact batches diffed against [last_batches], delegations
+   against [last_delegations]. A [Delta] stage's outputs are the
+   previous ones plus what it derived, a [Full] stage's are what it
+   derived; the mode only picks that base. *)
+let emit t ~stage_no prepared (result : Wdl_eval.Fixpoint.result) =
+  let delta = match prepared with Delta _ -> true | Full -> false in
+  let by_dst = group_facts_by_dst result.Wdl_eval.Fixpoint.messages in
+  let set_of tbl dst =
+    Option.value ~default:Sset.empty (Hashtbl.find_opt tbl dst)
   in
+  (* Origin attribution for this stage's emissions: which rules fed
+     each destination's batch, and which rule's evaluation shipped each
+     suspension. Both are diagnostic — they tag outbound messages for
+     the knowledge-flow oracle and never affect what is sent. *)
+  let stage_origins =
+    let tbl = Hashtbl.create 8 in
+    List.iter
+      (fun (dst, rule) ->
+        match rule_id t rule with
+        | None -> ()
+        | Some id -> Hashtbl.replace tbl dst (Sset.add id (set_of tbl dst)))
+      result.Wdl_eval.Fixpoint.origins;
+    set_of tbl
+  in
+  let susp_origin =
+    let tbl =
+      Deleg_tbl.create (2 * List.length result.Wdl_eval.Fixpoint.susp_sources)
+    in
+    List.iter
+      (fun (key, src_rule) -> Deleg_tbl.replace tbl key src_rule)
+      result.Wdl_eval.Fixpoint.susp_sources;
+    fun key ->
+      match Option.bind (Deleg_tbl.find_opt tbl key) (rule_id t) with
+      | Some id -> id
+      | None -> t.name ^ "#?"
+  in
+  (* [dst]'s new batch and its origins, or [None] when the batch is
+     unchanged. A delta stage only extends batches, so one without fresh
+     facts for [dst] leaves its batch as it was. *)
+  let fact_part dst =
+    let fresh = Option.value ~default:[] (Hashtbl.find_opt by_dst dst) in
+    if delta && fresh = [] then None
+    else
+      let last =
+        Option.value ~default:[] (Hashtbl.find_opt t.last_batches dst)
+      in
+      let base, base_origins =
+        if delta then (last, set_of t.batch_origins dst) else ([], Sset.empty)
+      in
+      let batch = List.sort_uniq Fact.compare (List.rev_append fresh base) in
+      if List.equal Fact.equal batch last then None
+      else begin
+        let origins = Sset.union base_origins (stage_origins dst) in
+        Hashtbl.replace t.last_batches dst batch;
+        Hashtbl.replace t.batch_origins dst origins;
+        Some (batch, origins)
+      end
+  in
+  let susp = result.Wdl_eval.Fixpoint.suspensions in
+  let installs =
+    List.filter (fun s -> not (Deleg_tbl.mem t.last_delegations s)) susp
+  in
+  let delegations =
+    if delta then t.last_delegations
+    else Deleg_tbl.create (2 * List.length susp)
+  in
+  List.iter (fun s -> Deleg_tbl.replace delegations s ()) susp;
+  let retracts =
+    Deleg_tbl.fold
+      (fun s () acc -> if Deleg_tbl.mem delegations s then acc else s :: acc)
+      t.last_delegations []
+  in
+  t.last_delegations <- delegations;
+  (* Every destination whose batch or delegations may have changed:
+     fresh facts, a previously non-empty batch, a delegation diff. *)
+  let dsts =
+    List.fold_left
+      (fun acc (d, _) -> Sset.add d acc)
+      (Hashtbl.fold
+         (fun dst batch acc -> if batch <> [] then Sset.add dst acc else acc)
+         t.last_batches
+         (Hashtbl.fold (fun dst _ -> Sset.add dst) by_dst Sset.empty))
+      (installs @ retracts)
+  in
+  let for_dst dst diff =
+    List.filter_map (fun (d, r) -> if d = dst then Some r else None) diff
+  in
+  let messages =
+    Sset.fold
+      (fun dst acc ->
+        let facts = fact_part dst in
+        let installs_for = for_dst dst installs in
+        let msg =
+          Message.make ~src:t.name ~dst ~stage:stage_no
+            ~facts:(Option.map fst facts) ~installs:installs_for
+            ~retracts:(for_dst dst retracts)
+            ~fact_origins:
+              (match facts with
+              | None -> []
+              | Some (_, origins) -> Sset.elements origins)
+            ~install_origins:
+              (List.map (fun r -> susp_origin (dst, r)) installs_for)
+            ()
+        in
+        if Message.is_empty msg then acc else msg :: acc)
+      dsts []
+  in
+  List.iter (fun msg -> record_event t (Trace.Message_sent { msg })) messages;
+  messages
+
+(* An idle stage is an ordinary one: its outputs equal the previous
+   stage's, so it emits nothing. A program that does not stratify ends
+   the stage after [evaluate]. *)
+let stage t =
+  let stage_no = t.stage_no + 1 in
+  tick t ~stage_no;
+  t.last_errors <- [];
+  record_event t (Trace.Stage_start { peer = t.name; stage = stage_no });
+  let prepared = prepare t (ingest t) in
+  let outbound, derivations, iterations =
+    match evaluate t prepared with
+    | None -> ([], 0, 0)
+    | Some r ->
+      ( emit t ~stage_no prepared r,
+        r.Wdl_eval.Fixpoint.derivations,
+        r.Wdl_eval.Fixpoint.iterations )
+  in
+  record_event t
+    (Trace.Stage_end
+       { peer = t.name; stage = stage_no; derivations; iterations });
   t.stage_no <- stage_no;
   t.dirty <- false;
   outbound
-  end

@@ -39,9 +39,7 @@ val create :
     batches are sent only when they changed. The compiled program is
     cached across stages (invalidated by rule changes, delegation
     installs/retracts, and declarations); semi-naive iterations skip
-    plans whose delta relations are empty; quiescent stages (no new
-    facts, messages, or rule changes) skip the fixpoint entirely.
-    Join ordering is cost-based: rule bodies are reordered at compile
+    plans whose delta relations are empty. Join ordering is cost-based: rule bodies are reordered at compile
     time by live relation cardinalities (the WDL031 greedy reorder
     promoted into the planner), and the cached program is recompiled
     when any relation's cardinality crosses a power-of-two band,
@@ -247,10 +245,17 @@ val snapshot : t -> string
 val restore : string -> (t, string) result
 val has_work : t -> bool
 (** Whether running a stage could change anything: non-empty inbox,
-    pending inductive updates, or local edits since the last stage. *)
+    pending inductive updates, or local edits since the last stage.
+    Callers gate {!stage} on it; [System.round] stages only such
+    peers. *)
 
 val stage : t -> Message.t list
-(** Runs one stage and returns the outbound messages. *)
+(** Runs one stage and returns the outbound messages. An idle stage
+    (no {!has_work}) is an ordinary one: builtins tick and the stage
+    number advances; a delta-capable peer runs an empty delta, any
+    other recomputes. It emits nothing and leaves relations and
+    fixpoint errors as they were, since a stage is a deterministic
+    function of (extensional db, remote cache, rules). *)
 
 val last_errors : t -> Wdl_eval.Runtime_error.t list
 (** Runtime errors of the last stage. *)

@@ -26,10 +26,11 @@ type state = {
   mutable col : int;
 }
 
-let peek st = if st.off < String.length st.src then Some st.src.[st.off] else None
+let peek_at st k =
+  if st.off + k < String.length st.src then Some st.src.[st.off + k] else None
 
-let peek2 st =
-  if st.off + 1 < String.length st.src then Some st.src.[st.off + 1] else None
+let peek st = peek_at st 0
+let peek2 st = peek_at st 1
 
 let advance st =
   (match peek st with
@@ -113,23 +114,17 @@ let lex_number st =
       "." ^ lex_while st is_digit
     | Some _ | None -> ""
   in
+  (* An exponent needs a digit after its optional sign; otherwise the
+     number ends before the [e], as in [4ex] or [4e+]. *)
   let exp =
-    match peek st with
-    | Some ('e' | 'E') -> (
-      match peek2 st with
-      | Some c when is_digit c || c = '+' || c = '-' ->
-        is_float := true;
-        advance st;
-        let sign =
-          match peek st with
-          | Some (('+' | '-') as s) ->
-            advance st;
-            String.make 1 s
-          | Some _ | None -> ""
-        in
-        "e" ^ sign ^ lex_while st is_digit
-      | Some _ | None -> "")
-    | Some _ | None -> ""
+    let sign = match peek2 st with Some ('+' | '-') -> 1 | _ -> 0 in
+    match (peek st, peek_at st (1 + sign)) with
+    | Some ('e' | 'E'), Some c when is_digit c ->
+      is_float := true;
+      let head = String.sub st.src (st.off + 1) sign in
+      for _ = 0 to sign do advance st done;
+      "e" ^ head ^ lex_while st is_digit
+    | _ -> ""
   in
   let text = intpart ^ frac ^ exp in
   if !is_float then FLOAT (float_of_string text)

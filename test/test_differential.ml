@@ -123,17 +123,18 @@ let run_engine engine spec =
 (* {1 Multi-stage scripts through a peer}
 
    Drives a full [Peer] — compiled-program cache, activation
-   scheduling, quiescence fast path — through several stages with
-   facts, rule additions and deletions and delegation installs arriving
-   mid-run
-   (each of which invalidates the cached program), and checks it
-   against the [Reference] oracle re-run from scratch on the database
-   state after every stage: the views must match, and so must what the
-   peer has emitted so far — the last fact batch sent to each
-   destination and the set of delegations it holds installed. *)
+   scheduling, delta and full stages — through several stages with
+   fact insertions and deletions, rule additions and removals and
+   delegation installs arriving mid-run (deletions shrink batches and
+   retract delegations; rule changes invalidate the cached program),
+   and checks it against the [Reference] oracle re-run from scratch on
+   the database state after every stage: the views must match, and so
+   must what the peer has emitted so far — the last fact batch sent to
+   each destination and the set of delegations it holds installed. *)
 
 type stage_ev = {
   inserts : (string * int list) list;
+  deletes : (string * int list) list;  (* drawn from earlier inserts *)
   new_rule : string option;  (* added locally mid-run *)
   del_rule : int option;  (* remove the nth rule currently installed *)
   delegate : string option;  (* arrives as a delegation install from q *)
@@ -154,9 +155,16 @@ let deleg_pool =
     "away@p($x) :- r@p($x), data@q($x);";
   ]
 
-let stage_ev_gen =
+(* [inserted]: the facts inserted before this stage, which its deletes
+   are drawn from. *)
+let stage_ev_gen inserted =
   QCheck.Gen.(
     let* inserts = list_size (int_range 0 3) fact_gen in
+    let* with_dels = int_range 0 2 in
+    let* deletes =
+      if with_dels > 0 || inserted = [] then return []
+      else list_size (int_range 1 2) (oneofl inserted)
+    in
     let* with_rule = int_range 0 2 in
     let* rule = oneofl rule_pool in
     let* with_del = int_range 0 2 in
@@ -166,6 +174,7 @@ let stage_ev_gen =
     return
       {
         inserts;
+        deletes;
         new_rule = (if with_rule = 0 then Some rule else None);
         del_rule = (if with_del = 0 then Some del_at else None);
         delegate = (if with_deleg = 0 then Some deleg else None);
@@ -187,20 +196,31 @@ let script_gen =
     let* base = dspec_gen in
     let* monotone = bool in
     let* mono_rules = list_size (int_range 1 6) (oneofl monotone_pool) in
-    let* stage_evs = list_size (int_range 1 4) stage_ev_gen in
+    let* n_stages = int_range 1 4 in
+    let rec stage_evs n inserted =
+      if n = 0 then return []
+      else
+        let* ev = stage_ev_gen inserted in
+        let* rest = stage_evs (n - 1) (ev.inserts @ inserted) in
+        return (ev :: rest)
+    in
+    let* stage_evs = stage_evs n_stages base.facts in
     return
       { base = (if monotone then { base with rules = mono_rules } else base);
         stage_evs })
 
 let script_print s =
+  let facts fs =
+    String.concat "; "
+      (List.map
+         (fun (r, args) ->
+           Printf.sprintf "%s(%s)" r
+             (String.concat "," (List.map string_of_int args)))
+         fs)
+  in
   let ev e =
-    Printf.sprintf "inserts=[%s] rule=%s del=%s deleg=%s"
-      (String.concat "; "
-         (List.map
-            (fun (r, args) ->
-              Printf.sprintf "%s(%s)" r
-                (String.concat "," (List.map string_of_int args)))
-            e.inserts))
+    Printf.sprintf "inserts=[%s] deletes=[%s] rule=%s del=%s deleg=%s"
+      (facts e.inserts) (facts e.deletes)
       (Option.value ~default:"-" e.new_rule)
       (match e.del_rule with None -> "-" | Some i -> string_of_int i)
       (Option.value ~default:"-" e.delegate)
@@ -271,30 +291,31 @@ let oracle_agrees (p : Webdamlog.Peer.t) emitted =
     intensional_dump db = intensional_dump (Peer.database p)
     && emitted_canon expected = emitted
 
-(* Run the script on one peer; two trailing empty stages exercise the
-   quiescence fast path. Returns the oracle's verdict after every
-   stage. *)
+(* Run the script on one peer; two trailing empty stages exercise idle
+   stages. Returns the oracle's verdict after every stage. *)
 let drive script =
   let open Webdamlog in
   let p = Peer.create "p" in
   let em = { batches = Hashtbl.create 4; delegs = Hashtbl.create 4 } in
   let db = Peer.database p in
   declare_views db;
-  let insert_fact (rel, args) =
-    ignore
-      (Peer.insert p
-         (Fact.make ~rel ~peer:"p" (List.map (fun n -> Value.Int n) args)))
+  let to_fact (rel, args) =
+    Fact.make ~rel ~peer:"p" (List.map (fun n -> Value.Int n) args)
   in
+  let insert_fact f = ignore (Peer.insert p (to_fact f)) in
   List.iter insert_fact script.base.facts;
   List.iter
     (fun n ->
       ignore (Peer.insert p (Fact.make ~rel:"names" ~peer:"p" [ Value.String n ])))
     script.base.names;
   List.iter (fun r -> ignore (Peer.add_rule p (parse_rule_str r))) script.base.rules;
-  let quiet = { inserts = []; new_rule = None; del_rule = None; delegate = None } in
+  let quiet =
+    { inserts = []; deletes = []; new_rule = None; del_rule = None; delegate = None }
+  in
   List.map
     (fun ev ->
       List.iter insert_fact ev.inserts;
+      List.iter (fun f -> ignore (Peer.delete p (to_fact f))) ev.deletes;
       Option.iter
         (fun r -> ignore (Peer.add_rule p (parse_rule_str r)))
         ev.new_rule;

@@ -21,7 +21,14 @@ let suite =
           (toks "7 7. 7.5 7e2 7.5e-2 7E+1"
           = Lexer.
               [ INT 7; FLOAT 7.; FLOAT 7.5; FLOAT 700.; FLOAT 0.075; FLOAT 70.;
-                EOF ]));
+                EOF ]);
+        (* No digit after the exponent's sign: the number ends before
+           the [e], as it does for [4ex]. *)
+        check_bool "dangling exponent"
+          (toks "4e+ 1.5E- 4ex"
+          = Lexer.
+              [ INT 4; IDENT "e"; PLUS; FLOAT 1.5; IDENT "E"; MINUS; INT 4;
+                IDENT "ex"; EOF ]));
     tc "huge integer literal falls back to float" (fun () ->
         match toks "99999999999999999999999999" with
         | [ Lexer.FLOAT _; Lexer.EOF ] -> ()

@@ -100,7 +100,9 @@ let suite =
         fails {|m@p("unterminated)|};
         fails {|m@p("bad \q escape")|};
         fails "m@p(1) %";
-        fails "/* unterminated");
+        fails "/* unterminated";
+        fails "v@p(4e+);";
+        fails "v@p(1.5E-);");
     tc "trailing garbage rejected" (fun () -> fails "m@p(1); )");
     tc "empty string name rejected" (fun () -> fails {|""@p(1)|});
     tc "program round-trips" (fun () ->

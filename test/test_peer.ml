@@ -12,7 +12,7 @@ let fact rel peer args = Fact.make ~rel ~peer args
    placeholder peer name "_") and the extensional [facts] (as
    (rel, args) pairs), staged once. Its first stage is always a full
    one, so it is the from-scratch oracle for a long-running peer that
-   reached the same facts and rules through cached, delta and fast-path
+   reached the same facts and rules through cached and delta
    stages. *)
 let fresh_twin name program facts =
   let q = Peer.create name in
@@ -26,6 +26,29 @@ let fresh_twin name program facts =
 (* [rel]'s tuples, without the peer name, sorted. *)
 let rows q rel =
   List.sort compare (List.map (fun (f : Fact.t) -> f.Fact.args) (Peer.query q rel))
+
+(* An idle stage (a settled peer, no new inputs) is an ordinary stage:
+   the stage number advances, a delta-capable peer runs an empty delta
+   and any other peer recomputes, and either way nothing is sent and no
+   relation or reported error changes. *)
+let idle_stage_is_ordinary ~delta q =
+  let name = Peer.name q in
+  let deltas () =
+    int_of_float
+      (Wdl_obs.Obs.read_one ~labels:[ ("peer", name) ]
+         "wdl_eval_delta_stages_total")
+  in
+  let dump () = List.map (fun rel -> (rel, rows q rel)) (Peer.relation_names q) in
+  check_bool (name ^ ": settled") (not (Peer.has_work q));
+  let stage0 = Peer.stage_number q and deltas0 = deltas () in
+  let relations = dump () and errors = Peer.last_errors q in
+  check_int (name ^ ": idle stage sends nothing") 0 (List.length (Peer.stage q));
+  check_int (name ^ ": stage number advances") (stage0 + 1) (Peer.stage_number q);
+  check_bool (name ^ ": relations unchanged") (dump () = relations);
+  check_bool (name ^ ": errors unchanged") (Peer.last_errors q = errors);
+  check_int (name ^ ": delta stage only when delta-capable")
+    (if delta then deltas0 + 1 else deltas0)
+    (deltas ())
 
 let suite =
   [
@@ -142,7 +165,7 @@ let suite =
         (match m2 with
         | [ m ] -> check_bool "empty batch sent" (m.Message.facts = Some [])
         | _ -> Alcotest.fail "expected one message"));
-    tc "incremental engine: cache hits, fast path, and invalidation" (fun () ->
+    tc "incremental engine: cache hits, idle stages, and invalidation" (fun () ->
         let read p name =
           int_of_float (Wdl_obs.Obs.read_one ~labels:[ ("peer", name) ] p)
         in
@@ -151,12 +174,28 @@ let suite =
           (Peer.load_string p
              "int v@inc_p(x); a@inc_p(1); v@inc_p($x) :- a@inc_p($x);");
         ignore (Peer.stage p);
+        (* Idle stages on three settled peers: a delta-capable one, one
+           whose negation rule forces the full path, and one whose
+           stages report runtime errors. *)
+        idle_stage_is_ordinary ~delta:true p;
+        let full = Peer.create "idle_full" in
+        ok
+          (Peer.load_string full
+             "ext a@idle_full(x); ext blocked@idle_full(x); \
+              int ok@idle_full(x); a@idle_full(1); a@idle_full(2); \
+              blocked@idle_full(2); \
+              ok@idle_full($x) :- a@idle_full($x), not blocked@idle_full($x); \
+              out@q($x) :- ok@idle_full($x);");
+        check_int "full: first stage sends" 1 (List.length (Peer.stage full));
+        idle_stage_is_ordinary ~delta:false full;
+        let err = Peer.create "idle_err" in
+        ok
+          (Peer.load_string err
+             "sel@idle_err(42); v@q($x) :- sel@idle_err($a), d@$a($x);");
+        ignore (Peer.stage err);
+        check_bool "errors: first stage reports" (Peer.last_errors err <> []);
+        idle_stage_is_ordinary ~delta:false err;
         let hits0 = read "wdl_eval_program_cache_hits_total" "inc_p" in
-        let fast0 = read "wdl_eval_stage_fastpath_total" "inc_p" in
-        (* Quiescent: no inputs changed, the whole fixpoint is skipped. *)
-        check_int "quiescent stage sends nothing" 0 (List.length (Peer.stage p));
-        check_int "fast path taken" (fast0 + 1)
-          (read "wdl_eval_stage_fastpath_total" "inc_p");
         (* New fact, same rules, but [a] doubles from 1 to 2 tuples —
            that crosses a cardinality band, so the planner recompiles
            with fresh statistics instead of reusing the cache. *)
@@ -185,8 +224,6 @@ let suite =
             "int v@_(x); int w@_(x); v@_($x) :- a@_($x); w@_($x) :- a@_($x);"
             (List.map (fun i -> ("a", [ Value.Int i ])) [ 1; 2; 3 ])
         in
-        check_int "twin: first stage is not a fast path" 0
-          (read "wdl_eval_stage_fastpath_total" "inc_b");
         check_int "twin: first stage compiles" 0
           (read "wdl_eval_program_cache_hits_total" "inc_b");
         check_bool "v matches the fresh twin" (rows b "v" = rows p "v");

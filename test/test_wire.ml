@@ -88,6 +88,8 @@ let suite =
         | Ok got -> check_bool "equal" (List.equal msg_equal msgs got)
         | Error e -> Alcotest.fail e);
         check_bool "garbage rejected" (Result.is_error (Wire.unbatch "nope"));
+        check_bool "malformed number rejected"
+          (Result.is_error (Wire.unbatch "batch@wire(1, 1);\nv@p(4e+);"));
         check_bool "future version rejected"
           (Result.is_error (Wire.unbatch "batch@wire(99, 0);")));
     tc "tcp: send_many rides one connection, in order, and reuses it"
