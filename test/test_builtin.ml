@@ -32,23 +32,44 @@ let contents p rel =
 let sketch_suite =
   [
     tc "bloom: no false negatives, bounded false positives" (fun () ->
-        let n = 5_000 and fpr = 0.02 in
-        let b = Sketch.Bloom.for_capacity ~fpr n in
-        for i = 0 to n - 1 do
-          Sketch.Bloom.add b (Printf.sprintf "member-%d" i)
-        done;
-        for i = 0 to n - 1 do
-          if not (Sketch.Bloom.mem b (Printf.sprintf "member-%d" i)) then
-            Alcotest.failf "false negative on member-%d" i
-        done;
-        let fp = ref 0 in
-        for i = 0 to n - 1 do
-          if Sketch.Bloom.mem b (Printf.sprintf "stranger-%d" i) then incr fp
-        done;
-        let rate = float_of_int !fp /. float_of_int n in
-        if rate > 3.0 *. fpr then
-          Alcotest.failf "false-positive rate %.4f exceeds 3x target %.4f"
-            rate fpr);
+        (* Two inputs: string keys, and the [|Int; String|] post tuples
+           of a feed at stream size. Members never miss, strangers hit
+           under 3x the target rate, and the filter holds exactly the
+           textbook m = ceil(-n ln p / (ln 2)^2) bits. *)
+        let check_bloom (type k) ~label ~n ~fpr ~(member : int -> k)
+            ~(stranger : int -> k) =
+          let b = Sketch.Bloom.for_capacity ~fpr n in
+          for i = 0 to n - 1 do
+            Sketch.Bloom.add b (member i)
+          done;
+          for i = 0 to n - 1 do
+            if not (Sketch.Bloom.mem b (member i)) then
+              Alcotest.failf "%s: false negative on member %d" label i
+          done;
+          let fp = ref 0 in
+          for i = 0 to n - 1 do
+            if Sketch.Bloom.mem b (stranger i) then incr fp
+          done;
+          let rate = float_of_int !fp /. float_of_int n in
+          if rate >= 3.0 *. fpr then
+            Alcotest.failf "%s: false-positive rate %.4f not under 3x target %.4f"
+              label rate fpr;
+          let m =
+            int_of_float
+              (ceil (-.float_of_int n *. log fpr /. (log 2. *. log 2.)))
+          in
+          Alcotest.(check int)
+            (label ^ ": memory is ceil(m/8) bytes")
+            ((m + 7) / 8)
+            (Sketch.Bloom.memory_bytes b)
+        in
+        check_bloom ~label:"strings" ~n:5_000 ~fpr:0.02
+          ~member:(Printf.sprintf "member-%d")
+          ~stranger:(Printf.sprintf "stranger-%d");
+        let topic i = Value.String (Printf.sprintf "t%d" (i mod 97)) in
+        check_bloom ~label:"post tuples" ~n:50_000 ~fpr:0.01
+          ~member:(fun i -> [| Value.Int i; topic i |])
+          ~stranger:(fun i -> [| Value.Int (50_000 + i); topic i |]));
     tc "bloom: add_mem reports prior membership" (fun () ->
         let b = Sketch.Bloom.for_capacity 100 in
         Alcotest.(check bool) "novel" false (Sketch.Bloom.add_mem b "x");
@@ -186,10 +207,17 @@ let topk_oracle ~n ~k stages =
       |> List.sort compare)
     stages
 
+(* Each stage's materialization, plus the module's queue length after
+   the stage. *)
 let drive_topk ~n ~k stages =
   let p =
     peer_with
       (Printf.sprintf "builtin topk t@p(key, total) with k=%d, size=%d;" k n)
+  in
+  let entries () =
+    match Builtin.Registry.find (Webdamlog.Peer.builtins p) "t" with
+    | Some inst -> (inst.Builtin.stats ()).Builtin.entries
+    | None -> Alcotest.fail "topk module not registered"
   in
   List.map
     (fun ops ->
@@ -200,8 +228,24 @@ let drive_topk ~n ~k stages =
           | Del _ -> ())
         ops;
       ignore (Webdamlog.Peer.stage p);
-      contents p "t")
+      (contents p "t", entries ()))
     stages
+
+(* The queue holds at most the writes of the trailing [n] stages. *)
+let topk_queue_bounded ~n stages entries =
+  let writes =
+    List.map
+      (fun ops ->
+        List.length (List.filter (function Ins _ -> true | Del _ -> false) ops))
+      stages
+  in
+  List.for_all Fun.id
+    (List.mapi
+       (fun idx e ->
+         e
+         <= List.fold_left ( + ) 0
+              (List.filteri (fun j _ -> j <= idx && j > idx - n) writes))
+       entries)
 
 let differential_suite =
   [
@@ -228,7 +272,9 @@ let differential_suite =
          ~name:"topk: peer materialization = exact ranking, every stage"
          sched_arb
          (fun (n, stages) ->
-           drive_topk ~n ~k:2 stages = topk_oracle ~n ~k:2 stages));
+           let got = drive_topk ~n ~k:2 stages in
+           List.map fst got = topk_oracle ~n ~k:2 stages
+           && topk_queue_bounded ~n stages (List.map snd got)));
   ]
 
 (* ---------------- peer integration ---------------- *)

@@ -230,71 +230,25 @@ let unit_tests =
 let envelope_sizer e =
   match e.Reliable.env_payload with Some m -> Message.size m | None -> 8
 
-(* The album/attendee delegation scenario (the paper's Wepic shape):
-   sigmod aggregates every attendee's pictures into the album; each
-   attendee mirrors the album back. Delegations flow both ways and
-   fact batches cross every link. *)
-let load_album sys attendees =
-  let sigmod = System.add_peer sys "sigmod" in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    "ext attendee@sigmod(a);\nint album@sigmod(id, name, owner);\n";
-  List.iter
-    (fun a -> Buffer.add_string buf (Printf.sprintf "attendee@sigmod(%S);\n" a))
-    attendees;
-  Buffer.add_string buf
-    "album@sigmod($i, $n, $a) :- attendee@sigmod($a), pictures@$a($i, $n);\n";
-  ok' (Peer.load_string sigmod (Buffer.contents buf));
-  List.iter
-    (fun a ->
-      let p = System.add_peer sys a in
-      ok'
-        (Peer.load_string p
-           (Printf.sprintf
-              {|ext pictures@%s(id, name);
-                int myAlbum@%s(id, name, owner);
-                pictures@%s(1, "%s_1.jpg");
-                pictures@%s(2, "%s_2.jpg");
-                myAlbum@%s($i, $n, $o) :- album@sigmod($i, $n, $o);|}
-              a a a a a a a)))
-    attendees
-
-(* Byte dump of every relation at every peer, canonically ordered. *)
-let dump sys =
-  let buf = Buffer.create 1024 in
-  let peers =
-    List.sort
-      (fun p q -> String.compare (Peer.name p) (Peer.name q))
-      (System.peers sys)
-  in
-  List.iter
-    (fun p ->
-      Buffer.add_string buf ("== " ^ Peer.name p ^ "\n");
-      List.iter
-        (fun rel ->
-          List.iter
-            (fun f ->
-              Buffer.add_string buf (Format.asprintf "%a" Fact.pp f);
-              Buffer.add_char buf '\n')
-            (Peer.query p rel))
-        (List.sort String.compare (Peer.relation_names p)))
-    peers;
-  Buffer.contents buf
-
+let load_album = Album.load_album
+let dump = Album.dump
 let attendees = [ "alice"; "bob"; "carol" ]
 
-let reference_dump () =
+let reference_dump ?(attendees = attendees) () =
   let sys = System.create () in
   load_album sys attendees;
   ignore (ok' (System.run sys));
   dump sys
 
-(* One faulty run: loss + duplication + a mid-run partition that heals. *)
-let faulty_run ~seed ~loss ~duplicate ~part_at ~part_len =
+(* One faulty run: loss + duplication + a mid-run partition that heals.
+   [wrap_seed] seeds the reliable layer's deadline jitter; without it
+   the layer uses its default seed. *)
+let faulty_run ?(attendees = attendees) ?wrap_seed ?(max_rounds = 5000) ~seed
+    ~loss ~duplicate ~part_at ~part_len () =
   let inner, net =
     Simnet.create_with_control ~sizer:envelope_sizer ~seed ~loss ~duplicate ()
   in
-  let transport, rctl = Reliable.wrap ~seed:(seed + 1) inner in
+  let transport, rctl = Reliable.wrap ?seed:wrap_seed inner in
   let sys = System.create ~transport ~drop_unknown:true () in
   load_album sys attendees;
   for _ = 1 to part_at do
@@ -305,11 +259,11 @@ let faulty_run ~seed ~loss ~duplicate ~part_at ~part_len =
     ignore (System.round sys)
   done;
   Simnet.heal net ~between:"sigmod" ~and_:"alice";
-  match System.run ~max_rounds:5000 sys with
+  match System.run ~max_rounds sys with
   | Error e -> Error e
   | Ok _ ->
     if Reliable.dead_links rctl <> [] then Error "gave up on a live link"
-    else Ok (dump sys, Reliable.stats rctl)
+    else Ok (dump sys, Reliable.stats rctl, System.transport_errors sys)
 
 let convergence_prop =
   QCheck.Test.make ~count:12
@@ -325,50 +279,74 @@ let convergence_prop =
           return (seed, loss, duplicate, part_at, part_len)))
     (fun (seed, loss, duplicate, part_at, part_len) ->
       let expected = reference_dump () in
-      match faulty_run ~seed ~loss ~duplicate ~part_at ~part_len with
+      match
+        faulty_run ~wrap_seed:(seed + 1) ~seed ~loss ~duplicate ~part_at
+          ~part_len ()
+      with
       | Error e -> QCheck.Test.fail_reportf "did not converge: %s" e
-      | Ok (got, _) ->
+      | Ok (got, _, _) ->
         if got <> expected then
           QCheck.Test.fail_reportf "diverged under faults:@.%s@.vs@.%s" got
             expected
         else true)
 
+(* Seed 42, 25% loss, 10% duplication, sigmod|alice partitioned from
+   round 3 for 12 rounds. Two rows: three attendees with a seeded
+   reliable layer, and four attendees with the layer's default seed
+   within 2000 rounds. *)
 let acceptance =
-  tc "20% loss + 10% dup + partition converges; faults were exercised"
+  tc "25% loss + 10% dup + partition converges; faults were exercised"
     (fun () ->
-      let expected = reference_dump () in
-      match
-        faulty_run ~seed:42 ~loss:0.25 ~duplicate:0.10 ~part_at:3 ~part_len:12
-      with
-      | Error e -> Alcotest.fail e
-      | Ok (got, stats) ->
-        Alcotest.check Alcotest.string "byte-identical contents" expected got;
-        check_bool "retransmits nonzero" (stats.Netstats.retransmits > 0);
-        check_bool "dup_dropped nonzero" (stats.Netstats.dup_dropped > 0))
+      List.iter
+        (fun (label, attendees, wrap_seed, max_rounds) ->
+          let expected = reference_dump ~attendees () in
+          match
+            faulty_run ~attendees ?wrap_seed ~max_rounds ~seed:42 ~loss:0.25
+              ~duplicate:0.10 ~part_at:3 ~part_len:12 ()
+          with
+          | Error e -> Alcotest.failf "%s: %s" label e
+          | Ok (got, stats, errors) ->
+            Alcotest.check Alcotest.string (label ^ ": byte-identical contents")
+              expected got;
+            check_bool (label ^ ": retransmits nonzero")
+              (stats.Netstats.retransmits > 0);
+            check_bool (label ^ ": dup_dropped nonzero")
+              (stats.Netstats.dup_dropped > 0);
+            check_int (label ^ ": no transport exceptions") 0 errors)
+        [ ("3 attendees", attendees, Some 43, 5000);
+          ("4 attendees", Album.attendees, None, 2000) ])
 
 (* {1 Crash + journal recovery} *)
 
-let temp_dir () =
-  let d = Filename.temp_file "wdl_reliable" "" in
-  Sys.remove d;
-  Sys.mkdir d 0o755;
-  d
+(* A fresh directory, removed with everything persisted under it when
+   [f] returns or raises. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "wdl_reliable" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
 
 (* bob receives album entries into an EXTENSIONAL inbox (journaled), so
    a crash between checkpoints loses nothing the journal saw. *)
-let load_crash_scenario sys =
-  load_album sys [ "alice"; "bob" ];
+let load_crash_scenario attendees sys =
+  load_album sys attendees;
   ok'
     (Peer.load_string (System.peer sys "bob") "ext inbox@bob(id, name);");
   ok'
     (Peer.load_string (System.peer sys "sigmod")
        "inbox@bob($i, $n) :- album@sigmod($i, $n, $o);")
 
-let crash_test () =
-  let dir = temp_dir () in
+let crash_run attendees dir =
   (* Reference: the same script with no crash, on Inmem. *)
   let ref_sys = System.create () in
-  load_crash_scenario ref_sys;
+  load_crash_scenario attendees ref_sys;
   ignore (ok' (System.run ref_sys));
   ok'
     (Peer.insert (System.peer ref_sys "alice")
@@ -394,9 +372,9 @@ let crash_test () =
      until he returns — dropping them at the system layer would lose
      the batch forever (it is only re-sent on change). *)
   let sys = System.create ~transport ~drop_unknown:false () in
-  load_crash_scenario sys;
+  load_crash_scenario attendees sys;
   Persist.attach (System.peer sys "bob") ~dir;
-  ignore (ok' (System.run sys));
+  ignore (ok' (System.run ~max_rounds:2000 sys));
   Persist.checkpoint (System.peer sys "bob") ~dir;
 
   (* Post-checkpoint activity lands in bob's journal only. *)
@@ -404,7 +382,7 @@ let crash_test () =
     (Peer.insert (System.peer sys "alice")
        (Fact.make ~rel:"pictures" ~peer:"alice"
           [ Value.Int 3; Value.String "alice_3.jpg" ]));
-  ignore (ok' (System.run sys));
+  ignore (ok' (System.run ~max_rounds:2000 sys));
   let inbox_before = List.length (Peer.query (System.peer sys "bob") "inbox") in
   check_bool "bob saw post-checkpoint traffic" (inbox_before > 0);
 
@@ -433,11 +411,17 @@ let crash_test () =
     (List.length (Peer.query bob "inbox"));
   Simnet.restart net "bob";
   System.adopt_peer sys bob;
-  (match System.run ~max_rounds:5000 sys with
+  (match System.run ~max_rounds:2000 sys with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.check Alcotest.string "reconverged to the no-fault state" expected
     (dump sys)
+
+(* Two casts: bob and alice alone, and the four-attendee album. *)
+let crash_test () =
+  List.iter
+    (fun attendees -> with_temp_dir (crash_run attendees))
+    [ [ "alice"; "bob" ]; Album.attendees ]
 
 (* {1 Differential churn property}
 
@@ -463,7 +447,7 @@ let churn_expected ~victim ~other () =
   dump sys
 
 let churn_run ~seed ~loss ~victim ~down_rounds =
-  let dir = temp_dir () in
+  with_temp_dir @@ fun dir ->
   let other = List.find (fun a -> a <> victim) attendees in
   let inner, net =
     Simnet.create_with_control ~sizer:envelope_sizer ~seed ~loss
@@ -517,8 +501,137 @@ let churn_prop =
             expected
         else true)
 
+(* {1 Scripted churn under the full lifecycle}
+
+   The album scenario with four attendees, the failure detector on and
+   the reliable layer wired into the system lifecycle. A fixed schedule
+   crashes two of five peers (40% churn) and recovers them from their
+   journals, opens and heals a partition, and keeps inserting
+   throughout under 25% loss and 10% duplication. Inserts aimed at a
+   peer that is down wait for its rejoin. The end state must equal a
+   fault-free Inmem run given the same inserts. *)
+
+let chaos_load sys =
+  load_album sys Album.attendees;
+  (* A queryable membership view, and a hub-owned rule feeding a dead
+     peer's extensional relation: the hub keeps deriving inbox facts
+     while bob is down, so they are dead-lettered. *)
+  ok'
+    (Peer.load_string (System.peer sys "sigmod")
+       "ext sys_peers@sigmod(name, status);");
+  ok' (Peer.load_string (System.peer sys "bob") "ext inbox@bob(id, name);");
+  ok'
+    (Peer.load_string (System.peer sys "sigmod")
+       "inbox@bob($i, $n) :- album@sigmod($i, $n, $o);")
+
+let chaos_inserts =
+  [ ("alice", 101); ("bob", 102); ("carol", 103); ("dave", 104);
+    ("alice", 105); ("bob", 106); ("carol", 107); ("dave", 108);
+    ("bob", 109) ]
+
+let chaos_expected () =
+  let sys = System.create ~drop_unknown:true () in
+  chaos_load sys;
+  ignore (ok' (System.run sys));
+  List.iter (fun (a, id) -> churn_insert sys a id) chaos_inserts;
+  ignore (ok' (System.run sys));
+  System.sync_members sys;
+  ignore (ok' (System.run sys));
+  dump sys
+
+let chaos_churn_test () =
+  with_temp_dir @@ fun base ->
+  let dir_of a = Filename.concat base a in
+  let inner, net =
+    Simnet.create_with_control ~sizer:envelope_sizer ~seed:11 ~loss:0.25
+      ~duplicate:0.10 ()
+  in
+  let config =
+    { Reliable.default_config with
+      rto = 2.0; max_rto = 8.0; max_attempts = 5; max_window = 64;
+      max_held = 256 }
+  in
+  let transport, rctl = Reliable.wrap ~config inner in
+  let sys =
+    System.create ~transport ~drop_unknown:false
+      ~membership:
+        { Membership.suspect_after = 5; dead_after = 10; probe_every = 3 }
+      ()
+  in
+  System.wire_reliable sys rctl;
+  chaos_load sys;
+  let run n = Result.is_ok (System.run ~max_rounds:n sys) in
+  let converged = ref (run 2000) in
+  (* Checkpoint every attendee once settled: recovery replays the
+     journal on top of this snapshot. *)
+  List.iter
+    (fun a ->
+      Persist.attach (System.peer sys a) ~dir:(dir_of a);
+      Persist.checkpoint (System.peer sys a) ~dir:(dir_of a))
+    Album.attendees;
+  let down = Hashtbl.create 4 in
+  let deferred = Hashtbl.create 4 in
+  let insert a id =
+    if Hashtbl.mem down a then
+      Hashtbl.replace deferred a
+        (id :: Option.value ~default:[] (Hashtbl.find_opt deferred a))
+    else churn_insert sys a id
+  in
+  let crash a =
+    Simnet.crash net a;
+    System.remove_peer sys a;
+    Hashtbl.replace down a ()
+  in
+  let recover a =
+    let p = ok' (Persist.recover ~dir:(dir_of a) ~fallback_name:a ()) in
+    Simnet.restart net a;
+    System.adopt_peer sys p;
+    Hashtbl.remove down a;
+    List.iter (insert a)
+      (List.rev (Option.value ~default:[] (Hashtbl.find_opt deferred a)));
+    Hashtbl.remove deferred a
+  in
+  let events =
+    [ (2, fun () -> insert "alice" 101);
+      (4, fun () -> crash "bob");
+      (6, fun () -> insert "bob" 102);
+      (8, fun () -> Simnet.partition net ~between:"sigmod" ~and_:"carol");
+      (9, fun () -> insert "carol" 103);
+      (10, fun () -> crash "dave");
+      (12, fun () -> insert "dave" 104);
+      (16, fun () -> insert "alice" 105);
+      (18, fun () -> Simnet.heal net ~between:"sigmod" ~and_:"carol");
+      (20, fun () -> insert "bob" 106);
+      (24, fun () -> recover "bob");
+      (26, fun () -> insert "carol" 107);
+      (30, fun () -> recover "dave");
+      (32, fun () -> insert "dave" 108);
+      (34, fun () -> insert "bob" 109) ]
+  in
+  for s = 1 to 40 do
+    List.iter (fun (r, f) -> if r = s then f ()) events;
+    ignore (System.round sys)
+  done;
+  converged := !converged && run 3000;
+  System.sync_members sys;
+  converged := !converged && run 500;
+  let stats = (System.transport sys).Transport.stats () in
+  check_bool "40% churn + faults converged" !converged;
+  Alcotest.check Alcotest.string "state byte-identical to fault-free oracle"
+    (chaos_expected ()) (dump sys);
+  check_bool "dead peers evicted" (System.evictions sys >= 2);
+  check_bool "messages to dead peers dead-lettered"
+    (System.dead_lettered sys > 0);
+  check_int "dead letters flushed on rejoin" 0 (System.dead_letters sys);
+  check_bool "retransmits nonzero" (stats.Netstats.retransmits > 0);
+  check_bool "dup_dropped nonzero" (stats.Netstats.dup_dropped > 0);
+  check_int "round loop saw no transport exceptions" 0
+    (System.transport_errors sys)
+
 let suite =
   unit_tests
   @ [ acceptance; QCheck_alcotest.to_alcotest convergence_prop;
       tc "crash, journal recovery, reconvergence" crash_test;
-      QCheck_alcotest.to_alcotest churn_prop ]
+      QCheck_alcotest.to_alcotest churn_prop;
+      tc "40% churn, crashes, partition, loss: equals the fault-free oracle"
+        chaos_churn_test ]

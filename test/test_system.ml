@@ -29,6 +29,144 @@ let setup_jules_emilien () =
        |});
   (sys, jules, emilien)
 
+(* A from-scratch rebuild of [sys]: a fresh system whose peers hold the
+   same declarations, extensional facts and own rules, plus the
+   delegations installed from peers outside [sys] (delegations between
+   its own peers are re-derived), run to quiescence. Every peer's first
+   stage is a full one, so the rebuild is the oracle for a system that
+   reached the same inputs through cached and delta stages. *)
+let rebuild sys =
+  let fresh = System.create () in
+  List.iter
+    (fun p ->
+      let name = Peer.name p in
+      let q = System.add_peer fresh name in
+      let stmts =
+        List.concat_map
+          (fun (i : Wdl_store.Database.info) ->
+            let rel = i.Wdl_store.Database.name in
+            let kind = i.Wdl_store.Database.kind in
+            let arity = i.Wdl_store.Database.arity in
+            (* Relations created by a fact rather than a declaration
+               carry no column names. *)
+            let cols =
+              if List.length i.Wdl_store.Database.cols = arity then
+                i.Wdl_store.Database.cols
+              else List.init arity (Printf.sprintf "c%d")
+            in
+            Program.Decl (Decl.make ~kind ~rel ~peer:name cols)
+            ::
+            (if kind = Decl.Extensional then
+               List.map (fun f -> Program.Fact f) (Peer.query p rel)
+             else []))
+          (Wdl_store.Database.relations (Peer.database p))
+        @ List.map (fun r -> Program.Rule r) (Peer.rules p)
+      in
+      ok (Peer.load_program q stmts);
+      List.iter
+        (fun (src, rule) ->
+          if System.find_peer sys src = None then
+            Peer.receive q
+              (Message.make ~src ~dst:name ~stage:0 ~installs:[ rule ] ()))
+        (Peer.delegated_rules p))
+    (System.peers sys);
+  ignore (ok (System.run fresh));
+  fresh
+
+let check_rebuild label sys =
+  let fresh = rebuild sys in
+  Alcotest.check Alcotest.string (label ^ ": relations") (Album.dump fresh)
+    (Album.dump sys);
+  List.iter
+    (fun p ->
+      check_bool
+        (label ^ ": delegations at " ^ Peer.name p)
+        (Peer.delegated_rules p
+         = Peer.delegated_rules (System.peer fresh (Peer.name p))))
+    (System.peers sys)
+
+(* One fresh fact per round, each followed by a run to quiescence. *)
+let trickle sys ~rounds fresh_fact =
+  for i = 1 to rounds do
+    let who, f = fresh_fact i in
+    ok (Peer.insert (System.peer sys who) f);
+    ignore (ok (System.run sys))
+  done
+
+let rebuild_test () =
+  let sys = System.create () in
+  let p = System.add_peer sys "p" in
+  let buf = Buffer.create 1024 in
+  Buffer.add_string buf "int tc@p(x, y);\n";
+  List.iter
+    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "edge@p(%d, %d);\n" a b))
+    (Wdl_wepic.Workload.chain_edges ~n:32);
+  Buffer.add_string buf "tc@p($x, $y) :- edge@p($x, $y);\n";
+  Buffer.add_string buf "tc@p($x, $z) :- tc@p($x, $y), edge@p($y, $z);\n";
+  ok (Peer.load_string p (Buffer.contents buf));
+  ignore (ok (System.run sys));
+  check_rebuild "tc settled" sys;
+  (* Each new edge extends the chain, so the closure really grows. *)
+  trickle sys ~rounds:3 (fun i ->
+      ("p", Fact.make ~rel:"edge" ~peer:"p" [ Value.Int (1000 + i - 1); Value.Int (1000 + i) ]));
+  check_rebuild "tc trickle" sys;
+  ok (Peer.load_string p "int sym@p(x, y);\nsym@p($y, $x) :- tc@p($x, $y);");
+  ignore (ok (System.run sys));
+  check_rebuild "tc mid-run rule" sys;
+  Peer.receive p
+    (Message.make ~src:"q" ~dst:"p" ~stage:0
+       ~installs:[ Parser.parse_rule "mirror@q($x, $y) :- tc@p($x, $y)" ]
+       ());
+  ignore (ok (System.run sys));
+  check_bool "delegation installed" (Peer.delegated_rules p <> []);
+  check_rebuild "tc mid-run delegation install" sys;
+  let album = System.create () in
+  Album.load_album album Album.attendees;
+  ignore (ok (System.run album));
+  check_rebuild "album settled" album;
+  trickle album ~rounds:2 (fun i ->
+      ( "alice",
+        Fact.make ~rel:"pictures" ~peer:"alice"
+          [ Value.Int (100 + i); Value.String (Printf.sprintf "alice_t%d.jpg" i) ] ));
+  check_rebuild "album trickle" album
+
+(* Eight producers push one fact each per round at a hub whose inbox
+   holds four: the excess is shed, the depth never exceeds the bound,
+   and the system still quiesces. *)
+let overload_test () =
+  let capacity = 4 and producers = 8 in
+  let sys = System.create () in
+  let hub =
+    System.add_peer sys ~inbox_capacity:capacity ~shed:Peer.Drop_oldest "hub"
+  in
+  ok (Peer.load_string hub "ext seen@hub(src, x);");
+  let prods =
+    List.init producers (fun i ->
+        let name = Printf.sprintf "p%d" i in
+        let p = System.add_peer sys name in
+        ok
+          (Peer.load_string p
+             (Printf.sprintf "ext src@%s(x);\nseen@hub(%S, $x) :- src@%s($x);"
+                name name name));
+        p)
+  in
+  let max_depth = ref 0 in
+  for round = 1 to 12 do
+    List.iteri
+      (fun i p ->
+        ok
+          (Peer.insert p
+             (Fact.make ~rel:"src" ~peer:(Peer.name p)
+                [ Value.Int ((round * 100) + i) ])))
+      prods;
+    ignore (System.round sys);
+    max_depth := max !max_depth (Peer.inbox_length hub)
+  done;
+  check_bool "bounded inbox shed under overload" (Peer.sheds hub > 0);
+  check_bool "inbox depth stayed within capacity"
+    (!max_depth > 0 && !max_depth <= capacity);
+  check_bool "overloaded system still quiesced" (Result.is_ok (System.run sys))
+
 let suite =
   [
     tc "the paper's delegation example end to end" (fun () ->
@@ -479,4 +617,7 @@ let suite =
         ignore (ok (System.run sys));
         check_int "a sees" 1 (List.length (Peer.query a "v"));
         check_int "b sees" 1 (List.length (Peer.query b "v")));
+    tc "every kind of change ends equal to a from-scratch rebuild" rebuild_test;
+    tc "8 producers into a capacity-4 inbox: shed, bounded, quiesced"
+      overload_test;
   ]

@@ -174,6 +174,49 @@ let suite =
         check_int "facts flowed back" 2 (List.length (Peer.query jules "view")));
   ]
 
+(* {1 Batched delivery on every transport}
+
+   The album run to quiescence must coalesce its outbox (at least one
+   batch) and end in the inmem run's per-peer state over every
+   transport: batching may change wire units, never what is
+   delivered. *)
+
+let settle_album (transport, cleanup) =
+  Fun.protect ~finally:cleanup (fun () ->
+      let sys = System.create ~transport ~drop_unknown:true () in
+      Album.load_album sys Album.attendees;
+      let settled = Result.is_ok (System.run ~max_rounds:60 sys) in
+      let stats = (System.transport sys).Wdl_net.Transport.stats () in
+      (settled, stats.Wdl_net.Netstats.batches, Album.dump sys))
+
+let batched_transports_test () =
+  let inmem () =
+    (Wdl_net.Inmem.create ~sizer:Message.size (), fun () -> ())
+  in
+  let _, _, reference = settle_album (inmem ()) in
+  List.iter
+    (fun (label, make) ->
+      let settled, batches, dump = settle_album (make ()) in
+      check_bool (label ^ ": batched run coalesced") (batches > 0);
+      check_bool (label ^ ": settled") settled;
+      Alcotest.check Alcotest.string
+        (label ^ ": end state equals the inmem run")
+        reference dump)
+    [ ("inmem", inmem);
+      ( "simnet",
+        fun () ->
+          ( Wdl_net.Simnet.create ~sizer:Message.size ~jitter:0. ~seed:42 (),
+            fun () -> () ) );
+      ( "tcp+wire",
+        fun () ->
+          let bytes, ctl = Wdl_net.Tcp.create () in
+          (Wire.transport bytes, fun () -> Wdl_net.Tcp.close ctl) ) ]
+
+let suite =
+  suite
+  @ [ tc "album over inmem, simnet and tcp+wire: batched, same end state"
+        batched_transports_test ]
+
 (* {1 Batch codec property} *)
 
 let msg_gen =
