@@ -721,13 +721,43 @@ let install_delegation t ~src rule =
       record_event t (Trace.Delegation_installed { peer = t.name; src; rule });
       true
 
+let record_store_error t rel message =
+  t.last_errors <-
+    Wdl_eval.Runtime_error.Store_error { rel; message } :: t.last_errors
+
+(* The store write behind every stage input: true iff [tuple] is new.
+   A store error is recorded in [last_errors] instead of raised. *)
+let insert_tuple t rel tuple =
+  match Database.insert t.db ~rel tuple with
+  | Ok fresh -> fresh
+  | Error e ->
+    record_store_error t rel (Format.asprintf "%a" Database.pp_error e);
+    false
+
+let apply_extensional t (fact : Fact.t) =
+  match Builtin.Registry.find t.builtins fact.Fact.rel with
+  | Some inst -> (
+    (* Induced heads and remote updates for a builtin relation go
+       through its guarded write path, like local inserts. *)
+    match builtin_write t inst Builtin.Insert fact with
+    | Ok () -> ()
+    | Error msg -> record_store_error t fact.Fact.rel msg)
+  | None ->
+    if insert_tuple t fact.Fact.rel (Tuple.of_list fact.Fact.args) then begin
+      t.stage_adds <- Option.map (List.cons fact) t.stage_adds;
+      journal_entry t (Journal.Insert fact);
+      record_event t (Trace.Fact_inserted { peer = t.name; fact })
+    end
+
 (* {1 Peer lifecycle}
 
    [forget_origin] is the receiver-side half of a peer's death: drop
    everything the dead peer pushed here — installed delegations,
-   pending-approval entries, and its cached per-stage batch (whose
-   facts were only live while the source maintained them).
-   Extensional facts it sent are genuine updates and persist.
+   pending-approval entries, its cached per-stage batch (whose facts
+   were only live while the source maintained them), and its messages
+   still queued in the inbox.
+   Extensional facts it sent, queued ones included, are genuine updates
+   and persist.
 
    [forget_destination] is the sender-side half: drop the diff
    protocol's memory of what was sent to a name, so the next stage
@@ -758,6 +788,22 @@ let forget_origin t ~src =
     (fun (s, r) _ acc -> if s = src then (s, r) :: acc else acc)
     t.deleg_origins []
   |> List.iter (Deleg_tbl.remove t.deleg_origins);
+  (* Messages from [src] still queued would bring its delegations and
+     batch back at the next stage. Their extensional facts are updates
+     the transport has already delivered and nothing will re-send:
+     apply them now, drop the rest. *)
+  let kept = Queue.create () in
+  Queue.iter
+    (fun (m : Message.t) ->
+      if m.Message.src <> src then Queue.push m kept
+      else
+        List.iter
+          (fun (f : Fact.t) ->
+            if not (intensional t f.Fact.rel) then apply_extensional t f)
+          (Option.value ~default:[] m.Message.facts))
+    t.inbox;
+  Queue.clear t.inbox;
+  Queue.transfer kept t.inbox;
   let had_cache = Hashtbl.mem t.remote_cache src in
   Hashtbl.remove t.remote_cache src;
   if doomed <> [] then invalidate_program t;
@@ -1257,34 +1303,6 @@ let pp_stats ppf s =
 
 let has_work t =
   t.dirty || t.induced_pending <> [] || not (Queue.is_empty t.inbox)
-
-let record_store_error t rel message =
-  t.last_errors <-
-    Wdl_eval.Runtime_error.Store_error { rel; message } :: t.last_errors
-
-(* The store write behind every stage input: true iff [tuple] is new.
-   A store error is recorded in [last_errors] instead of raised. *)
-let insert_tuple t rel tuple =
-  match Database.insert t.db ~rel tuple with
-  | Ok fresh -> fresh
-  | Error e ->
-    record_store_error t rel (Format.asprintf "%a" Database.pp_error e);
-    false
-
-let apply_extensional t (fact : Fact.t) =
-  match Builtin.Registry.find t.builtins fact.Fact.rel with
-  | Some inst -> (
-    (* Induced heads and remote updates for a builtin relation go
-       through its guarded write path, like local inserts. *)
-    match builtin_write t inst Builtin.Insert fact with
-    | Ok () -> ()
-    | Error msg -> record_store_error t fact.Fact.rel msg)
-  | None ->
-    if insert_tuple t fact.Fact.rel (Tuple.of_list fact.Fact.args) then begin
-      t.stage_adds <- Option.map (List.cons fact) t.stage_adds;
-      journal_entry t (Journal.Insert fact);
-      record_event t (Trace.Fact_inserted { peer = t.name; fact })
-    end
 
 let process_message t (msg : Message.t) =
   record_event t (Trace.Message_received { msg });

@@ -205,11 +205,13 @@ val sheds : t -> int
     runtimes). *)
 
 val forget_origin : t -> src:string -> int
-(** Receiver-side cleanup when [src] dies: retracts every delegation
-    it installed here (traced, counted), drops its pending-approval
-    entries and its cached per-stage batch. Extensional facts it sent
-    are genuine updates and persist. Returns the number of delegations
-    retracted. *)
+(** Receiver-side cleanup when [src] dies or rejoins: retracts every
+    delegation it installed here (traced, counted), drops its
+    pending-approval entries, its cached per-stage batch and the
+    installs, retracts and intensional facts of its messages still
+    queued in the inbox. Extensional facts it sent, including those in
+    queued messages (applied and journaled here), are genuine updates
+    and persist. Returns the number of delegations retracted. *)
 
 val forget_destination : t -> dst:string -> unit
 (** Sender-side cleanup: drops the diff protocol's memory of what was

@@ -9,11 +9,14 @@
     ({!Wdl_store.Journal.repair}) so post-recovery appends replay
     cleanly.
 
-    What the journal covers is local base data. Rules, delegations,
-    pending approvals, caches and ACL state recover to the last
-    checkpoint; the delegation diff protocol re-converges them as peers
-    exchange their next stages — so checkpoint on clean shutdown, and
-    rely on the journal for what a crash would otherwise lose. *)
+    What the journal covers is local base data. Rules, pending
+    approvals and ACL state recover to the last checkpoint, so a rule
+    change after it is lost in a crash. Delegations and cached batches
+    also come back from the checkpoint, but
+    {!System.adopt_peer} drops both sides' copies and has the peers
+    re-announce their current state, so they re-converge rather than
+    resume — checkpoint on clean shutdown, and rely on the journal for
+    what a crash would otherwise lose. *)
 
 val attach : Peer.t -> dir:string -> unit
 (** Creates [dir] if needed and starts journaling. *)

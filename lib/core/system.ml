@@ -206,13 +206,20 @@ let adopt_peer t p =
   | Some tr -> apply_transitions t [ tr ]
   | None -> ());
   (* Rejoin reconciliation, even when the detector never noticed the
-     absence: the world may have evicted this peer (its delegations
-     retracted elsewhere) and the peer's own snapshot believes its
-     delegations are already installed.  Both sides re-announce. *)
-  Peer.reset_session p;
+     absence.  The restored peer may cache batches its sources emptied
+     while it was down (an empty batch is never re-sent to a forgotten
+     destination), and the others may hold delegations it would have
+     retracted.  So every pair drops what the other side pushed, as on
+     a death, and then both sides re-announce their current state. *)
   List.iter
-    (fun q -> if Peer.name q <> name then Peer.forget_destination q ~dst:name)
+    (fun q ->
+      if Peer.name q <> name then begin
+        ignore (Peer.forget_origin p ~src:(Peer.name q));
+        ignore (Peer.forget_origin q ~src:name);
+        Peer.forget_destination q ~dst:name
+      end)
     (peers t);
+  Peer.reset_session p;
   flush_dead_letters t name
 
 let add_peer t ?policy ?inbox_capacity ?shed name =

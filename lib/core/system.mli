@@ -46,12 +46,17 @@ val add_peer :
 val adopt_peer : t -> Peer.t -> unit
 (** Registers an existing peer (e.g. one rebuilt by {!Persist.recover})
     instead of creating a fresh one, and reconciles the rejoin: stale
-    transport session state under the name is purged, the peer's own
-    diff-protocol memory is reset (its delegations and batches are
-    re-announced — receivers apply them idempotently), every other
-    peer re-announces towards it, parked dead letters are replayed,
-    and a dead membership entry revives. Raises [Invalid_argument] if
-    the name is taken. *)
+    transport session state under the name is purged, parked dead
+    letters are replayed, and a dead membership entry revives. Then,
+    as on a death, each side drops what the other had pushed
+    ({!Peer.forget_origin} both ways between the newcomer and every
+    registered peer): the newcomer's restored caches and delegations
+    from them, and their delegations from its previous incarnation.
+    Finally both sides re-announce: the peer's own diff-protocol
+    memory is reset and every other peer forgets its state towards
+    it. Under a [Closed] policy the re-announced delegations go back
+    to the pending queue, as after an eviction. Raises
+    [Invalid_argument] if the name is taken. *)
 
 val remove_peer : t -> string -> unit
 (** Unregisters a peer: it stops staging and stops draining its inbox

@@ -183,18 +183,22 @@ let unbatch text =
 let envelope_rel = "envelope"
 
 let encode_envelope (e : Message.t Wdl_net.Reliable.envelope) =
+  let open Wdl_net.Reliable in
+  (* The incarnation rides only once a link has been forgotten, so a
+     first session keeps the four-field header older decoders expect. *)
+  let inc = if e.env_inc = 0 then [] else [ Value.Int e.env_inc ] in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (one_line Fact.pp
        (Fact.make ~rel:envelope_rel ~peer:header_peer
-          [
-            Value.String e.Wdl_net.Reliable.env_src;
-            Value.Int e.Wdl_net.Reliable.env_seq;
-            Value.Int e.Wdl_net.Reliable.env_ack;
-            Value.Bool (Option.is_some e.Wdl_net.Reliable.env_payload);
-          ]));
+          ((Value.String e.env_src :: inc)
+          @ [
+              Value.Int e.env_seq;
+              Value.Int e.env_ack;
+              Value.Bool (Option.is_some e.env_payload);
+            ])));
   Buffer.add_string buf ";\n";
-  (match e.Wdl_net.Reliable.env_payload with
+  (match e.env_payload with
   | Some m -> Buffer.add_string buf (encode m)
   | None -> ());
   Buffer.contents buf
@@ -209,8 +213,17 @@ let decode_envelope text =
     match header with
     | [ Program.Fact f ]
       when f.Fact.rel = envelope_rel && f.Fact.peer = header_peer -> (
-      match f.Fact.args with
-      | [ Value.String src; Value.Int seq; Value.Int ack; Value.Bool has ] ->
+      let header =
+        match f.Fact.args with
+        | [ Value.String src; Value.Int seq; Value.Int ack; Value.Bool has ] ->
+          Some (src, 0, seq, ack, has)
+        | [ Value.String src; Value.Int inc; Value.Int seq; Value.Int ack;
+            Value.Bool has ] ->
+          Some (src, inc, seq, ack, has)
+        | _ -> None
+      in
+      match header with
+      | Some (src, inc, seq, ack, has) ->
         let* payload =
           if has then Result.map Option.some (decode rest)
           else if String.trim rest = "" then Ok None
@@ -219,11 +232,12 @@ let decode_envelope text =
         Ok
           {
             Wdl_net.Reliable.env_src = src;
+            env_inc = inc;
             env_seq = seq;
             env_ack = ack;
             env_payload = payload;
           }
-      | _ -> Error "malformed envelope header")
+      | None -> Error "malformed envelope header")
     | _ -> Error "missing envelope header")
 
 let transport (bytes : string Wdl_net.Transport.t) =

@@ -35,10 +35,13 @@ val transport : string Wdl_net.Transport.t -> Message.t Wdl_net.Transport.t
 
 (** {1 Reliable-session envelopes}
 
-    {!Wdl_net.Reliable} stamps messages with sequence/ack metadata;
-    these frames carry it as one extra [envelope@wire] fact line ahead
-    of the normal message frame (absent for a pure ack), keeping the
-    whole envelope parseable WebdamLog text. *)
+    {!Wdl_net.Reliable} stamps messages with incarnation, sequence and
+    ack metadata; these frames carry it as one extra [envelope@wire]
+    fact line ahead of the normal message frame (absent for a pure
+    ack), keeping the whole envelope parseable WebdamLog text. The
+    incarnation field appears only once a link has been forgotten, so
+    a first session's header keeps the four fields older decoders
+    read; both forms decode. *)
 
 val encode_envelope : Message.t Wdl_net.Reliable.envelope -> string
 val decode_envelope : string -> (Message.t Wdl_net.Reliable.envelope, string) result

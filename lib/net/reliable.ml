@@ -1,15 +1,10 @@
 type 'a envelope = {
   env_src : string;
+  env_inc : int;  (* the link's incarnation when the envelope was built *)
   env_seq : int;  (* 0 for a pure ack *)
   env_ack : int;
   env_payload : 'a option;
 }
-
-let data ~src ~seq ~ack payload =
-  { env_src = src; env_seq = seq; env_ack = ack; env_payload = Some payload }
-
-let pure_ack ~src ~ack =
-  { env_src = src; env_seq = 0; env_ack = ack; env_payload = None }
 
 type config = {
   rto : float;
@@ -66,6 +61,8 @@ type 'a link_recv = {
 type 'a control = {
   c_sends : (string * string, 'a link_send) Hashtbl.t;
   c_recvs : (string * string, 'a link_recv) Hashtbl.t;
+  c_inc : (string * string, int) Hashtbl.t;
+      (* per link, as [link a b]: its incarnation, 0 when absent *)
   mutable c_dead : (string * string) list;
   mutable c_on_dead : src:string -> dst:string -> unit;
   c_stats : Netstats.t;
@@ -86,6 +83,23 @@ let delivered_from ctl ~src ~dst =
   | Some r -> r.delivered
   | None -> 0
 
+(* A link's incarnation: bumped each time either endpoint is
+   forgotten, and adopted from the other end when it is higher (see
+   [drain]). One number for both directions, so data and acks agree,
+   and it only grows, so a stale envelope is always lower. *)
+let link a b = if a <= b then (a, b) else (b, a)
+
+let incarnation ctl a b =
+  Option.value ~default:0 (Hashtbl.find_opt ctl.c_inc (link a b))
+
+let data ctl ~src ~dst ~seq ~ack payload =
+  { env_src = src; env_inc = incarnation ctl src dst; env_seq = seq;
+    env_ack = ack; env_payload = Some payload }
+
+let pure_ack ctl ~src ~dst ~ack =
+  { env_src = src; env_inc = incarnation ctl src dst; env_seq = 0;
+    env_ack = ack; env_payload = None }
+
 let revive ctl ~src ~dst =
   ctl.c_dead <- List.filter (fun l -> l <> (src, dst)) ctl.c_dead;
   match Hashtbl.find_opt ctl.c_sends (src, dst) with
@@ -95,12 +109,21 @@ let revive ctl ~src ~dst =
 (* Drop every directed link touching [peer], both sides: a reborn peer
    restarts its sequence numbers at 1, so stale dedup counters or
    half-open windows keyed under the old incarnation would silently
-   swallow (or retransmit into) the new one. *)
+   swallow (or retransmit into) the new one.  Bumping the incarnation
+   does the same for envelopes still in flight: an old ack=1 must not
+   retire the new session's seq 1.  A link this control has never
+   carried has no envelope in flight, so it keeps incarnation 0. *)
 let forget ctl peer =
   let involves (src, dst) = src = peer || dst = peer in
   let doomed tbl =
     Hashtbl.fold (fun k _ acc -> if involves k then k :: acc else acc) tbl []
   in
+  List.map
+    (fun (a, b) -> link a b)
+    (doomed ctl.c_sends @ doomed ctl.c_recvs @ doomed ctl.c_inc)
+  |> List.sort_uniq compare
+  |> List.iter (fun (a, b) ->
+         Hashtbl.replace ctl.c_inc (a, b) (incarnation ctl a b + 1));
   List.iter (Hashtbl.remove ctl.c_sends) (doomed ctl.c_sends);
   List.iter (Hashtbl.remove ctl.c_recvs) (doomed ctl.c_recvs);
   ctl.c_dead <- List.filter (fun l -> not (involves l)) ctl.c_dead
@@ -128,6 +151,7 @@ let wrap ?(config = default_config) ?(seed = 11)
     {
       c_sends = Hashtbl.create 16;
       c_recvs = Hashtbl.create 16;
+      c_inc = Hashtbl.create 8;
       c_dead = [];
       c_on_dead = (fun ~src:_ ~dst:_ -> ());
       c_stats = stats;
@@ -202,7 +226,9 @@ let wrap ?(config = default_config) ?(seed = 11)
       let payload = Queue.pop ls.overflow in
       let o = stamp ~src ~dst payload in
       moved :=
-        (src, data ~src ~seq:o.o_seq ~ack:(ack_for ~me:src ~peer:dst) payload)
+        ( src,
+          data ctl ~src ~dst ~seq:o.o_seq ~ack:(ack_for ~me:src ~peer:dst)
+            payload )
         :: !moved
     done;
     match List.rev !moved with
@@ -215,7 +241,8 @@ let wrap ?(config = default_config) ?(seed = 11)
     if has_room ls then
       let o = stamp ~src ~dst payload in
       inner.Transport.send ~src ~dst
-        (data ~src ~seq:o.o_seq ~ack:(ack_for ~me:src ~peer:dst) payload)
+        (data ctl ~src ~dst ~seq:o.o_seq ~ack:(ack_for ~me:src ~peer:dst)
+           payload)
     else begin
       Queue.push payload ls.overflow;
       stats.Netstats.stalled <- stats.Netstats.stalled + 1
@@ -239,7 +266,8 @@ let wrap ?(config = default_config) ?(seed = 11)
               let o = stamp ~src ~dst payload in
               Some
                 ( src,
-                  data ~src ~seq:o.o_seq ~ack:(ack_for ~me:src ~peer:dst)
+                  data ctl ~src ~dst ~seq:o.o_seq
+                    ~ack:(ack_for ~me:src ~peer:dst)
                     payload )
             else begin
               Queue.push payload ls.overflow;
@@ -249,6 +277,34 @@ let wrap ?(config = default_config) ?(seed = 11)
           items
       in
       if stamped <> [] then inner.Transport.send_many ~dst stamped
+    end
+  in
+  (* An envelope from an older incarnation belongs to a dead session:
+     its seq and ack mean nothing in the current one, so it is dropped.
+     A dropped data envelope is answered with an ack, which carries the
+     current incarnation to a sender that has not caught up.  A newer
+     incarnation means the other end forgot the link (with a control of
+     its own, e.g. across Tcp): this end follows, dropping what it
+     received and renumbering its unacked sends from 1, which the other
+     end now expects. *)
+  let current me env =
+    let from = env.env_src in
+    let inc = incarnation ctl from me in
+    if env.env_inc < inc then begin
+      if env.env_payload <> None then (link_recv from me).need_ack <- true;
+      false
+    end
+    else begin
+      if env.env_inc > inc then begin
+        Hashtbl.replace ctl.c_inc (link from me) env.env_inc;
+        Hashtbl.remove ctl.c_recvs (from, me);
+        Option.iter
+          (fun ls ->
+            ls.window <- List.mapi (fun i o -> { o with o_seq = i + 1 }) ls.window;
+            ls.next_seq <- ls.window_len)
+          (Hashtbl.find_opt ctl.c_sends (me, from))
+      end;
+      true
     end
   in
   let drain me =
@@ -304,14 +360,14 @@ let wrap ?(config = default_config) ?(seed = 11)
             done;
             r.need_ack <- true
           end)
-      (inner.Transport.drain me);
+      (List.filter (current me) (inner.Transport.drain me));
     (* Ack what this drain taught us: one cumulative frame per peer
        that needs one. *)
     Hashtbl.iter
       (fun (from, to_) r ->
         if to_ = me && r.need_ack then
           inner.Transport.send ~src:me ~dst:from
-            (pure_ack ~src:me ~ack:(ack_for ~me ~peer:from)))
+            (pure_ack ctl ~src:me ~dst:from ~ack:(ack_for ~me ~peer:from)))
       ctl.c_recvs;
     let ready = List.rev !ready in
     stats.Netstats.delivered <- stats.Netstats.delivered + List.length ready;
@@ -361,11 +417,12 @@ let wrap ?(config = default_config) ?(seed = 11)
               match due with
               | [ o ] ->
                 inner.Transport.send ~src ~dst
-                  (data ~src ~seq:o.o_seq ~ack o.o_payload)
+                  (data ctl ~src ~dst ~seq:o.o_seq ~ack o.o_payload)
               | _ ->
                 inner.Transport.send_many ~dst
                   (List.map
-                     (fun o -> (src, data ~src ~seq:o.o_seq ~ack o.o_payload))
+                     (fun o ->
+                       (src, data ctl ~src ~dst ~seq:o.o_seq ~ack o.o_payload))
                      due)
             end
           end)

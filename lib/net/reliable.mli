@@ -27,6 +27,12 @@
 
 type 'a envelope = {
   env_src : string;  (** sending peer — [drain] hides it, so it rides inside *)
+  env_inc : int;
+      (** the link's incarnation when the envelope was built: bumped by
+          each {!forget} of either endpoint. [drain] drops an envelope
+          from an older incarnation, and follows a newer one (the other
+          end's control forgot the link): it drops what it received on
+          the link and renumbers its unacked sends from 1 *)
   env_seq : int;  (** 1-based per-(src,dst) sequence; 0 for a pure ack *)
   env_ack : int;
       (** cumulative: highest contiguous seq the sender has delivered
@@ -102,9 +108,15 @@ val on_dead : 'a control -> (src:string -> dst:string -> unit) -> unit
 val forget : 'a control -> string -> unit
 (** Drops every directed link (send windows, overflow queues, receiver
     dedup/reorder state, dead-link entries) whose source or destination
-    is the named peer. Call when a peer is removed so its name can be
-    reused: a reborn peer restarts its sequences at 1, which stale
-    receiver counters would otherwise swallow as duplicates. *)
+    is the named peer, and bumps the incarnation of each such link. Call
+    when a peer is removed so its name can be reused: a reborn peer
+    restarts its sequences at 1, which stale receiver counters would
+    otherwise swallow as duplicates, and a stale in-flight ack for an
+    old seq would otherwise retire the new session's message of the
+    same number. With one control per process (e.g. over {!Tcp}), the
+    other end learns the new incarnation from the first envelope it
+    receives and follows it; a data envelope from its older one is
+    dropped and answered with an ack that carries the new one. *)
 
 val revive : 'a control -> src:string -> dst:string -> unit
 (** Clears the given-up state of a link (e.g. after the operator

@@ -5,7 +5,10 @@
     deterministic seeded generator; it becomes deliverable once the
     clock passes the stamp. With per-link jitter, messages from
     different sources interleave and reorder exactly as on the paper's
-    LAN-plus-cloud topology (Fig. 2).
+    LAN-plus-cloud topology (Fig. 2). Jitter above half the time
+    between two sends on a link reorders that link too, which the
+    engine's diff protocol does not tolerate: run such schedules under
+    {!Reliable}, which restores per-link FIFO.
 
     [latency] overrides the per-link base latency; reflexive links
     (src = dst) are always instantaneous.

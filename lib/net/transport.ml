@@ -11,8 +11,3 @@ type 'a t = {
 let send t = t.send
 let send_many t = t.send_many
 let drain t = t.drain
-
-(* Fallback for transports without native batching: one plain send per
-   message, in order. *)
-let send_many_via send ~dst items =
-  List.iter (fun (src, payload) -> send ~src ~dst payload) items

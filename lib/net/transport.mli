@@ -32,12 +32,3 @@ type 'a t = {
 val send : 'a t -> src:string -> dst:string -> 'a -> unit
 val send_many : 'a t -> dst:string -> (string * 'a) list -> unit
 val drain : 'a t -> string -> 'a list
-
-val send_many_via :
-  (src:string -> dst:string -> 'a -> unit) ->
-  dst:string ->
-  (string * 'a) list ->
-  unit
-(** [send_many_via send] is the trivial batching implementation: one
-    plain [send] per element, in order — for wrappers that add no
-    batching of their own. *)

@@ -126,13 +126,6 @@ let repair file =
       | exception Unix.Unix_error (e, _, _) ->
         Error ("journal repair: cannot truncate: " ^ Unix.error_message e)))
 
-let replay_iter file ~f =
-  match replay file with
-  | Error _ as e -> e
-  | Ok entries ->
-    List.iter f entries;
-    Ok (List.length entries)
-
 let entry_equal a b =
   match a, b with
   | Insert x, Insert y | Delete x, Delete y -> Fact.equal x y

@@ -48,11 +48,5 @@ val repair : string -> (entry list, string) result
     one, which would lose both entries at the next replay. Recovery
     ({!Webdamlog.Persist.recover}) uses this before re-attaching. *)
 
-val replay_iter : string -> f:(entry -> unit) -> (int, string) result
-(** Replay hook: reads the journal and feeds each entry to [f] in
-    order, returning how many were replayed. Crash-recovery plumbing
-    ({!Webdamlog.Persist.recover}) threads its observer through this,
-    so operators can count/log what a restart replayed. *)
-
 val entry_equal : entry -> entry -> bool
 val pp_entry : Format.formatter -> entry -> unit

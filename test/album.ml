@@ -4,8 +4,8 @@
    ways and fact batches cross every link. *)
 open Wdl_syntax
 open Webdamlog
+open Check
 
-let ok = function Ok v -> v | Error e -> Alcotest.fail e
 let attendees = [ "alice"; "bob"; "carol"; "dave" ]
 
 let load_album sys attendees =

@@ -1,9 +1,6 @@
 open Wdl_syntax
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
+open Check
 
 let r1 = Parser.parse_rule "a@p($x) :- b@p($x)"
 let r2 = Parser.parse_rule "c@p($x) :- d@p($x)"

@@ -1,11 +1,7 @@
 (* Aggregation: the substrate feature behind §3's "select and rank". *)
 open Wdl_syntax
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok' = function Ok v -> v | Error e -> Alcotest.fail e
+open Check
 
 let peer_with src =
   let p = Peer.create "p" in

@@ -3,8 +3,7 @@
    error diagnostics) and to the evaluator's delegation boundary. *)
 open Wdl_syntax
 open Wdl_analysis
-
-let tc name f = Alcotest.test_case name `Quick f
+open Check
 
 let run ?peer_mode ?pedantic ?self src =
   match Parser.program_located ~file:"t.wdl" src with

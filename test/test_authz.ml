@@ -2,11 +2,7 @@
    view policies, declassification, and enforcement on delegations. *)
 open Wdl_syntax
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok' = function Ok v -> v | Error e -> Alcotest.fail e
+open Check
 
 let policy = Alcotest.testable Authz.pp_policy Authz.policy_equal
 

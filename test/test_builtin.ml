@@ -4,8 +4,7 @@
    deterministic clocks, snapshot round-trips. *)
 open Wdl_syntax
 open Wdl_builtin
-
-let tc name f = Alcotest.test_case name `Quick f
+open Check
 
 let peer_with src =
   let p = Webdamlog.Peer.create "p" in

@@ -1,8 +1,6 @@
 open Wdl_syntax
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
+open Check
 
 let classify ?(intensional = fun _ -> false) src =
   Classify.classify ~self:"p" ~intensional (Parser.parse_rule src)

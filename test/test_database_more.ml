@@ -1,10 +1,7 @@
 (* Additional store coverage: multi-pattern indexes, copies, dumps. *)
 open Wdl_syntax
 open Wdl_store
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
+open Check
 
 let t ints = Tuple.of_list (List.map (fun n -> Value.Int n) ints)
 

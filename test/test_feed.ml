@@ -1,10 +1,7 @@
 (* Wefeed: the second rule-built application. *)
 module Feed = Wdl_feed.Feed
 
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok' = function Ok v -> v | Error e -> Alcotest.fail e
+open Check
 
 let trio () =
   let t = Feed.create () in

@@ -1,16 +1,14 @@
 (* Knowledge-flow analysis (lib/analysis/flow.ml) and its runtime
    oracle: unit tests for the graph queries, fires/silent programs for
    each flow diagnostic (WDL060-065), the wire encoding of origin
-   metadata, and a QCheck differential — the static per-rule send sets
-   must over-approximate every (origin_rule, dst_peer) delivery a live
-   multi-peer run produces, including under mid-run rule and
-   delegation churn. *)
+   metadata, and a QCheck differential over the [Sim] harness — the
+   static per-rule send sets must over-approximate every
+   (origin_rule, dst_peer) delivery a live multi-peer run produces,
+   including under mid-run rule and delegation churn. *)
 open Wdl_syntax
 open Wdl_analysis
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
+open Check
 
 let contains s sub =
   let n = String.length sub in
@@ -247,7 +245,6 @@ let wire_suite =
 (* The deterministic pin: a two-peer run tags facts and installs with
    the producing rule's id, the receiver resolves a delegated rule to
    its origin id, and Peer.flow covers the observed deliveries. *)
-let ok' = function Ok v -> v | Error e -> Alcotest.fail e
 
 let tagging_pin () =
   let p = Peer.create "p" in
@@ -299,206 +296,23 @@ let tagging_pin () =
 (* The QCheck oracle                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Random multi-peer systems driven stage by stage. Before and after
-   every stage the staged peer's flow graph is snapshotted; every
-   origin id a message carries must name a rule whose static send set
+(* [Sim.run ~flow:true] snapshots each peer's flow graph whenever its
+   rules change, before and after every round, and requires every
+   origin id a message carries to name a rule whose static send set
    (in some snapshot taken so far) covers the message's destination.
    Snapshots accumulate because fact batches — and therefore their
    origin sets — are cumulative across stages, while positional rule
-   ids shift under rule removal. *)
-
-type op =
-  | Add_rule of int * int  (** owner peer, template index *)
-  | Drop_rule of int * int  (** owner peer, index into its current rules *)
-  | Insert of int * string * int
-  | Remove of int * string * int
-  | Select of int * int  (** sel\@owner points at the second peer *)
-
-type fspec = {
-  n_peers : int;
-  rounds : int;
-  init_facts : (int * string * int) list;
-  init_sels : (int * int) list;
-  init_rules : (int * int) list;  (** owner, template *)
-  ops : (int * op) list;  (** 1-based round at which the op applies *)
-}
-
-let peer_name i = Printf.sprintf "p%d" i
-
-(* Each template's rules execute at [p] and may reference [q]; heads
-   are constant so the owner is the head peer's program. *)
-let templates =
-  [|
-    (fun p _ -> Printf.sprintf "v@%s($x) :- r@%s($x);" p p);
-    (fun p q -> Printf.sprintf "out@%s($x) :- r@%s($x);" q p);
-    (fun p q -> Printf.sprintf "pulled@%s($x) :- data@%s($x);" p q);
-    (fun p _ -> Printf.sprintf "dyn@%s($x) :- sel@%s($a), data@$a($x);" p p);
-    (fun p _ -> Printf.sprintf "w@%s($x) :- v@%s($x);" p p);
-    (fun p q -> Printf.sprintf "relay@%s($x) :- data@%s($x), r@%s($x);" q q p);
-  |]
-
-let fspec_gen =
-  QCheck.Gen.(
-    let* n_peers = int_range 2 3 in
-    let any_peer = int_range 0 (n_peers - 1) in
-    let* rounds = int_range 3 6 in
-    let template = int_range 0 (Array.length templates - 1) in
-    let fact =
-      let* p = any_peer in
-      let* rel = oneofl [ "r"; "data" ] in
-      let* v = int_range 0 4 in
-      return (p, rel, v)
-    in
-    let* init_facts = list_size (int_range 2 8) fact in
-    let* init_sels = list_size (int_range 0 2) (pair any_peer any_peer) in
-    let* init_rules = list_size (int_range 1 5) (pair any_peer template) in
-    let op =
-      let* round = int_range 1 rounds in
-      let* o =
-        oneof
-          [
-            (let* p = any_peer in
-             let* t = template in
-             return (Add_rule (p, t)));
-            (let* p = any_peer in
-             let* i = int_range 0 5 in
-             return (Drop_rule (p, i)));
-            (let* p, rel, v = fact in
-             return (Insert (p, rel, v)));
-            (let* p, rel, v = fact in
-             return (Remove (p, rel, v)));
-            (let* p = any_peer in
-             let* q = any_peer in
-             return (Select (p, q)));
-          ]
-      in
-      return (round, o)
-    in
-    let* ops = list_size (int_range 0 6) op in
-    return { n_peers; rounds; init_facts; init_sels; init_rules; ops })
-
-let op_print = function
-  | Add_rule (p, t) -> Printf.sprintf "add(p%d, t%d)" p t
-  | Drop_rule (p, i) -> Printf.sprintf "drop(p%d, %d)" p i
-  | Insert (p, rel, v) -> Printf.sprintf "ins(%s@p%d=%d)" rel p v
-  | Remove (p, rel, v) -> Printf.sprintf "del(%s@p%d=%d)" rel p v
-  | Select (p, q) -> Printf.sprintf "sel(p%d->p%d)" p q
-
-let fspec_print s =
-  Printf.sprintf "peers=%d rounds=%d facts=[%s] sels=[%s] rules=[%s] ops=[%s]"
-    s.n_peers s.rounds
-    (String.concat "; "
-       (List.map
-          (fun (p, rel, v) -> Printf.sprintf "%s@p%d=%d" rel p v)
-          s.init_facts))
-    (String.concat "; "
-       (List.map (fun (p, q) -> Printf.sprintf "p%d->p%d" p q) s.init_sels))
-    (String.concat "; "
-       (List.map
-          (fun (p, t) -> Printf.sprintf "p%d:t%d" p t)
-          s.init_rules))
-    (String.concat "; "
-       (List.map (fun (r, o) -> Printf.sprintf "@%d %s" r (op_print o)) s.ops))
-
-let fspec_arb = QCheck.make ~print:fspec_print fspec_gen
-
-let decls name =
-  String.concat "\n"
-    (List.map
-       (fun rel -> Printf.sprintf "int %s@%s(x);" rel name)
-       [ "v"; "w"; "pulled"; "dyn"; "out"; "relay" ])
-
-let rule_of spec (owner, t) =
-  let q = (owner + 1) mod spec.n_peers in
-  parse_rule (templates.(t) (peer_name owner) (peer_name q))
-
-let apply_op spec peers = function
-  | Add_rule (p, t) -> ignore (Peer.add_rule peers.(p) (rule_of spec (p, t)))
-  | Drop_rule (p, i) -> (
-    match Peer.rules peers.(p) with
-    | [] -> ()
-    | rs -> ignore (Peer.remove_rule peers.(p) (List.nth rs (i mod List.length rs))))
-  | Insert (p, rel, v) ->
-    ignore (Peer.insert peers.(p) (Fact.make ~rel ~peer:(peer_name p) [ Value.Int v ]))
-  | Remove (p, rel, v) ->
-    ignore (Peer.delete peers.(p) (Fact.make ~rel ~peer:(peer_name p) [ Value.Int v ]))
-  | Select (p, q) ->
-    ignore
-      (Peer.insert peers.(p)
-         (Fact.make ~rel:"sel" ~peer:(peer_name p)
-            [ Value.String (peer_name q) ]))
-
-(* [true] iff some snapshot knows a rule [id] whose send set covers
-   [dst]. Ids ending in "#?" (origin metadata lost, e.g. after a
-   restore) are outside the oracle's contract. *)
-let covered snaps id dst =
-  (String.length id >= 2 && String.sub id (String.length id - 2) 2 = "#?")
-  || List.exists
-       (fun fl ->
-         let named, any = Flow.rule_sends fl id in
-         any || List.mem dst named)
-       snaps
-
-let oracle_run spec =
-  let peers =
-    Array.init spec.n_peers (fun i -> Peer.create (peer_name i))
-  in
-  Array.iteri
-    (fun i p ->
-      match Peer.load_string p (decls (peer_name i)) with
-      | Ok () -> ()
-      | Error e -> failwith e)
-    peers;
-  List.iter (fun (p, rel, v) -> apply_op spec peers (Insert (p, rel, v))) spec.init_facts;
-  List.iter (fun (p, q) -> apply_op spec peers (Select (p, q))) spec.init_sels;
-  List.iter (fun r -> ignore (Peer.add_rule peers.(fst r) (rule_of spec r))) spec.init_rules;
-  let snaps = ref [] in
-  let failure = ref None in
-  for round = 1 to spec.rounds do
-    List.iter
-      (fun (r, o) -> if r = round then apply_op spec peers o)
-      spec.ops;
-    let outbound = ref [] in
-    Array.iter
-      (fun p ->
-        snaps := Peer.flow p :: !snaps;
-        let msgs = Peer.stage p in
-        snaps := Peer.flow p :: !snaps;
-        List.iter
-          (fun (m : Message.t) ->
-            if List.length m.Message.install_origins
-               <> List.length m.Message.installs
-            then failure := Some (Printf.sprintf "unaligned install origins to %s" m.Message.dst);
-            List.iter
-              (fun id ->
-                if not (covered !snaps id m.Message.dst) then
-                  failure :=
-                    Some
-                      (Printf.sprintf "delivery (%s -> %s) not covered" id
-                         m.Message.dst))
-              (m.Message.fact_origins @ m.Message.install_origins))
-          msgs;
-        outbound := msgs @ !outbound)
-      peers;
-    List.iter
-      (fun (m : Message.t) ->
-        Array.iter
-          (fun p -> if Peer.name p = m.Message.dst then Peer.receive p m)
-          peers)
-      !outbound
-  done;
-  match !failure with
-  | None -> true
-  | Some msg -> QCheck.Test.fail_report msg
-
+   ids shift under rule removal. Any fault schedule: ids a restore
+   loses ("origin#?") are outside the oracle's contract. *)
 let oracle_tests =
   [
-    QCheck.Test.make ~count:500
-      ~name:"static send sets over-approximate observed deliveries" fspec_arb
-      oracle_run;
+    QCheck.Test.make ~count:500 ~long_factor:20
+      ~name:"static send sets over-approximate observed deliveries"
+      (Sim.arb Sim.any_fault)
+      (fun spec -> ignore (Sim.run_exn ~flow:true spec); true);
   ]
 
 let suite =
   graph_suite @ diag_suite @ wire_suite
   @ [ tc "runtime origin tagging pin" tagging_pin ]
-  @ List.map (QCheck_alcotest.to_alcotest ~long:false) oracle_tests
+  @ List.map QCheck_alcotest.to_alcotest oracle_tests

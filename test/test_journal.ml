@@ -3,30 +3,14 @@ open Wdl_syntax
 open Webdamlog
 module Journal = Wdl_store.Journal
 
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok' = function Ok v -> v | Error e -> Alcotest.fail e
-
-let temp_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "wdl_test_%d_%d" (Unix.getpid ()) !counter)
-    in
-    if Sys.file_exists dir then
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
-    else Sys.mkdir dir 0o755;
-    dir
+open Check
 
 let fact i = Fact.make ~rel:"m" ~peer:"p" [ Value.Int i ]
 
 let suite =
   [
     tc "journal: append and replay round-trip" (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let file = Filename.concat dir "j.wal" in
         let j = Journal.open_ file in
         let entries =
@@ -42,7 +26,7 @@ let suite =
     tc "journal: long statements never wrap across lines" (fun () ->
         (* Break hints outside a box split at max-indent; the one-line
            renderer must defeat that (regression). *)
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let file = Filename.concat dir "long.wal" in
         let j = Journal.open_ file in
         let long_fact =
@@ -64,7 +48,7 @@ let suite =
     tc "journal: missing file is empty" (fun () ->
         check_bool "empty" (Journal.replay "/nonexistent/journal.wal" = Ok []));
     tc "journal: torn final line is tolerated" (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let file = Filename.concat dir "torn.wal" in
         let j = Journal.open_ file in
         Journal.append j (Journal.Insert (fact 1));
@@ -78,7 +62,7 @@ let suite =
       (fun () ->
         (* A crash can tear the line AND leave a stray newline behind;
            this used to return a spurious fatal Error. *)
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let file = Filename.concat dir "torn_blank.wal" in
         let oc = open_out_bin file in
         output_string oc "+ m@p(1);\n+ m@p(2\n\n";
@@ -87,7 +71,7 @@ let suite =
         check_int "only the complete entry" 1 (List.length replayed));
     tc "journal: repair cuts the torn tail so later appends replay cleanly"
       (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let p = Peer.create "p" in
         Persist.attach p ~dir;
         ok' (Peer.load_string p "ext m@p(x); m@p(1);");
@@ -108,14 +92,14 @@ let suite =
         check_bool "post-recovery append survived"
           (List.exists (Fact.equal (fact 3)) (Peer.query p'' "m")));
     tc "journal: corruption in the middle is an error" (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let file = Filename.concat dir "bad.wal" in
         let oc = open_out_bin file in
         output_string oc "+ m@p(1);\nGARBAGE\n+ m@p(2);\n";
         close_out oc;
         check_bool "error" (Result.is_error (Journal.replay file)));
     tc "journal: truncate empties the log" (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let file = Filename.concat dir "t.wal" in
         let j = Journal.open_ file in
         Journal.append j (Journal.Insert (fact 1));
@@ -132,7 +116,7 @@ let suite =
            in, each stage's insertions must hit the journal sorted —
            the planner may only change how facts are found, never
            which facts, or their order, reach the base data. *)
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let file = Filename.concat dir "j.wal" in
         let p = Peer.create "p" in
         Peer.set_journal p (Some (Journal.open_ file));
@@ -159,7 +143,7 @@ let suite =
         check_bool "reach journaled stage by stage, sorted"
           (reached = [ 1; 2; 3; 4; 5; 6 ]));
     tc "persist: recover a never-checkpointed peer from its journal" (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let p = Peer.create "p" in
         Persist.attach p ~dir;
         ok' (Peer.load_string p "ext m@p(x); m@p(1); m@p(2);");
@@ -169,7 +153,7 @@ let suite =
         check_int "facts" 1 (List.length (Peer.query p' "m"));
         check_bool "right one" (List.hd (Peer.query p' "m") |> Fact.equal (fact 2)));
     tc "persist: checkpoint + journal tail" (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let p = Peer.create "p" in
         Persist.attach p ~dir;
         ok' (Peer.load_string p "ext m@p(x); int v@p(x); m@p(1); v@p($x) :- m@p($x);");
@@ -183,7 +167,7 @@ let suite =
         ignore (Peer.stage p');
         check_int "views recompute" 2 (List.length (Peer.query p' "v")));
     tc "persist: induced and received facts are journaled" (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let sys = System.create () in
         let p = System.add_peer sys "p" in
         let q = System.add_peer sys "q" in
@@ -198,7 +182,7 @@ let suite =
         check_int "received recovered" 1 (List.length (Peer.query q' "stored"));
         check_int "induced recovered" 1 (List.length (Peer.query q' "b")));
     tc "persist: recovery keeps journaling" (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let p = Peer.create "p" in
         Persist.attach p ~dir;
         ok' (Peer.load_string p "ext m@p(x); m@p(1);");
@@ -207,7 +191,7 @@ let suite =
         let p'' = ok' (Persist.recover ~dir ~fallback_name:"p" ()) in
         check_int "all facts" 2 (List.length (Peer.query p'' "m")));
     tc "persist: double recovery is idempotent" (fun () ->
-        let dir = temp_dir () in
+        Tmpdir.with_temp_dir @@ fun dir ->
         let p = Peer.create "p" in
         Persist.attach p ~dir;
         ok' (Peer.load_string p "ext m@p(x); m@p(1); m@p(2);");

@@ -1,8 +1,5 @@
 open Wdl_syntax
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
+open Check
 
 let toks src = List.map fst (Lexer.tokenize src)
 

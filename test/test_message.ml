@@ -1,8 +1,6 @@
 open Wdl_syntax
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
+open Check
 
 let rule = Parser.parse_rule "a@p($x) :- b@p($x)"
 let fact = Fact.make ~rel:"m" ~peer:"p" [ Value.String "payload" ]

@@ -4,10 +4,8 @@
 module Obs = Wdl_obs.Obs
 module Prometheus = Wdl_obs.Prometheus
 module Chrome_trace = Wdl_obs.Chrome_trace
+open Check
 
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
 let check_string msg = Alcotest.check Alcotest.string msg
 
 let contains hay needle =

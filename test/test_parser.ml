@@ -1,7 +1,5 @@
 open Wdl_syntax
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
+open Check
 
 let roundtrip_program src =
   let p = Parser.parse_program src in

@@ -1,11 +1,7 @@
 open Wdl_syntax
 open Webdamlog
+open Check
 
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-
-let ok = function Ok v -> v | Error e -> Alcotest.fail e
 let fact rel peer args = Fact.make ~rel ~peer args
 
 (* A fresh peer named [name] loaded with [program] (written over the

@@ -1,10 +1,7 @@
 (* Compiled rule plans: slot allocation and instantiation helpers. *)
 open Wdl_syntax
 open Wdl_eval
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
+open Check
 
 let suite =
   [

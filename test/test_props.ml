@@ -223,68 +223,34 @@ let tests =
         List.equal Tuple.equal
           (mk (fun ~self db rules -> Wdl_eval.Fixpoint.run ~self db rules))
           (mk (fun ~self db rules -> Wdl_eval.Reference.run ~self db rules)));
-    QCheck.Test.make ~count:30
-      ~name:"distributed view equals the centralised join"
-      (QCheck.make
-         QCheck.Gen.(
-           pair
-             (list_size (int_range 0 6) (int_range 0 4))
-             (list_size (int_range 0 10) (pair (int_range 0 4) small_nat))))
-      (fun (selected, pictures) ->
-        (* selected: which owners Jules selects; pictures: (owner, id). *)
-        let owner i = Printf.sprintf "owner%d" i in
-        let sys = Webdamlog.System.create () in
-        let jules = Webdamlog.System.add_peer sys "Jules" in
-        (match
-           Webdamlog.Peer.load_string jules
-             {|ext selectedAttendee@Jules(a); int view@Jules(o, i);
-               view@Jules($a, $i) :- selectedAttendee@Jules($a), pics@$a($i);|}
-         with
-        | Ok () -> ()
-        | Error e -> failwith e);
-        for i = 0 to 4 do
-          ignore (Webdamlog.System.add_peer sys (owner i))
-        done;
-        List.iter
-          (fun o ->
-            match
-              Webdamlog.Peer.insert jules
-                (Fact.make ~rel:"selectedAttendee" ~peer:"Jules"
-                   [ Value.String (owner o) ])
-            with
-            | Ok () -> ()
-            | Error e -> failwith e)
-          selected;
-        List.iter
-          (fun (o, id) ->
-            match
-              Webdamlog.Peer.insert
-                (Webdamlog.System.peer sys (owner o))
-                (Fact.make ~rel:"pics" ~peer:(owner o) [ Value.Int id ])
-            with
-            | Ok () -> ()
-            | Error e -> failwith e)
-          pictures;
-        (match Webdamlog.System.run sys with
-        | Ok _ -> ()
-        | Error e -> failwith e);
-        let expected =
-          List.sort_uniq compare
-            (List.concat_map
-               (fun (o, id) ->
-                 if List.mem o selected then [ (owner o, id) ] else [])
-               pictures)
+    (* [dyn@P($x) :- sel@P($a), data@$a($x)] pulls from every peer P
+       selects, itself included: at quiescence its view is the join of
+       P's selections with each selected peer's data, computed here. *)
+    QCheck.Test.make ~count:100 ~long_factor:20
+      ~name:"distributed view equals the centralised join" (Sim.arb Sim.clean)
+      (fun spec ->
+        let open Webdamlog in
+        let sys = Sim.run_exn spec in
+        let args p rel =
+          List.concat_map (fun (f : Fact.t) -> f.Fact.args) (Peer.query p rel)
         in
-        let got =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun (f : Fact.t) ->
-                 match f.Fact.args with
-                 | [ Value.String o; Value.Int i ] -> Some (o, i)
-                 | _ -> None)
-               (Webdamlog.Peer.query jules "view"))
+        let join p =
+          if
+            List.exists
+              (fun r -> String.starts_with ~prefix:"dyn@" (Format.asprintf "%a" Rule.pp r))
+              (Peer.rules p)
+          then
+            List.concat_map
+              (function
+                | Value.String a ->
+                  Option.fold ~none:[] ~some:(fun q -> args q "data") (System.find_peer sys a)
+                | _ -> [])
+              (args p "sel")
+          else []
         in
-        expected = got);
+        List.for_all
+          (fun p -> List.sort_uniq compare (args p "dyn") = List.sort_uniq compare (join p))
+          (System.peers sys));
     QCheck.Test.make ~count:300 ~name:"rule pp/parse round-trip" rule_arb
       (fun r ->
         let printed = Format.asprintf "%a" Rule.pp r in

@@ -2,11 +2,7 @@
    derived relations; Peer.explain exposes it. *)
 open Wdl_syntax
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok' = function Ok v -> v | Error e -> Alcotest.fail e
+open Check
 
 let tracked src =
   let p = Peer.create "p" in

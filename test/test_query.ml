@@ -1,11 +1,7 @@
 (* The §4 Query tab: ad-hoc queries with Peer.ask. *)
 open Wdl_syntax
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok' = function Ok v -> v | Error e -> Alcotest.fail e
+open Check
 
 let peer_with src =
   let p = Peer.create "p" in

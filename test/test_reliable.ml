@@ -3,11 +3,7 @@
 open Wdl_syntax
 open Wdl_net
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok' = function Ok v -> v | Error e -> Alcotest.fail e
+open Check
 
 (* {1 Transport-level unit tests} *)
 
@@ -25,6 +21,17 @@ let drop_first n =
   }
 
 let fast = { Reliable.default_config with rto = 1.0; rto_jitter = 0. }
+
+(* alice and bob as two processes: Reliable over Wire over Tcp, one
+   control each, and a function that closes both sockets. *)
+let tcp_pair ?config () =
+  let bytes_a, ca = Tcp.create () in
+  let bytes_b, cb = Tcp.create () in
+  Tcp.register ca ~peer:"bob" { Tcp.host = "127.0.0.1"; port = Tcp.port cb };
+  Tcp.register cb ~peer:"alice" { Tcp.host = "127.0.0.1"; port = Tcp.port ca };
+  let ta, ctl_a = Reliable.wrap ?config (Wire.envelope_transport bytes_a) in
+  let tb, ctl_b = Reliable.wrap ?config (Wire.envelope_transport bytes_b) in
+  (ta, ctl_a, tb, ctl_b, fun () -> Tcp.close ca; Tcp.close cb)
 
 let unit_tests =
   [
@@ -188,6 +195,7 @@ let unit_tests =
         let e =
           {
             Reliable.env_src = "Jules";
+            env_inc = 2;
             env_seq = 5;
             env_ack = 3;
             env_payload = Some m;
@@ -195,6 +203,7 @@ let unit_tests =
         in
         let e' = ok' (Wire.decode_envelope (Wire.encode_envelope e)) in
         check_bool "src" (e'.Reliable.env_src = "Jules");
+        check_int "incarnation" 2 e'.Reliable.env_inc;
         check_int "seq" 5 e'.Reliable.env_seq;
         check_int "ack" 3 e'.Reliable.env_ack;
         check_bool "payload survives"
@@ -204,25 +213,25 @@ let unit_tests =
         let a = { e with Reliable.env_seq = 0; env_payload = None } in
         let a' = ok' (Wire.decode_envelope (Wire.encode_envelope a)) in
         check_bool "pure ack" (a'.Reliable.env_payload = None);
+        (* A first session sends the four-field header an older decoder
+           reads, and decodes it back as incarnation 0. *)
+        let a0 = { a with Reliable.env_inc = 0 } in
+        let text = Wire.encode_envelope a0 in
+        check_bool "no incarnation field"
+          (String.starts_with ~prefix:"envelope@wire(\"Jules\", 0, 3, false)" text);
+        check_int "first session" 0
+          (ok' (Wire.decode_envelope text)).Reliable.env_inc;
         check_bool "garbage rejected"
           (Result.is_error (Wire.decode_envelope "nope")));
     tc "reliable over tcp + wire: ack crosses processes" (fun () ->
-        let bytes_a, ca = Tcp.create () in
-        let bytes_b, cb = Tcp.create () in
-        Tcp.register ca ~peer:"bob"
-          { Tcp.host = "127.0.0.1"; port = Tcp.port cb };
-        Tcp.register cb ~peer:"alice"
-          { Tcp.host = "127.0.0.1"; port = Tcp.port ca };
-        let ta, ctl_a = Reliable.wrap (Wire.envelope_transport bytes_a) in
-        let tb, _ = Reliable.wrap (Wire.envelope_transport bytes_b) in
+        let ta, ctl_a, tb, _, close = tcp_pair () in
         let m = Message.make ~src:"alice" ~dst:"bob" ~stage:1 () in
         ta.Transport.send ~src:"alice" ~dst:"bob" m;
         check_int "delivered at bob" 1 (List.length (tb.Transport.drain "bob"));
         check_int "dedup on redrain" 0 (List.length (tb.Transport.drain "bob"));
         ignore (ta.Transport.drain "alice");
         check_int "acked across sockets" 0 (Reliable.unacked ctl_a);
-        Tcp.close ca;
-        Tcp.close cb);
+        close ());
   ]
 
 (* {1 Whole-system convergence under fault schedules} *)
@@ -265,30 +274,14 @@ let faulty_run ?(attendees = attendees) ?wrap_seed ?(max_rounds = 5000) ~seed
     if Reliable.dead_links rctl <> [] then Error "gave up on a live link"
     else Ok (dump sys, Reliable.stats rctl, System.transport_errors sys)
 
+(* Random programs, not just album, through the lossy column of the
+   [Sim] fault matrix: loss, duplication and a healing partition under
+   the reliable layer must end where the fault-free run does. *)
 let convergence_prop =
-  QCheck.Test.make ~count:12
+  QCheck.Test.make ~count:25 ~long_factor:20
     ~name:"random loss/dup/partition schedules reach the Inmem fixpoint"
-    QCheck.(
-      make
-        Gen.(
-          let* seed = int_range 1 10_000 in
-          let* loss = float_range 0.0 0.4 in
-          let* duplicate = float_range 0.0 0.3 in
-          let* part_at = int_range 1 8 in
-          let* part_len = int_range 1 30 in
-          return (seed, loss, duplicate, part_at, part_len)))
-    (fun (seed, loss, duplicate, part_at, part_len) ->
-      let expected = reference_dump () in
-      match
-        faulty_run ~wrap_seed:(seed + 1) ~seed ~loss ~duplicate ~part_at
-          ~part_len ()
-      with
-      | Error e -> QCheck.Test.fail_reportf "did not converge: %s" e
-      | Ok (got, _, _) ->
-        if got <> expected then
-          QCheck.Test.fail_reportf "diverged under faults:@.%s@.vs@.%s" got
-            expected
-        else true)
+    (Sim.arb Sim.lossy) (fun spec ->
+      Sim.dump (Sim.run_exn spec) = Sim.fault_free spec)
 
 (* Seed 42, 25% loss, 10% duplication, sigmod|alice partitioned from
    round 3 for 12 rounds. Two rows: three attendees with a seeded
@@ -317,21 +310,6 @@ let acceptance =
           ("4 attendees", Album.attendees, None, 2000) ])
 
 (* {1 Crash + journal recovery} *)
-
-(* A fresh directory, removed with everything persisted under it when
-   [f] returns or raises. *)
-let with_temp_dir f =
-  let dir = Filename.temp_file "wdl_reliable" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  let rec rm path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
 
 (* bob receives album entries into an EXTENSIONAL inbox (journaled), so
    a crash between checkpoints loses nothing the journal saw. *)
@@ -420,86 +398,26 @@ let crash_run attendees dir =
 (* Two casts: bob and alice alone, and the four-attendee album. *)
 let crash_test () =
   List.iter
-    (fun attendees -> with_temp_dir (crash_run attendees))
+    (fun attendees -> Tmpdir.with_temp_dir (crash_run attendees))
     [ [ "alice"; "bob" ]; Album.attendees ]
 
-(* {1 Differential churn property}
+(* {1 Crash and recovery over random programs}
 
-   A randomized crash/restart schedule with the full lifecycle wired in
-   (reliable layer purged on removal, dead letters, adopt-time
-   reconciliation) must reach exactly the state of a fault-free Inmem
-   run given the same inserts: the victim, the crash moment, the outage
-   length and the loss rate are all generated. *)
+   The crash column of the [Sim] fault matrix: a checkpointed peer
+   takes journaled base ops, crashes, recovers from its journal and is
+   adopted back, all under a lossy reliable layer wired into the
+   lifecycle. The end state must equal the fault-free run's. *)
+let churn_prop =
+  QCheck.Test.make ~count:25 ~long_factor:20
+    ~name:"random crash/restart schedules match the fault-free oracle"
+    (Sim.arb Sim.crash) (fun spec ->
+      Sim.dump (Sim.run_exn spec) = Sim.fault_free spec)
 
 let churn_insert sys name id =
   ok'
     (Peer.insert (System.peer sys name)
        (Fact.make ~rel:"pictures" ~peer:name
           [ Value.Int id; Value.String (Printf.sprintf "%s_%d.jpg" name id) ]))
-
-let churn_expected ~victim ~other () =
-  let sys = System.create () in
-  load_album sys attendees;
-  ignore (ok' (System.run sys));
-  churn_insert sys other 9;
-  churn_insert sys victim 10;
-  ignore (ok' (System.run sys));
-  dump sys
-
-let churn_run ~seed ~loss ~victim ~down_rounds =
-  with_temp_dir @@ fun dir ->
-  let other = List.find (fun a -> a <> victim) attendees in
-  let inner, net =
-    Simnet.create_with_control ~sizer:envelope_sizer ~seed ~loss
-      ~duplicate:0.05 ()
-  in
-  let transport, rctl = Reliable.wrap ~seed:(seed + 1) inner in
-  let sys = System.create ~transport ~drop_unknown:false () in
-  System.wire_reliable sys rctl;
-  load_album sys attendees;
-  (match System.run ~max_rounds:5000 sys with
-  | Ok _ -> ()
-  | Error e -> failwith e);
-  Persist.attach (System.peer sys victim) ~dir;
-  Persist.checkpoint (System.peer sys victim) ~dir;
-  Simnet.crash net victim;
-  System.remove_peer sys victim;
-  (* The world keeps moving while the victim is down. *)
-  churn_insert sys other 9;
-  for _ = 1 to down_rounds do
-    ignore (System.round sys)
-  done;
-  match Persist.recover ~dir ~fallback_name:victim () with
-  | Error e -> Error ("recovery: " ^ e)
-  | Ok p -> (
-    Simnet.restart net victim;
-    System.adopt_peer sys p;
-    churn_insert sys victim 10;
-    match System.run ~max_rounds:5000 sys with
-    | Error e -> Error e
-    | Ok _ -> Ok (dump sys))
-
-let churn_prop =
-  QCheck.Test.make ~count:8
-    ~name:"random crash/restart schedules match the fault-free oracle"
-    QCheck.(
-      make
-        Gen.(
-          let* seed = int_range 1 10_000 in
-          let* loss = float_range 0.0 0.3 in
-          let* victim = oneofl attendees in
-          let* down_rounds = int_range 1 25 in
-          return (seed, loss, victim, down_rounds)))
-    (fun (seed, loss, victim, down_rounds) ->
-      let other = List.find (fun a -> a <> victim) attendees in
-      let expected = churn_expected ~victim ~other () in
-      match churn_run ~seed ~loss ~victim ~down_rounds with
-      | Error e -> QCheck.Test.fail_reportf "did not converge: %s" e
-      | Ok got ->
-        if got <> expected then
-          QCheck.Test.fail_reportf "diverged after churn:@.%s@.vs@.%s" got
-            expected
-        else true)
 
 (* {1 Scripted churn under the full lifecycle}
 
@@ -540,7 +458,7 @@ let chaos_expected () =
   dump sys
 
 let chaos_churn_test () =
-  with_temp_dir @@ fun base ->
+  Tmpdir.with_temp_dir @@ fun base ->
   let dir_of a = Filename.concat base a in
   let inner, net =
     Simnet.create_with_control ~sizer:envelope_sizer ~seed:11 ~loss:0.25
@@ -628,10 +546,81 @@ let chaos_churn_test () =
   check_int "round loop saw no transport exceptions" 0
     (System.transport_errors sys)
 
+(* The rejoin trace at the transport: p0 acks p2's seq 1 and crashes
+   with the ack in flight; its link state is forgotten; p2's first send
+   of the new session (seq 1 again) is lost to the crash; then the
+   stale ack=1 reaches p2. It must not retire the new seq 1. *)
+let stale_ack_test =
+  tc "a stale ack from a previous incarnation cannot prune the new session"
+    (fun () ->
+      let inner, net = Simnet.create_with_control ~jitter:0. () in
+      let t, ctl = Reliable.wrap ~config:{ fast with rto = 2.0 } inner in
+      t.Transport.send ~src:"p2" ~dst:"p0" "old";
+      t.Transport.advance 1.0;
+      Alcotest.check (Alcotest.list Alcotest.string) "old session delivered"
+        [ "old" ] (t.Transport.drain "p0");
+      Simnet.crash net "p0";
+      Reliable.forget ctl "p0";
+      t.Transport.send ~src:"p2" ~dst:"p0" "new";
+      Simnet.restart net "p0";
+      t.Transport.advance 1.0;
+      ignore (t.Transport.drain "p2");
+      check_int "new seq 1 still unacked" 1 (Reliable.unacked ctl);
+      let got = ref [] in
+      for _ = 1 to 5 do
+        t.Transport.advance 1.0;
+        got := !got @ t.Transport.drain "p0";
+        ignore (t.Transport.drain "p2")
+      done;
+      Alcotest.check (Alcotest.list Alcotest.string) "retransmitted"
+        [ "new" ] !got;
+      check_int "then acked" 0 (Reliable.unacked ctl))
+
+(* Each process has its own control, so only one side counts a
+   forget; the other must follow the newer incarnation. *)
+let tcp_forget_test =
+  tc "reliable over tcp + wire: one side forgets, both reconverge" (fun () ->
+      (* Each process has its own control, so only alice's counts the
+         forget (say alice was re-adopted there). bob must follow the
+         newer incarnation: take alice's new seq 1 as new, and resend
+         its unacked message under the numbering alice now expects. *)
+      let ta, ctl_a, tb, ctl_b, close = tcp_pair ~config:fast () in
+      let msg src dst stage = Message.make ~src ~dst ~stage () in
+      let got_a = ref [] and got_b = ref [] in
+      let settle () =
+        let n = ref 0 in
+        while
+          !n < 200 && (!n = 0 || Reliable.unacked ctl_a + Reliable.unacked ctl_b > 0)
+        do
+          incr n;
+          ta.Transport.advance 0.5;
+          tb.Transport.advance 0.5;
+          got_a := !got_a @ ta.Transport.drain "alice";
+          got_b := !got_b @ tb.Transport.drain "bob";
+          Unix.sleepf 0.002
+        done
+      in
+      let stages l = List.map (fun m -> m.Message.stage) !l in
+      ta.Transport.send ~src:"alice" ~dst:"bob" (msg "alice" "bob" 1);
+      tb.Transport.send ~src:"bob" ~dst:"alice" (msg "bob" "alice" 2);
+      settle ();
+      Reliable.forget ctl_a "alice";
+      tb.Transport.send ~src:"bob" ~dst:"alice" (msg "bob" "alice" 3);
+      ta.Transport.send ~src:"alice" ~dst:"bob" (msg "alice" "bob" 4);
+      settle ();
+      Alcotest.check (Alcotest.list Alcotest.int) "bob got both sessions"
+        [ 1; 4 ] (stages got_b);
+      Alcotest.check (Alcotest.list Alcotest.int) "alice got both sessions"
+        [ 2; 3 ] (stages got_a);
+      check_int "all acked" 0 (Reliable.unacked ctl_a + Reliable.unacked ctl_b);
+      check_bool "no link given up"
+        (Reliable.dead_links ctl_a = [] && Reliable.dead_links ctl_b = []);
+      close ())
+
 let suite =
   unit_tests
   @ [ acceptance; QCheck_alcotest.to_alcotest convergence_prop;
       tc "crash, journal recovery, reconvergence" crash_test;
       QCheck_alcotest.to_alcotest churn_prop;
       tc "40% churn, crashes, partition, loss: equals the fault-free oracle"
-        chaos_churn_test ]
+        chaos_churn_test; stale_ack_test; tcp_forget_test ]

@@ -1,7 +1,5 @@
 open Wdl_syntax
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
+open Check
 
 let safe src =
   match Safety.check_rule (Parser.parse_rule src) with

@@ -1,9 +1,6 @@
 open Wdl_syntax
 open Wdl_eval
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
+open Check
 
 let rules srcs = List.map Parser.parse_rule srcs
 

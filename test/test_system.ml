@@ -1,11 +1,23 @@
 open Wdl_syntax
 open Webdamlog
+open Check
 
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-
-let ok = function Ok v -> v | Error e -> Alcotest.fail e
+(* p1 joins its own data with p0's r through a delegation to p0; both
+   hold 1, so relay@p1(1) is derived at p0 and shipped back. *)
+let setup_relay () =
+  let sys = System.create () in
+  let p0 = System.add_peer sys "p0" in
+  let p1 = System.add_peer sys "p1" in
+  ok (Peer.load_string p0 "ext r@p0(x); r@p0(1);");
+  ok
+    (Peer.load_string p1
+       "ext data@p1(x); int relay@p1(x); data@p1(1);\n\
+        relay@p1($x) :- data@p1($x), r@p0($x);");
+  ignore (ok (System.run sys));
+  check_int "relay derived" 1 (List.length (Peer.query p1 "relay"));
+  check_int "delegation installed at p0" 1
+    (List.length (Peer.delegated_rules p0));
+  (sys, p0, p1)
 
 let setup_jules_emilien () =
   let sys = System.create () in
@@ -620,4 +632,72 @@ let suite =
     tc "every kind of change ends equal to a from-scratch rebuild" rebuild_test;
     tc "8 producers into a capacity-4 inbox: shed, bounded, quiesced"
       overload_test;
+    tc "rejoin drops a cached batch its source emptied while it was down"
+      (fun () ->
+        (* p1 delegates [relay@p1(1) :- r@p0(1)] to p0 and caches p0's
+           answer. r@p0(1) goes away while p1 is down; p0's batch to p1
+           is now empty, which p0 (having forgotten p1) never re-sends.
+           The rejoin itself must drop p1's restored cache. *)
+        Tmpdir.with_temp_dir @@ fun dir ->
+        let sys, p0, _ = setup_relay () in
+        Persist.attach (System.peer sys "p1") ~dir;
+        Persist.checkpoint (System.peer sys "p1") ~dir;
+        System.remove_peer sys "p1";
+        ok (Peer.delete p0 (Fact.make ~rel:"r" ~peer:"p0" [ Value.Int 1 ]));
+        ignore (ok (System.run sys));
+        let p1 = ok (Persist.recover ~dir ~fallback_name:"p1" ()) in
+        System.adopt_peer sys p1;
+        ignore (ok (System.run sys));
+        check_int "relay emptied" 0 (List.length (Peer.query p1 "relay")));
+    tc "rejoin retracts delegations the crashed peer no longer holds"
+      (fun () ->
+        (* p1 deletes data@p1(1) (journaled) and crashes before staging:
+           the retraction of its delegation at p0 was never sent, and
+           the recovered p1 has no memory of having installed it. *)
+        Tmpdir.with_temp_dir @@ fun dir ->
+        let sys, p0, p1 = setup_relay () in
+        Persist.attach p1 ~dir;
+        Persist.checkpoint p1 ~dir;
+        ok (Peer.delete p1 (Fact.make ~rel:"data" ~peer:"p1" [ Value.Int 1 ]));
+        System.remove_peer sys "p1";
+        let p1 = ok (Persist.recover ~dir ~fallback_name:"p1" ()) in
+        System.adopt_peer sys p1;
+        ignore (ok (System.run sys));
+        check_int "delegation retracted at p0" 0
+          (List.length (Peer.delegated_rules p0));
+        check_int "relay emptied" 0 (List.length (Peer.query p1 "relay")));
+    tc "eviction drops the dead peer's messages still queued" (fun () ->
+        (* After one round p2 has p0's delegation install queued but
+           not yet staged; evicting p0 must not let it install later. *)
+        let sys = System.create () in
+        let p0 = System.add_peer sys "p0" in
+        let p2 = System.add_peer sys "p2" in
+        ok (Peer.load_string p0 "int v@p0(x); v@p0($x) :- data@p2($x);");
+        ok (Peer.load_string p2 "ext data@p2(x); data@p2(1);");
+        ignore (System.round sys);
+        check_int "install queued at p2" 1 (Peer.inbox_length p2);
+        System.evict_peer sys "p0";
+        ignore (ok (System.run sys));
+        check_int "nothing installed from the dead peer" 0
+          (List.length (Peer.delegated_rules p2)));
+    tc "eviction keeps the extensional updates the dead peer had queued"
+      (fun () ->
+        (* p0's batch for p2 is delivered but not yet staged when p0 is
+           evicted: inbox@p2(1) is an update and persists, v@p2(1) lived
+           only while p0 maintained it. *)
+        let sys = System.create () in
+        let p0 = System.add_peer sys "p0" in
+        let p2 = System.add_peer sys "p2" in
+        ok
+          (Peer.load_string p0
+             "ext r@p0(x); r@p0(1);\n\
+              inbox@p2($x) :- r@p0($x);\n\
+              v@p2($x) :- r@p0($x);");
+        ok (Peer.load_string p2 "ext inbox@p2(x); int v@p2(x);");
+        ignore (System.round sys);
+        check_int "batch queued at p2" 1 (Peer.inbox_length p2);
+        System.evict_peer sys "p0";
+        ignore (ok (System.run sys));
+        check_int "queued update kept" 1 (List.length (Peer.query p2 "inbox"));
+        check_int "queued view fact dropped" 0 (List.length (Peer.query p2 "v")));
   ]

@@ -1,7 +1,6 @@
 open Wdl_syntax
+open Check
 
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
 let fmt f x = Format.asprintf "%a" f x
 
 let suite =

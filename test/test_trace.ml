@@ -1,9 +1,6 @@
 open Wdl_syntax
 open Webdamlog
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
+open Check
 
 let fact = Fact.make ~rel:"m" ~peer:"p" [ Value.Int 1 ]
 let ev i = Trace.Fact_inserted { peer = "p"; fact = Fact.make ~rel:"m" ~peer:"p" [ Value.Int i ] }

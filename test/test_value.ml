@@ -1,7 +1,7 @@
 open Wdl_syntax
+open Check
 
 let check = Alcotest.check
-let tc name f = Alcotest.test_case name `Quick f
 
 let reparse_value v =
   (* Values round-trip through fact syntax. *)

@@ -3,10 +3,7 @@ open Webdamlog
 module Httpd = Wdl_web.Httpd
 module Ui = Wdl_web.Ui
 
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok' = function Ok v -> v | Error e -> Alcotest.fail e
+open Check
 
 (* A blocking one-shot HTTP client over a raw socket. The server's poll
    runs in this same process, so: connect+send, poll, then read. *)

@@ -1,11 +1,7 @@
 module Wepic = Wdl_wepic.Wepic
 module Workload = Wdl_wepic.Workload
 open Wdl_syntax
-
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok = function Ok v -> v | Error e -> Alcotest.fail e
+open Check
 
 let two_attendees () =
   let env = Wepic.create () in

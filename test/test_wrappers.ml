@@ -4,10 +4,7 @@ module Email = Wdl_wrappers.Email
 module Dropbox = Wdl_wrappers.Dropbox
 module Wrapper = Wdl_wrappers.Wrapper
 
-let tc name f = Alcotest.test_case name `Quick f
-let check_bool msg = Alcotest.check Alcotest.bool msg true
-let check_int msg = Alcotest.check Alcotest.int msg
-let ok = function Ok v -> v | Error e -> Alcotest.fail e
+open Check
 
 let pic id name owner = { FB.id; name; owner; data = "d" ^ string_of_int id }
 
