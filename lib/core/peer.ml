@@ -1442,7 +1442,7 @@ let compiled_program t =
     | _ -> ());
     match
       Wdl_eval.Program.compile ~version:t.rules_version
-        ~order:(Wdl_eval.Plan.order_body ~self:t.name ~stats:(live_cardinal t))
+        ~stats:(live_cardinal t)
         ~self:t.name ~intensional:(intensional t) (all_rules t)
     with
     | Ok p ->

@@ -12,7 +12,6 @@ type derivation = {
 }
 
 type result = {
-  deduced : Fact.t list;
   induced : Fact.t list;
   messages : Fact.t list;
   suspensions : (string * Rule.t) list;
@@ -62,7 +61,6 @@ type state = {
   (* delta.(rel) = intensional tuples new as of the previous iteration *)
   mutable delta : (string, Relation.t) Hashtbl.t;
   mutable delta_next : (string, Relation.t) Hashtbl.t;
-  deduced : unit Head_tbl.t;
   induced : unit Head_tbl.t;
   messages : unit Head_tbl.t;
   suspensions : unit Susp_tbl.t;
@@ -178,7 +176,6 @@ let dispatch_head ?src st ~prov ~rel ~peer (tuple : Tuple.t) =
         Head_tbl.replace st.induced { Head_key.rel; peer; tuple } ()
       | Decl.Intensional ->
         if Relation.insert info.Database.data tuple then begin
-          Head_tbl.replace st.deduced { Head_key.rel; peer; tuple } ();
           delta_add st rel tuple;
           match st.provenance with
           | Some tbl ->
@@ -627,7 +624,6 @@ let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
         db;
         delta = Hashtbl.create 8;
         delta_next = Hashtbl.create 8;
-        deduced = Head_tbl.create 64;
         induced = Head_tbl.create 64;
         messages = Head_tbl.create 64;
         suspensions = Susp_tbl.create 32;
@@ -662,7 +658,6 @@ let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
     in
     Ok
       {
-        deduced = to_list st.deduced;
         induced = to_list st.induced;
         messages = to_list st.messages;
         suspensions =

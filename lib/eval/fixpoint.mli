@@ -28,9 +28,10 @@ type derivation = {
       (** the ground positive body atoms of one supporting valuation *)
 }
 
+(** What one run produced besides its new local intensional facts,
+    which it inserts into the database, where every caller reads
+    them. *)
 type result = {
-  deduced : Wdl_syntax.Fact.t list;
-      (** new local intensional facts (also inserted) *)
   induced : Wdl_syntax.Fact.t list;
       (** local extensional insertions for next stage *)
   messages : Wdl_syntax.Fact.t list;

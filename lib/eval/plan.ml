@@ -166,16 +166,28 @@ let compile ?source (rule : Rule.t) =
       rule.Rule.body
   in
   let head_rel, head_peer, head_args = compile_atom c rule.Rule.head in
+  let source = match source with Some s -> s | None -> rule in
+  (* Written order, not step order: the same fact explains the same way
+     whichever of a rule's plans derived it. [source] is a permutation
+     of [rule]'s body, so each of its atoms has a step (usually the
+     very same atom value, hence the physical test first). *)
   let premise_patterns =
     List.filter_map
       (function
-        | Match { neg = false; rel; peer; args; _ } -> Some (rel, peer, args)
-        | Match _ | Cmp _ | Assign _ -> None)
-      steps
+        | Literal.Pos a ->
+          List.find_map
+            (function
+              | Match { neg = false; atom; rel; peer; args; _ }
+                when atom == a || Atom.equal atom a ->
+                Some (rel, peer, args)
+              | Match _ | Cmp _ | Assign _ -> None)
+            steps
+        | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> None)
+      source.Rule.body
   in
   {
     rule;
-    source = (match source with Some s -> s | None -> rule);
+    source;
     steps;
     head_rel;
     head_peer;
@@ -203,15 +215,16 @@ let compile ?source (rule : Rule.t) =
    the delegation suffix — keeps its source order, preserving the
    paper's left-to-right delegation semantics on the residual. *)
 
-let order_body ~self ~stats (r : Rule.t) =
+let order_body ?bound ~self ~stats (r : Rule.t) =
   if Rule.is_aggregate r then r
   else
+    let fragment = Option.is_some bound in
     let lits = Array.of_list r.Rule.body in
     let n = Array.length lits in
     if n <= 1 then r
     else begin
       let used = Array.make n false in
-      let bound = ref [] in
+      let bound = ref (Option.value bound ~default:[]) in
       let is_bound x = List.mem x !bound in
       let bind x = if not (is_bound x) then bound := x :: !bound in
       let eligible = function
@@ -285,10 +298,14 @@ let order_body ~self ~stats (r : Rule.t) =
         let reordered = Rule.make ~head:r.Rule.head ~body in
         (* The construction preserves safety (a literal only runs once
            its inputs are bound; the residual keeps its relative
-           order), but verify rather than trust the argument. *)
-        match Safety.check_rule reordered with
-        | Ok () -> reordered
-        | Error _ -> r
+           order), but verify rather than trust the argument. A
+           fragment is not a rule on its own: its caller checks the
+           rule it assembles around it. *)
+        if fragment then reordered
+        else
+          match Safety.check_rule reordered with
+          | Ok () -> reordered
+          | Error _ -> r
     end
 
 let subst_of_env plan env =

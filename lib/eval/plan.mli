@@ -66,7 +66,8 @@ type t = {
   nslots : int;
   slot_names : string array;  (** slot -> source variable name *)
   premise_patterns : (name_ref * name_ref * arg array) list;
-      (** positive body atoms, for provenance instantiation *)
+      (** positive body atoms of [source], in written order, for
+          provenance instantiation *)
 }
 
 val compile : ?source:Rule.t -> Rule.t -> t
@@ -74,14 +75,21 @@ val compile : ?source:Rule.t -> Rule.t -> t
     it, kept for provenance when the compiled body was reordered. *)
 
 val order_body :
-  self:string -> stats:(string -> int) -> Rule.t -> Rule.t
+  ?bound:string list -> self:string -> stats:(string -> int) -> Rule.t -> Rule.t
 (** Cost-based join ordering: the WDL031 greedy local-prefix reorder
     promoted from lint hint to compiler, picking the cheapest eligible
     literal at each step using [stats] (live relation cardinalities,
     0 for unknown relations) and bound-position selectivity. Ties
     resolve to source order, so with a constant [stats] the result is
     exactly the WDL031 hint. Aggregate rules and rules whose reorder
-    fails the safety check are returned unchanged. *)
+    fails the safety check are returned unchanged.
+
+    [bound] names variables already bound before the body's first
+    literal and makes the body a {e fragment}: {!Program} pins a delta
+    literal ahead of a fragment ordered with that literal's variables
+    bound. A fragment is not a rule on its own, so it skips the safety
+    check, and literals it cannot place trail in source order; the
+    caller checks the rule it assembles. *)
 
 val subst_of_env : t -> Value.t option array -> Subst.t
 (** The bound slots as a substitution (used to build residual rules at

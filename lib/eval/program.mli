@@ -18,12 +18,27 @@
     previous iteration produced no [c] tuples, yet executing it still
     costs the full enumeration of the body prefix before that position.
     Positions whose relation is a {e variable} may read any delta and
-    live in [wildcard]; they run every iteration. *)
+    live in [wildcard]; they run every iteration.
+
+    An activation in [by_rel] carries its own {e delta-first} plan when
+    its delta literal and every literal before it are statically local
+    ([@self]): the delta literal at position 0, then the rest of the
+    plan's local prefix ordered by {!Plan.order_body} with the delta's
+    variables bound, then the suffix — from the first literal that is
+    not statically local on — unchanged. A new tuple thus probes the
+    indexed relations instead of scanning them to find the delta.
+    {e Boundary invariant}: the local prefix holds the same literals as
+    the base plan's, so the same variables are bound when a run reaches
+    the suffix, and residuals, suspensions and origin tags are the base
+    plan's. Where the assembled rule fails [Safety.check_rule] (a
+    prefix literal the ordering could not place shows that way), the
+    activation keeps the base plan, as do wildcard activations,
+    aggregate plans and iteration 1's [plans]. *)
 
 open Wdl_syntax
 
 type activation = {
-  plan : Plan.t;
+  plan : Plan.t;  (** the base plan, or its delta-first variant *)
   pos : int;  (** body position of the positive atom reading the delta *)
 }
 
@@ -35,6 +50,7 @@ type stratum = {
   wildcard : activation list;
       (** activations whose relation position is a variable *)
   n_activations : int;  (** total (plan, pos) pairs in this stratum *)
+  n_plans : int;  (** compiled plans, delta-first variants included *)
 }
 
 type t = {
@@ -45,7 +61,7 @@ type t = {
 
 val compile :
   ?version:int ->
-  ?order:(Rule.t -> Rule.t) ->
+  ?stats:(string -> int) ->
   self:string ->
   intensional:(string -> bool) ->
   Rule.t list ->
@@ -53,12 +69,15 @@ val compile :
 (** Stratify and compile [rules]. [intensional] must be the same
     relation-kind predicate the evaluating database will answer;
     [version] (default 0) is stored verbatim for cache keying.
-    [order] (typically {!Plan.order_body} partially applied to live
-    cardinalities) rewrites each rule body before plan compilation;
-    plans keep the original rule as their [source]. *)
+    [stats] (live relation cardinalities) makes {!Plan.order_body}
+    reorder each rule body before plan compilation; plans keep the
+    original rule as their [source]. Without it, base plans follow the
+    written order and delta-first plans order their prefix with
+    constant statistics (source order among eligible literals). *)
 
 val version : t -> int
 val rules : t -> Rule.t list
 
 val plan_count : t -> int
-(** Total compiled plans across strata (observability/tests). *)
+(** Total compiled plans across strata, delta-first variants included
+    (observability/tests). *)

@@ -375,10 +375,9 @@ let run ?(record_provenance = false) ~self db rules =
     in
     Array.iter (run_stratum st) strata;
     let to_list tbl = Fact_tbl.fold (fun f () acc -> f :: acc) tbl [] in
-    Ok
+    let result =
       {
-        Fixpoint.deduced = to_list st.deduced;
-        induced = to_list st.induced;
+        Fixpoint.induced = to_list st.induced;
         messages = to_list st.messages;
         suspensions = Susp_tbl.fold (fun s () acc -> s :: acc) st.suspensions [];
         (* The reference model does not attribute deliveries to rules;
@@ -393,3 +392,5 @@ let run ?(record_provenance = false) ~self db rules =
           | None -> []
           | Some tbl -> Fact_tbl.fold (fun _ d acc -> d :: acc) tbl []);
       }
+    in
+    Ok (result, to_list st.deduced)

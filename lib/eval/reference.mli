@@ -9,11 +9,14 @@
     measures what plan compilation buys.
 
     Same contract as {!Fixpoint.run}: mutates the database's
-    intensional relations, returns the same {!Fixpoint.result}. *)
+    intensional relations and returns the same {!Fixpoint.result},
+    paired with the new local intensional facts it deduced (inserted
+    too). [Fixpoint] does not list those; a closure check reads them
+    here to find what a peer still owes. *)
 
 val run :
   ?record_provenance:bool ->
   self:string ->
   Wdl_store.Database.t ->
   Wdl_syntax.Rule.t list ->
-  (Fixpoint.result, Stratify.error) result
+  (Fixpoint.result * Wdl_syntax.Fact.t list, Stratify.error) result

@@ -346,7 +346,32 @@ let fold f r acc =
   !acc
 
 let to_list r = fold List.cons r []
-let to_sorted_list r = List.sort Tuple.compare (to_list r)
+
+(* Sort the live slots in place on their column values, then decode
+   each tuple once into the result: the sort allocates nothing, which
+   matters on the read paths that dump whole views. Equal ids are
+   equal values, so only differing columns are decoded to compare. *)
+let to_sorted_list r =
+  let slots = Array.make r.n 0 in
+  let k = ref 0 in
+  for s = 0 to r.limit - 1 do
+    if Bytes.unsafe_get r.live s <> '\000' then begin
+      slots.(!k) <- s;
+      incr k
+    end
+  done;
+  let compare_slots a b =
+    let rec go i =
+      if i >= r.arity then 0
+      else
+        let x = r.rows.((a * r.arity) + i) and y = r.rows.((b * r.arity) + i) in
+        if x = y then go (i + 1)
+        else Value.compare (Intern.value r.pool x) (Intern.value r.pool y)
+    in
+    go 0
+  in
+  Array.sort compare_slots slots;
+  Array.fold_right (fun s acc -> Array.init r.arity (value r s) :: acc) slots []
 
 (* Does the row at [off] hold [key] at [positions], from the [k]th on?
    Top-level, so a scan allocates no closure per row. *)

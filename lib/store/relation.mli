@@ -51,6 +51,7 @@ val to_list : t -> Tuple.t list
 (** In unspecified order. *)
 
 val to_sorted_list : t -> Tuple.t list
+(** In {!Tuple.compare} order. *)
 
 val lookup_key :
   t -> int array -> Wdl_syntax.Value.t array -> (int -> unit) -> unit

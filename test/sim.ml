@@ -375,7 +375,7 @@ let agrees tap p consumed =
   in
   match Wdl_eval.Reference.run ~self:name db rules with
   | Error _ -> violation "%s: the reference does not stratify its rules" name
-  | Ok r ->
+  | Ok (r, _) ->
     if intensional db <> intensional (Peer.database p) then
       violation "%s: views differ from the reference's" name;
     let mine f = Hashtbl.fold (fun k v acc -> f k v @ acc) in
@@ -428,10 +428,10 @@ let closed_under_rules sys p =
   in
   match Wdl_eval.Reference.run ~self:name (Database.copy (Peer.database p)) rules with
   | Error _ -> violation "%s: the reference does not stratify its rules" name
-  | Ok r ->
+  | Ok (r, deduced) ->
     List.iter
       (fun f -> violation "quiescent, but %s still deduces %s" name (snd (fact_key f)))
-      r.Wdl_eval.Fixpoint.deduced;
+      deduced;
     List.iter
       (fun f ->
         if not (holds f) then

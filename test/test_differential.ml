@@ -96,7 +96,17 @@ let build_db spec =
     spec.names;
   db
 
-let canon_result (r : Fixpoint.result) =
+(* Each view's post-run contents: both engines insert what they
+   deduce, and the views start empty, so this is what they deduced. *)
+let views_of db =
+  List.map
+    (fun v ->
+      match Database.find db v with
+      | Some info -> (v, Relation.to_sorted_list info.Database.data)
+      | None -> (v, []))
+    views
+
+let canon_result db (r : Fixpoint.result) =
   let facts l = List.sort Fact.compare l in
   let susp =
     List.sort compare
@@ -104,7 +114,7 @@ let canon_result (r : Fixpoint.result) =
          (fun (d, rule) -> (d, Format.asprintf "%a" Rule.pp rule))
          r.Fixpoint.suspensions)
   in
-  ( facts r.Fixpoint.deduced,
+  ( views_of db,
     facts r.Fixpoint.induced,
     facts r.Fixpoint.messages,
     susp )
@@ -118,17 +128,96 @@ let run_engine engine spec =
          spec.rules)
   in
   match engine ~self:"p" db rules with
-  | Ok r -> Some (canon_result r)
+  | Ok r -> Some (canon_result db r)
   | Error _ -> None
+
+(* {1 Delta-first plans against base plans} *)
+
+(* [prog] with every activation running its rule's base plan, at the
+   delta literal's position in that plan. *)
+let base_program (prog : Program.t) =
+  let base (s : Program.stratum) =
+    let by_rel = Hashtbl.create 8 in
+    List.iter
+      (fun (plan : Plan.t) ->
+        List.iter
+          (function
+            | Plan.Match { neg = false; pos; rel = Plan.Fixed n; _ } ->
+              let cur = Option.value ~default:[] (Hashtbl.find_opt by_rel n) in
+              Hashtbl.replace by_rel n (cur @ [ { Program.plan; pos } ])
+            | Plan.Match _ | Plan.Cmp _ | Plan.Assign _ -> ())
+          plan.Plan.steps)
+      s.Program.plans;
+    { s with Program.by_rel }
+  in
+  { prog with Program.strata = Array.map base prog.Program.strata }
+
+(* The pool's rules, some with a remote suffix: a delegation point, and
+   sometimes a local literal behind it. *)
+let suffixed_gen =
+  QCheck.Gen.(
+    let* spec = dspec_gen in
+    let* rules =
+      flatten_l
+        (List.map
+           (fun r ->
+             let+ suffix = oneofl [ ""; ", far@q($x)"; ", far@q($x), s@p($x)" ] in
+             String.sub r 0 (String.length r - 1) ^ suffix ^ ";")
+           spec.rules)
+    in
+    return { spec with rules })
+
+(* Two stages on one database: a full run over the first half of the
+   facts, then a run seeded with the rest. The result fields that
+   depend on the delegation boundary, and the views, after each. *)
+let two_stages ~variants spec =
+  let half = List.length spec.facts / 2 in
+  let first = List.filteri (fun i _ -> i < half) spec.facts in
+  let db = build_db { spec with facts = first } in
+  let rules =
+    List.map
+      (fun s -> Parser.parse_rule (String.sub s 0 (String.length s - 1)))
+      spec.rules
+  in
+  let intensional rel = Database.kind db rel = Some Decl.Intensional in
+  match Program.compile ~self:"p" ~intensional rules with
+  | Error _ -> None
+  | Ok prog ->
+    let program = if variants then prog else base_program prog in
+    let observe ?seed () =
+      match Fixpoint.run ?seed ~program ~self:"p" db rules with
+      | Error _ -> None
+      | Ok r ->
+        Some
+          ( r.Fixpoint.suspensions,
+            r.Fixpoint.susp_sources,
+            r.Fixpoint.origins,
+            r.Fixpoint.messages,
+            r.Fixpoint.induced,
+            views_of db )
+    in
+    let stage1 = observe () in
+    let seed =
+      List.filter_map
+        (fun (rel, args) ->
+          let tuple = Tuple.of_list (List.map (fun n -> Value.Int n) args) in
+          match Database.insert db ~rel tuple with
+          | Ok true -> Some (rel, tuple)
+          | Ok false | Error _ -> None)
+        (List.filteri (fun i _ -> i >= half) spec.facts)
+    in
+    Some (stage1, observe ~seed ())
 
 let tests =
   [
-    QCheck.Test.make ~count:150
+    QCheck.Test.make ~count:150 ~long_factor:20
       ~name:"compiled evaluator agrees with the reference oracle" dspec_arb
       (fun spec ->
         run_engine (fun ~self db rules -> Fixpoint.run ~self db rules) spec
-        = run_engine (fun ~self db rules -> Reference.run ~self db rules) spec);
-    QCheck.Test.make ~count:60
+        = run_engine
+            (fun ~self db rules -> Result.map fst (Reference.run ~self db rules))
+            spec);
+    QCheck.Test.make ~count:60 ~long_factor:20
       ~name:"provenance premises agree on derived facts" dspec_arb
       (fun spec ->
         let prov engine =
@@ -159,7 +248,13 @@ let tests =
                Fixpoint.run ~record_provenance:true ~self db rules))
         = facts_of
             (prov (fun ~self db rules ->
-                 Reference.run ~record_provenance:true ~self db rules)));
+                 Result.map fst
+                   (Reference.run ~record_provenance:true ~self db rules))));
+    QCheck.Test.make ~count:150 ~long_factor:20
+      ~name:"every activation's plan ships the base plan's residuals"
+      (QCheck.make ~print:dspec_print suffixed_gen)
+      (fun spec ->
+        two_stages ~variants:true spec = two_stages ~variants:false spec);
     (* [Sim.run] checks every peer against [Reference] after each round
        it stages in: views, the batch per destination and the
        delegations it holds installed, over fact, rule and delegation

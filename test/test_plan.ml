@@ -3,6 +3,24 @@ open Wdl_syntax
 open Wdl_eval
 open Check
 
+(* The one stratum of a single-stratum program over peer p. *)
+let stratum ?(intensional = fun _ -> false) srcs =
+  match
+    Program.compile ~self:"p" ~intensional (List.map Parser.parse_rule srcs)
+  with
+  | Ok { Program.strata = [| s |]; _ } -> s
+  | Ok _ -> Alcotest.fail "expected one stratum"
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Stratify.pp_error e)
+
+let activations (s : Program.stratum) rel =
+  Option.value ~default:[] (Hashtbl.find_opt s.Program.by_rel rel)
+
+let is_base (s : Program.stratum) (a : Program.activation) =
+  List.exists (fun p -> p == a.Program.plan) s.Program.plans
+
+let tc_rules =
+  [ "tc@p($x,$y) :- edge@p($x,$y)"; "tc@p($x,$z) :- edge@p($x,$y), tc@p($y,$z)" ]
+
 let suite =
   [
     tc "slots are allocated in first-occurrence order" (fun () ->
@@ -62,6 +80,50 @@ let suite =
                "h@p($x) :- a@p($x), not b@p($x), $x > 0, c@p($x)")
         in
         check_int "two premises" 2 (List.length plan.Plan.premise_patterns));
+    tc "delta-first: the tc activation starts from its delta" (fun () ->
+        let s = stratum ~intensional:(String.equal "tc") tc_rules in
+        match activations s "tc" with
+        | [ a ] ->
+          check_int "delta at 0" 0 a.Program.pos;
+          check_bool "a variant" (not (is_base s a));
+          (match a.Program.plan.Plan.steps with
+          | Plan.Match { pos = 0; rel = Plan.Fixed "tc"; neg = false; _ } :: _ -> ()
+          | _ -> Alcotest.fail "expected Match on tc first");
+          check_bool "source is the written rule"
+            (Rule.equal a.Program.plan.Plan.source
+               (Parser.parse_rule (List.nth tc_rules 1)))
+        | l -> Alcotest.failf "expected one tc activation, got %d" (List.length l));
+    tc "delta-first: a delta literal past a remote literal keeps the base plan"
+      (fun () ->
+        let s = stratum [ "h@p($x) :- a@p($x), r@q($x), b@p($x)" ] in
+        match activations s "b" with
+        | [ a ] ->
+          check_bool "base plan" (is_base s a);
+          check_int "written position" 2 a.Program.pos
+        | _ -> Alcotest.fail "expected one b activation");
+    tc "delta-first: an assignment the delta would bind keeps the base plan"
+      (fun () ->
+        (* Led by b($y), the assignment to $y could not be placed. *)
+        let s = stratum [ "h@p($y) :- a@p($x), $y := $x + 1, b@p($y)" ] in
+        match activations s "b" with
+        | [ a ] -> check_bool "base plan" (is_base s a)
+        | _ -> Alcotest.fail "expected one b activation");
+    tc "delta-first: a wildcard activation keeps the base plan" (fun () ->
+        let s = stratum [ "h@p($n, $x) :- names@p($n), $n@p($x)" ] in
+        match s.Program.wildcard with
+        | [ a ] ->
+          check_bool "base plan" (is_base s a);
+          check_int "written position" 1 a.Program.pos
+        | _ -> Alcotest.fail "expected one wildcard activation");
+    tc "delta-first: plan_count includes the variants" (fun () ->
+        (* Two rules; the exit rule's and the edge activation's bodies
+           already start at their delta, so only tc's gets a variant. *)
+        match
+          Program.compile ~self:"p" ~intensional:(String.equal "tc")
+            (List.map Parser.parse_rule tc_rules)
+        with
+        | Ok p -> check_int "plans" 3 (Program.plan_count p)
+        | Error _ -> Alcotest.fail "expected a program");
     tc "order_body: constant stats reproduce the WDL031 hint" (fun () ->
         (* Remote literal first as written; both local literals are
            eligible to hoist. With flat statistics the planner must

@@ -30,6 +30,26 @@ let suite =
             (List.exists (Fact.equal (fact "a" [ Value.Int 1 ]))
                d.Wdl_eval.Fixpoint.premises)
         | _ -> Alcotest.fail "expected Derived");
+    tc "premises follow the written rule, not the planned order" (fun () ->
+        let rule = "v@p($x) :- big@p($x), small@p($x)" in
+        let big = String.concat " " (List.init 20 (Printf.sprintf "big@p(%d);")) in
+        (* The planner leads with the smaller relation. *)
+        (match
+           (Wdl_eval.Plan.order_body ~self:"p"
+              ~stats:(function "big" -> 20 | "small" -> 1 | _ -> 0)
+              (Parser.parse_rule rule)).Rule.body
+         with
+        | Literal.Pos a :: _ ->
+          check_bool "small first" (a.Atom.rel = Term.Const (Value.String "small"))
+        | _ -> Alcotest.fail "expected a positive first literal");
+        let p = tracked (Printf.sprintf "int v@p(x); %s small@p(1); %s;" big rule) in
+        match Peer.explain p (fact "v" [ Value.Int 1 ]) with
+        | Peer.Derived d ->
+          check_bool "written order"
+            (List.equal Fact.equal
+               [ fact "big" [ Value.Int 1 ]; fact "small" [ Value.Int 1 ] ]
+               d.Wdl_eval.Fixpoint.premises)
+        | _ -> Alcotest.fail "expected Derived");
     tc "recursive derivations chain through explain" (fun () ->
         let p =
           tracked
