@@ -9,6 +9,13 @@ module Deleg_tbl = Hashtbl.Make (struct
   let hash x = Hashtbl.hash_param 64 128 x
 end)
 
+module Rule_tbl = Hashtbl.Make (struct
+  type t = Rule.t
+
+  let equal = Rule.equal
+  let hash x = Hashtbl.hash_param 64 128 x
+end)
+
 module Fact_tbl = Hashtbl.Make (struct
   type t = Fact.t
 
@@ -17,6 +24,10 @@ module Fact_tbl = Hashtbl.Make (struct
 end)
 
 module Sset = Set.Make (String)
+
+(* The order of [Fixpoint.result.suspensions]: by target, then rule. *)
+let compare_delegation (d1, r1) (d2, r2) =
+  match String.compare d1 d2 with 0 -> Rule.compare r1 r2 | c -> c
 
 type shed_policy = Drop_newest | Drop_oldest
 
@@ -49,9 +60,15 @@ type t = {
   inbox_capacity : int;
   shed : shed_policy;
   mutable n_shed : int;
-  delegated : int Deleg_tbl.t;  (* (origin, rule) -> installation order *)
-  mutable delegated_seq : int;
-  mutable own_rules : Rule.t list;  (* reverse addition order *)
+  (* Rule identity: every own rule and installed delegation gets an id
+     from [rule_seq] when it arrives, which orders delegations and keys
+     its plans in the compiled program. *)
+  delegated : int Deleg_tbl.t;  (* (origin, rule) -> id *)
+  mutable rule_seq : int;
+  mutable own_rules : (int * Rule.t) list;  (* (id, rule), reverse addition order *)
+  holders : int Rule_tbl.t;
+      (* rule -> how many own rules and delegations are structurally it *)
+  mutable n_nonmono : int;  (* held rules that negate or aggregate *)
   mutable induced_pending : Fact.t list;
   remote_cache : (string, Fact.t list) Hashtbl.t;  (* src -> last batch *)
   last_batches : (string, Fact.t list) Hashtbl.t;  (* dst -> sorted batch *)
@@ -60,24 +77,27 @@ type t = {
   deleg_origins : string Deleg_tbl.t;
       (* (origin, rule) -> the origin's id for the rule that shipped
          the delegation, taken from the install's origin metadata *)
-  mutable last_delegations : unit Deleg_tbl.t;  (* (target, rule) sent *)
+  mutable last_delegations : (string * Rule.t) list;
+      (* (target, rule) sent, sorted like [Fixpoint.result.suspensions] *)
   mutable stage_no : int;
   mutable dirty : bool;
   mutable last_errors : Wdl_eval.Runtime_error.t list;
-  (* Incremental-evaluation state.  [rules_version] counts every change
-     that can affect stratification or the compiled plans: rule
-     added/removed, delegation installed/retracted, relation declared.
-     [program] caches the compiled program for the version it was built
-     at; a stale version forces recompilation. *)
-  mutable rules_version : int;
+  (* Incremental-evaluation state.  [program] caches the compiled
+     program; [None] forces a full compile at the next stage.  Sink
+     rules installed or retracted since are queued in [sinks_in]
+     (newest first) and [sinks_out] (ids) and patched in at the next
+     stage; any other change to the rule set or to the relation kinds
+     drops the program. *)
   mutable program : Wdl_eval.Program.t option;
+  mutable sinks_in : Wdl_eval.Program.source list;
+  mutable sinks_out : int list;
   mutable n_cache_hits : int;
   (* Cost-based join planning: the compiler reorders rule bodies by
      live relation cardinalities; the cached program stays valid while
      every relation's cardinality stays within the power-of-two band it
      was compiled against ([program_bands]).  Crossing a band re-runs
-     the planner even though the rule set is unchanged — counted by
-     [n_replans]. *)
+     the planner on the rules reading a crossed relation; a crossing
+     that changes some order is counted by [n_replans]. *)
   mutable program_bands : (string * int) array;
   mutable n_replans : int;
   (* Delta staging.  [stage_adds = Some facts] means every base-data
@@ -86,13 +106,9 @@ type t = {
      inbox batches, the stage keeps the previous intensional state and
      seeds semi-naive with just the delta.  Any deletion, rule change,
      cache eviction, restore or stage that reported runtime errors sets
-     [None], forcing the next stage to recompute from scratch.
-     [mono]/[mono_version] cache "is the rule set negation- and
-     aggregate-free" per rule-set version. *)
+     [None], forcing the next stage to recompute from scratch. *)
   mutable stage_adds : Fact.t list option;
   mutable n_delta_stages : int;
-  mutable mono : bool;
-  mutable mono_version : int;
   eval_handles : Wdl_eval.Fixpoint.handles;
   (* Builtin relation modules (time, windows, TTL, sketches): private
      state keyed by relation name, ticked at every stage boundary.
@@ -138,11 +154,13 @@ let register_metrics t =
     "Trace events recorded (including ones beyond the ring's capacity)"
     (fun () -> Trace.count t.trace);
   field "wdl_eval_program_cache_hits_total"
-    "Stages served by the cached compiled program (no restratification)"
+    "Stages served by the cached compiled program, patched or not (no \
+     restratification, no replan)"
     (fun () -> t.n_cache_hits);
   field "wdl_eval_replans_total"
-    "Program recompilations forced by a relation crossing a \
-     cardinality band (rule set unchanged)" (fun () -> t.n_replans);
+    "Replans forced by a relation crossing a cardinality band that \
+     changed some rule's join order (rule set unchanged)" (fun () ->
+      t.n_replans);
   field "wdl_eval_delta_stages_total"
     "Stages evaluated by delta staging (retained fixpoint + seeded \
      semi-naive pass) instead of full recomputation" (fun () ->
@@ -214,27 +232,28 @@ let create ?policy ?trace_capacity ?(inbox_capacity = max_int)
     shed;
     n_shed = 0;
     delegated = Deleg_tbl.create 16;
-    delegated_seq = 0;
+    rule_seq = 0;
     own_rules = [];
+    holders = Rule_tbl.create 16;
+    n_nonmono = 0;
     induced_pending = [];
     remote_cache = Hashtbl.create 8;
     last_batches = Hashtbl.create 8;
     batch_origins = Hashtbl.create 8;
     deleg_origins = Deleg_tbl.create 16;
-    last_delegations = Deleg_tbl.create 16;
+    last_delegations = [];
     stage_no = 0;
     dirty = false;
     last_errors = [];
-    rules_version = 0;
     program = None;
+    sinks_in = [];
+    sinks_out = [];
     n_cache_hits = 0;
     program_bands = [||];
     n_replans = 0;
     (* The first stage of any peer (fresh or restored) is a full one. *)
     stage_adds = None;
     n_delta_stages = 0;
-    mono = false;
-    mono_version = -1;
     eval_handles = Wdl_eval.Fixpoint.handles ~self:name;
     builtins = Builtin.Registry.create ();
     clock = (fun () -> Wdl_obs.Obs.now_us () /. 1e6);
@@ -249,11 +268,24 @@ let name t = t.name
 let database t = t.db
 
 (* Any change that can alter stratification or the compiled plans must
-   go through here so the cached program is recompiled at next stage.
-   Rule-set changes also end the current additive run: a new (or
-   retracted) rule can derive facts no seeded pass would find. *)
+   go through here (or [patch_program]) so the next stage compiles (or
+   patches) the program. Rule-set changes also end the current additive
+   run: a new (or retracted) rule can derive facts no seeded pass would
+   find. *)
 let invalidate_program t =
-  t.rules_version <- t.rules_version + 1;
+  t.program <- None;
+  t.sinks_in <- [];
+  t.sinks_out <- [];
+  t.stage_adds <- None
+
+(* A sink coming or going: queued for [Program.patch] while there is a
+   program to patch. *)
+let patch_program t change =
+  if Option.is_some t.program then begin
+    match change with
+    | `In source -> t.sinks_in <- source :: t.sinks_in
+    | `Out id -> t.sinks_out <- id :: t.sinks_out
+  end;
   t.stage_adds <- None
 let set_journal t j = t.journal <- j
 let journal t = t.journal
@@ -293,14 +325,40 @@ let set_enforce_authz t b = t.enforce_authz <- b
 let enforcing_authz t = t.enforce_authz
 let trace t = t.trace
 let stage_number t = t.stage_no
-let rules t = List.rev t.own_rules
+let rules t = List.rev_map snd t.own_rules
 
-let delegated_rules t =
-  Deleg_tbl.fold (fun k seq acc -> (seq, k) :: acc) t.delegated []
+(* Installed delegations as (id, (origin, rule)), oldest first. *)
+let delegations t =
+  Deleg_tbl.fold (fun k id acc -> (id, k) :: acc) t.delegated []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  |> List.map snd
+
+let delegated_rules t = List.map snd (delegations t)
 
 let all_rules t = rules t @ List.map snd (delegated_rules t)
+
+let monotone (r : Rule.t) =
+  (not (Rule.is_aggregate r))
+  && List.for_all
+       (function
+         | Literal.Neg _ -> false
+         | Literal.Pos _ | Literal.Cmp _ | Literal.Assign _ -> true)
+       r.Rule.body
+
+let holders t rule = Option.value ~default:0 (Rule_tbl.find_opt t.holders rule)
+
+(* The bookkeeping every rule entering the set gets, own or delegated:
+   a fresh id, which it returns. *)
+let hold t rule =
+  t.rule_seq <- t.rule_seq + 1;
+  Rule_tbl.replace t.holders rule (holders t rule + 1);
+  if not (monotone rule) then t.n_nonmono <- t.n_nonmono + 1;
+  t.rule_seq
+
+let release t rule =
+  (match holders t rule with
+  | n when n <= 1 -> Rule_tbl.remove t.holders rule
+  | n -> Rule_tbl.replace t.holders rule (n - 1));
+  if not (monotone rule) then t.n_nonmono <- t.n_nonmono - 1
 
 (* Diagnostic rule ids. Own rules are ["name#k"] by current program
    position, which matches {!Wdl_analysis.Flow.build}'s file-order ids
@@ -313,20 +371,37 @@ let deleg_origin_id t (src, rule) =
   | Some id -> id
   | None -> src ^ "#?"
 
-let rule_id t rule =
-  let rec own k = function
-    | [] -> None
-    | r :: rest ->
-      if Rule.equal r rule then Some (Printf.sprintf "%s#%d" t.name k)
-      else own (k + 1) rest
+(* The program sources: own rules in addition order, then delegations
+   in installation order, each with its id and label. Rules that are
+   structurally one share the label of the first of them, so a
+   delivery names one rule whichever copy derived it. *)
+let sources t =
+  let first = Rule_tbl.create 16 in
+  let source (id, rule) label =
+    let label =
+      match Rule_tbl.find_opt first rule with
+      | Some l -> l
+      | None ->
+        Rule_tbl.add first rule label;
+        label
+    in
+    { Wdl_eval.Program.id; label; rule }
   in
-  match own 1 (rules t) with
-  | Some id -> Some id
-  | None ->
-    List.find_map
-      (fun (src, r) ->
-        if Rule.equal r rule then Some (deleg_origin_id t (src, r)) else None)
-      (delegated_rules t)
+  let own =
+    List.mapi
+      (fun k r -> source r (Printf.sprintf "%s#%d" t.name (k + 1)))
+      (List.rev t.own_rules)
+  in
+  own
+  @ List.map
+      (fun (id, (src, rule)) -> source (id, rule) (deleg_origin_id t (src, rule)))
+      (delegations t)
+
+let rule_id t rule =
+  List.find_map
+    (fun (s : Wdl_eval.Program.source) ->
+      if Rule.equal s.rule rule then Some s.label else None)
+    (sources t)
 
 let flow t =
   Wdl_analysis.Flow.of_labeled ~self:t.name
@@ -342,15 +417,21 @@ let intensional t rel =
   | Some Decl.Intensional -> true
   | Some Decl.Extensional | None -> false
 
+let sink t rule =
+  Wdl_eval.Stratify.is_sink ~self:t.name ~intensional:(intensional t) rule
+
 (* A candidate rule set must stratify; rejecting at install time keeps
-   every stage's fixpoint well-defined. *)
+   every stage's fixpoint well-defined. The held set always stratifies,
+   and a sink adds no dependency edge, so a sink needs no check. *)
 let stratifies t candidate =
-  match
-    Wdl_eval.Stratify.compute ~self:t.name ~intensional:(intensional t)
-      (all_rules t @ [ candidate ])
-  with
-  | Ok _ -> Ok ()
-  | Error e -> Error (Format.asprintf "%a" Wdl_eval.Stratify.pp_error e)
+  if sink t candidate then Ok ()
+  else
+    match
+      Wdl_eval.Stratify.compute ~self:t.name ~intensional:(intensional t)
+        (all_rules t @ [ candidate ])
+    with
+    | Ok _ -> Ok ()
+    | Error e -> Error (Format.asprintf "%a" Wdl_eval.Stratify.pp_error e)
 
 (* A rule head naming a read-only builtin relation (time) would fail
    on every derivation; reject it at install time instead. *)
@@ -386,7 +467,11 @@ let analysis_warnings t rule =
   Wdl_analysis.Analysis.added_rule_warnings ~self:t.name ~kind_of
     ~existing:(all_rules t) rule
 
+(* Own rules change the program in full: their labels are positions. A
+   rule the peer already holds as its own is not added twice. *)
 let add_rule t rule =
+  if List.exists (fun (_, r) -> Rule.equal r rule) t.own_rules then Ok ()
+  else
   match Safety.check_rule rule with
   | Error errs -> Error (Safety.errors_to_string errs)
   | Ok () -> (
@@ -400,7 +485,7 @@ let add_rule t rule =
     | Error msg -> Error msg
     | Ok () ->
       let warnings = analysis_warnings t rule in
-      t.own_rules <- rule :: t.own_rules;
+      t.own_rules <- (hold t rule, rule) :: t.own_rules;
       t.dirty <- true;
       invalidate_program t;
       record_event t (Trace.Rule_added { peer = t.name; rule });
@@ -413,9 +498,11 @@ let add_rule t rule =
       Ok ())
 
 let remove_rule t rule =
-  let had = List.exists (Rule.equal rule) t.own_rules in
+  let gone, kept = List.partition (fun (_, r) -> Rule.equal r rule) t.own_rules in
+  let had = gone <> [] in
   if had then begin
-    t.own_rules <- List.filter (fun r -> not (Rule.equal r rule)) t.own_rules;
+    t.own_rules <- kept;
+    List.iter (fun (_, r) -> release t r) gone;
     t.dirty <- true;
     invalidate_program t;
     record_event t (Trace.Rule_removed { peer = t.name; rule })
@@ -714,12 +801,30 @@ let install_delegation t ~src rule =
         (Trace.Delegation_rejected { peer = t.name; src; rule; reason });
       false
     | Ok () ->
-      t.delegated_seq <- t.delegated_seq + 1;
-      Deleg_tbl.replace t.delegated (src, rule) t.delegated_seq;
+      let id = hold t rule in
+      Deleg_tbl.replace t.delegated (src, rule) id;
       t.dirty <- true;
-      invalidate_program t;
+      (* A sink with no structural twin (whose label it would share) is
+         patched in; anything else recompiles. *)
+      if sink t rule && holders t rule = 1 then
+        patch_program t
+          (`In { Wdl_eval.Program.id; label = deleg_origin_id t (src, rule); rule })
+      else invalidate_program t;
       record_event t (Trace.Delegation_installed { peer = t.name; src; rule });
       true
+
+(* Uninstall one delegation; false when it is not installed. *)
+let drop_delegation t ~src rule =
+  match Deleg_tbl.find_opt t.delegated (src, rule) with
+  | None -> false
+  | Some id ->
+    Deleg_tbl.remove t.delegated (src, rule);
+    release t rule;
+    if sink t rule && holders t rule = 0 then patch_program t (`Out id)
+    else invalidate_program t;
+    t.dirty <- true;
+    record_event t (Trace.Delegation_retracted { peer = t.name; src; rule });
+    true
 
 let record_store_error t rel message =
   t.last_errors <-
@@ -770,16 +875,11 @@ let apply_extensional t (fact : Fact.t) =
 
 let forget_origin t ~src =
   let doomed =
-    Deleg_tbl.fold
-      (fun (s, r) _ acc -> if s = src then (s, r) :: acc else acc)
-      t.delegated []
+    List.filter_map
+      (fun (_, (s, r)) -> if s = src then Some r else None)
+      (delegations t)
   in
-  List.iter
-    (fun (s, r) ->
-      Deleg_tbl.remove t.delegated (s, r);
-      record_event t
-        (Trace.Delegation_retracted { peer = t.name; src = s; rule = r }))
-    doomed;
+  List.iter (fun r -> ignore (drop_delegation t ~src r : bool)) doomed;
   List.iter
     (fun (s, r) ->
       if s = src then ignore (Acl.retract_pending t.acl ~src:s r))
@@ -804,10 +904,8 @@ let forget_origin t ~src =
     t.inbox;
   Queue.clear t.inbox;
   Queue.transfer kept t.inbox;
-  let had_cache = Hashtbl.mem t.remote_cache src in
-  Hashtbl.remove t.remote_cache src;
-  if doomed <> [] then invalidate_program t;
-  if doomed <> [] || had_cache then begin
+  if Hashtbl.mem t.remote_cache src then begin
+    Hashtbl.remove t.remote_cache src;
     t.dirty <- true;
     (* Evicting a cache removes the intensional facts it carried. *)
     t.stage_adds <- None
@@ -818,12 +916,8 @@ let forget_destination t ~dst =
   let had_batch = Hashtbl.mem t.last_batches dst in
   Hashtbl.remove t.last_batches dst;
   Hashtbl.remove t.batch_origins dst;
-  let sent =
-    Deleg_tbl.fold
-      (fun (d, r) () acc -> if d = dst then (d, r) :: acc else acc)
-      t.last_delegations []
-  in
-  List.iter (Deleg_tbl.remove t.last_delegations) sent;
+  let sent, kept = List.partition (fun (d, _) -> d = dst) t.last_delegations in
+  t.last_delegations <- kept;
   if had_batch || sent <> [] then begin
     t.dirty <- true;
     (* A delta stage can only extend the last sent batch; with that
@@ -834,7 +928,7 @@ let forget_destination t ~dst =
 let reset_session t =
   Hashtbl.reset t.last_batches;
   Hashtbl.reset t.batch_origins;
-  t.last_delegations <- Deleg_tbl.create 16;
+  t.last_delegations <- [];
   t.dirty <- true;
   t.stage_adds <- None
 
@@ -988,13 +1082,7 @@ let snapshot t =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   let cache = sorted_tbl t.remote_cache in
-  let sent =
-    Deleg_tbl.fold (fun s () acc -> s :: acc) t.last_delegations []
-    |> List.sort (fun (a, r1) (b, r2) ->
-           match String.compare a b with
-           | 0 -> Rule.compare r1 r2
-           | c -> c)
-  in
+  let sent = t.last_delegations in
   let batches = sorted_tbl t.last_batches in
   let authz_entries = Authz.entries t.authz in
   marker "meta"
@@ -1219,19 +1307,19 @@ let restore text =
         (Ok ()) facts
     in
     let* own = times n_rule (fun st -> rule st "an own rule") [] st in
-    t.own_rules <- List.rev own;
+    List.iter (fun r -> t.own_rules <- (hold t r, r) :: t.own_rules) own;
     let* delegated = times n_deleg sourced_rule [] st in
     List.iter
-      (fun (src, r) ->
-        t.delegated_seq <- t.delegated_seq + 1;
-        Deleg_tbl.replace t.delegated (src, r) t.delegated_seq)
+      (fun key ->
+        if not (Deleg_tbl.mem t.delegated key) then
+          Deleg_tbl.replace t.delegated key (hold t (snd key)))
       delegated;
     let* pending = times n_pending sourced_rule [] st in
     List.iter (fun (src, r) -> Acl.enqueue t.acl ~src r) pending;
     let* cache = times n_cache batch [] st in
     List.iter (fun (src, b) -> Hashtbl.replace t.remote_cache src b) cache;
     let* sent = times n_sent sent_rule [] st in
-    List.iter (fun s -> Deleg_tbl.replace t.last_delegations s ()) sent;
+    t.last_delegations <- List.sort_uniq compare_delegation sent;
     let* batches = times n_batch batch [] st in
     List.iter (fun (dst, b) -> Hashtbl.replace t.last_batches dst b) batches;
     if st.stmts <> [] then Error "snapshot corrupt: trailing statements"
@@ -1327,7 +1415,15 @@ let process_message t (msg : Message.t) =
     && List.compare_lengths msg.Message.install_origins msg.Message.installs = 0
   then
     List.iter2
-      (fun rule id -> Deleg_tbl.replace t.deleg_origins (msg.Message.src, rule) id)
+      (fun rule id ->
+        let key = (msg.Message.src, rule) in
+        (* A re-announced install can bring an installed rule its label
+           (lost on restore): the program relabels in full. *)
+        if
+          Deleg_tbl.mem t.delegated key
+          && Deleg_tbl.find_opt t.deleg_origins key <> Some id
+        then invalidate_program t;
+        Deleg_tbl.replace t.deleg_origins key id)
       msg.Message.installs msg.Message.install_origins;
   List.iter
     (fun rule ->
@@ -1345,14 +1441,8 @@ let process_message t (msg : Message.t) =
   List.iter
     (fun rule ->
       Deleg_tbl.remove t.deleg_origins (msg.Message.src, rule);
-      if Deleg_tbl.mem t.delegated (msg.Message.src, rule) then begin
-        Deleg_tbl.remove t.delegated (msg.Message.src, rule);
-        t.dirty <- true;
-        invalidate_program t;
-        record_event t
-          (Trace.Delegation_retracted { peer = t.name; src = msg.Message.src; rule })
-      end
-      else ignore (Acl.retract_pending t.acl ~src:msg.Message.src rule))
+      if not (drop_delegation t ~src:msg.Message.src rule) then
+        ignore (Acl.retract_pending t.acl ~src:msg.Message.src rule))
     msg.Message.retracts
 
 let refill_intensional t =
@@ -1421,37 +1511,83 @@ let live_cardinal t rel =
   | Some i -> Relation.cardinal i.Database.data
   | None -> 0
 
-(* Return the cached compiled program if it is still valid for the
-   current rule set, recompiling otherwise.  Valid means: same rule-set
-   version AND no relation has crossed a cardinality band since
-   compilation — crossing one recompiles with fresh statistics and
-   counts as a replan.  [None] on stratification errors —
-   [Fixpoint.run] then recomputes and reports the error itself. *)
+(* The relations whose band differs between two signatures, or that
+   only one of them has. *)
+let crossed_relations old now =
+  let rec walk i j acc =
+    if i = Array.length old then
+      Array.fold_left (fun acc (n, _) -> n :: acc) acc (Array.sub now j (Array.length now - j))
+    else if j = Array.length now then
+      Array.fold_left (fun acc (n, _) -> n :: acc) acc (Array.sub old i (Array.length old - i))
+    else
+      let (n1, b1), (n2, b2) = (old.(i), now.(j)) in
+      match String.compare n1 n2 with
+      | 0 -> walk (i + 1) (j + 1) (if b1 = b2 then acc else n1 :: acc)
+      | c when c < 0 -> walk (i + 1) j (n1 :: acc)
+      | _ -> walk i (j + 1) (n2 :: acc)
+  in
+  walk 0 0 []
+
+(* Compile time by kind: [full] compiles, [patch]es and band-crossing
+   [replan]s. *)
+let compile_span t kind f =
+  Wdl_obs.Obs.time_span
+    ~labels:[ ("peer", t.name); ("kind", kind) ]
+    "wdl_eval_compile_microseconds" f
+
+(* The program for this stage. Without a cached one, compile in full.
+   Otherwise patch in the queued sink changes, and when a relation has
+   crossed a cardinality band since the program was planned, re-order
+   the rules reading one; a crossing that changes some order counts as
+   a replan, anything else as a cache hit. [None] on stratification
+   errors — [Fixpoint.run] then recomputes and reports the error
+   itself. *)
 let compiled_program t =
-  let bands = band_signature t.db in
+  let self = t.name and stats = live_cardinal t in
   match t.program with
-  | Some p
-    when Wdl_eval.Program.version p = t.rules_version
-         && bands = t.program_bands ->
-    t.n_cache_hits <- t.n_cache_hits + 1;
-    Some p
-  | prev -> (
-    (match prev with
-    | Some p when Wdl_eval.Program.version p = t.rules_version ->
-      t.n_replans <- t.n_replans + 1
-    | _ -> ());
+  | None -> (
     match
-      Wdl_eval.Program.compile ~version:t.rules_version
-        ~stats:(live_cardinal t)
-        ~self:t.name ~intensional:(intensional t) (all_rules t)
+      compile_span t "full" (fun () ->
+          Wdl_eval.Program.compile ~stats ~self ~intensional:(intensional t)
+            (sources t))
     with
     | Ok p ->
       t.program <- Some p;
-      t.program_bands <- bands;
+      t.program_bands <- band_signature t.db;
       Some p
-    | Error _ ->
-      t.program <- None;
-      None)
+    | Error _ -> None)
+  | Some p ->
+    let p =
+      if t.sinks_in = [] && t.sinks_out = [] then p
+      else
+        compile_span t "patch" (fun () ->
+            Wdl_eval.Program.patch ~stats ~self p ~add:(List.rev t.sinks_in)
+              ~remove:t.sinks_out)
+    in
+    t.sinks_in <- [];
+    t.sinks_out <- [];
+    let bands = band_signature t.db in
+    let replanned =
+      if bands = t.program_bands then None
+      else begin
+        let crossed = crossed_relations t.program_bands bands in
+        t.program_bands <- bands;
+        compile_span t "replan" (fun () ->
+            Wdl_eval.Program.replan ~self ~stats
+              ~crossed:(fun rel -> List.mem rel crossed) p)
+      end
+    in
+    let p =
+      match replanned with
+      | Some p ->
+        t.n_replans <- t.n_replans + 1;
+        p
+      | None ->
+        t.n_cache_hits <- t.n_cache_hits + 1;
+        p
+    in
+    t.program <- Some p;
+    Some p
 
 (* A rule set is monotone when no rule negates a body atom or
    aggregates: derived facts then only accumulate as base facts do, so
@@ -1459,21 +1595,7 @@ let compiled_program t =
    inputs. (Stratification only splits strata at negative and
    aggregate edges, so a monotone program is also single-stratum —
    what {!Wdl_eval.Fixpoint.run}'s [seed] requires.) *)
-let monotone_rules t =
-  if t.mono_version <> t.rules_version then begin
-    t.mono_version <- t.rules_version;
-    t.mono <-
-      List.for_all
-        (fun (r : Rule.t) ->
-          (not (Rule.is_aggregate r))
-          && List.for_all
-               (function
-                 | Literal.Neg _ -> false
-                 | Literal.Pos _ | Literal.Cmp _ | Literal.Assign _ -> true)
-               r.Rule.body)
-        (all_rules t)
-  end;
-  t.mono
+let monotone_rules t = t.n_nonmono = 0
 
 (* The facts a message's batch adds over the cached batch from the
    same source, accumulated onto [acc] — or [None] when the message is
@@ -1601,9 +1723,11 @@ let prepare t inbox_adds =
 let evaluate t prepared =
   let seed = match prepared with Delta seed -> Some seed | Full -> None in
   let program = compiled_program t in
+  (* The rule list only matters when there is no program to run. *)
+  let rules = if Option.is_none program then all_rules t else [] in
   match
     Wdl_eval.Fixpoint.run ~record_provenance:t.track_provenance ?seed
-      ?program ~handles:t.eval_handles ~self:t.name t.db (all_rules t)
+      ?program ~handles:t.eval_handles ~self:t.name t.db rules
   with
   | Error e ->
     (* The fixpoint did not run: retained intensional state is not a
@@ -1643,12 +1767,8 @@ let evaluate t prepared =
        growth spurt as a band crossing. Other peers' next compile
        measures the post-[refill_intensional] store the compile-time
        reference was taken against. *)
-    if delta_capable t then begin
-      match t.program with
-      | Some p when Wdl_eval.Program.version p = t.rules_version ->
-        t.program_bands <- band_signature t.db
-      | _ -> ()
-    end;
+    if delta_capable t && Option.is_some t.program then
+      t.program_bands <- band_signature t.db;
     Some result
 
 (* emit: the messages that bring every destination up to this stage's
@@ -1662,31 +1782,16 @@ let emit t ~stage_no prepared (result : Wdl_eval.Fixpoint.result) =
   let set_of tbl dst =
     Option.value ~default:Sset.empty (Hashtbl.find_opt tbl dst)
   in
-  (* Origin attribution for this stage's emissions: which rules fed
-     each destination's batch, and which rule's evaluation shipped each
-     suspension. Both are diagnostic — they tag outbound messages for
-     the knowledge-flow oracle and never affect what is sent. *)
+  (* Origin attribution for this stage's emissions: the labels of the
+     rules that fed each destination's batch. Diagnostic — it tags
+     outbound messages for the knowledge-flow oracle and never affects
+     what is sent. *)
   let stage_origins =
     let tbl = Hashtbl.create 8 in
     List.iter
-      (fun (dst, rule) ->
-        match rule_id t rule with
-        | None -> ()
-        | Some id -> Hashtbl.replace tbl dst (Sset.add id (set_of tbl dst)))
+      (fun (dst, label) -> Hashtbl.replace tbl dst (Sset.add label (set_of tbl dst)))
       result.Wdl_eval.Fixpoint.origins;
     set_of tbl
-  in
-  let susp_origin =
-    let tbl =
-      Deleg_tbl.create (2 * List.length result.Wdl_eval.Fixpoint.susp_sources)
-    in
-    List.iter
-      (fun (key, src_rule) -> Deleg_tbl.replace tbl key src_rule)
-      result.Wdl_eval.Fixpoint.susp_sources;
-    fun key ->
-      match Option.bind (Deleg_tbl.find_opt tbl key) (rule_id t) with
-      | Some id -> id
-      | None -> t.name ^ "#?"
   in
   (* [dst]'s new batch and its origins, or [None] when the batch is
      unchanged. A delta stage only extends batches, so one without fresh
@@ -1710,50 +1815,61 @@ let emit t ~stage_no prepared (result : Wdl_eval.Fixpoint.result) =
         Some (batch, origins)
       end
   in
-  let susp = result.Wdl_eval.Fixpoint.suspensions in
-  let installs =
-    List.filter (fun s -> not (Deleg_tbl.mem t.last_delegations s)) susp
+  (* The delegation diff: one merge walk of the sent list and this
+     stage's suspensions, both sorted by [compare_delegation]. Each
+     install carries the label of the rule that shipped it. A delta
+     stage only adds suspensions, so it retracts nothing. *)
+  let installs = Hashtbl.create 8 and retracts = Hashtbl.create 8 in
+  let add tbl dst x =
+    Hashtbl.replace tbl dst (x :: Option.value ~default:[] (Hashtbl.find_opt tbl dst))
   in
-  let delegations =
-    if delta then t.last_delegations
-    else Deleg_tbl.create (2 * List.length susp)
+  let rec diff sent fresh acc =
+    match (sent, fresh) with
+    | [], [] -> List.rev acc
+    | s :: sent', [] -> retract s sent' fresh acc
+    | [], (k, label) :: fresh' -> install k label sent fresh' acc
+    | s :: sent', (k, label) :: fresh' ->
+      let c = compare_delegation s k in
+      if c = 0 then diff sent' fresh' (s :: acc)
+      else if c < 0 then retract s sent' fresh acc
+      else install k label sent fresh' acc
+  and install ((dst, rule) as k) label sent fresh acc =
+    add installs dst (rule, label);
+    diff sent fresh (k :: acc)
+  and retract ((dst, rule) as s) sent fresh acc =
+    if delta then diff sent fresh (s :: acc)
+    else begin
+      add retracts dst rule;
+      diff sent fresh acc
+    end
   in
-  List.iter (fun s -> Deleg_tbl.replace delegations s ()) susp;
-  let retracts =
-    Deleg_tbl.fold
-      (fun s () acc -> if Deleg_tbl.mem delegations s then acc else s :: acc)
-      t.last_delegations []
-  in
-  t.last_delegations <- delegations;
+  t.last_delegations <-
+    diff t.last_delegations result.Wdl_eval.Fixpoint.susp_sources [];
+  let for_dst tbl dst = List.rev (Option.value ~default:[] (Hashtbl.find_opt tbl dst)) in
   (* Every destination whose batch or delegations may have changed:
      fresh facts, a previously non-empty batch, a delegation diff. *)
   let dsts =
-    List.fold_left
-      (fun acc (d, _) -> Sset.add d acc)
-      (Hashtbl.fold
-         (fun dst batch acc -> if batch <> [] then Sset.add dst acc else acc)
-         t.last_batches
-         (Hashtbl.fold (fun dst _ -> Sset.add dst) by_dst Sset.empty))
-      (installs @ retracts)
+    Hashtbl.fold
+      (fun dst batch acc -> if batch <> [] then Sset.add dst acc else acc)
+      t.last_batches
+      (Hashtbl.fold (fun dst _ -> Sset.add dst) by_dst Sset.empty)
   in
-  let for_dst dst diff =
-    List.filter_map (fun (d, r) -> if d = dst then Some r else None) diff
-  in
+  let dsts = Hashtbl.fold (fun dst _ -> Sset.add dst) installs dsts in
+  let dsts = Hashtbl.fold (fun dst _ -> Sset.add dst) retracts dsts in
   let messages =
     Sset.fold
       (fun dst acc ->
         let facts = fact_part dst in
-        let installs_for = for_dst dst installs in
+        let installs_for = for_dst installs dst in
         let msg =
           Message.make ~src:t.name ~dst ~stage:stage_no
-            ~facts:(Option.map fst facts) ~installs:installs_for
-            ~retracts:(for_dst dst retracts)
+            ~facts:(Option.map fst facts) ~installs:(List.map fst installs_for)
+            ~retracts:(for_dst retracts dst)
             ~fact_origins:
               (match facts with
               | None -> []
               | Some (_, origins) -> Sset.elements origins)
-            ~install_origins:
-              (List.map (fun r -> susp_origin (dst, r)) installs_for)
+            ~install_origins:(List.map snd installs_for)
             ()
         in
         if Message.is_empty msg then acc else msg :: acc)

@@ -37,13 +37,19 @@ val create :
 
     Every peer runs the one evaluation engine. Per-destination fact
     batches are sent only when they changed. The compiled program is
-    cached across stages (invalidated by rule changes, delegation
-    installs/retracts, and declarations); semi-naive iterations skip
-    plans whose delta relations are empty. Join ordering is cost-based: rule bodies are reordered at compile
+    cached across stages: installing or retracting a sink rule
+    ({!Wdl_eval.Stratify.is_sink}, which most delegations are) patches
+    it, and any other rule change or a declaration recompiles it;
+    semi-naive iterations skip plans whose delta relations are empty.
+    Join ordering is cost-based: rule bodies are reordered at compile
     time by live relation cardinalities (the WDL031 greedy reorder
-    promoted into the planner), and the cached program is recompiled
-    when any relation's cardinality crosses a power-of-two band,
-    counted in [wdl_eval_replans_total{peer=...}]. *)
+    promoted into the planner). When a relation's cardinality crosses a
+    power-of-two band, the rules reading it are re-ordered; a crossing
+    that changes some order is counted in
+    [wdl_eval_replans_total{peer=...}], any other stage served by the
+    cached program in [wdl_eval_program_cache_hits_total]. Compile time
+    is observed per kind ([full], [patch], [replan]) in
+    [wdl_eval_compile_microseconds{peer=...,kind=...}]. *)
 
 val name : t -> string
 val database : t -> Wdl_store.Database.t
@@ -102,6 +108,11 @@ val load_string : t -> string -> (unit, string) result
 (** Parse + {!load_program}. *)
 
 val add_rule : t -> Rule.t -> (unit, string) result
+(** Add an own rule: safety-checked, checked for a negation cycle
+    against the current rule set, then evaluated from the next stage.
+    Adding a rule the peer already holds as its own (structurally
+    equal) is [Ok ()] and changes nothing: no event, no recompile. *)
+
 val remove_rule : t -> Rule.t -> bool
 val rules : t -> Rule.t list
 (** Own rules, in addition order. *)
@@ -116,8 +127,12 @@ val rule_id : t -> Rule.t -> string option
     Delegated rules answer with the id of the origin rule whose
     evaluation shipped them (carried by the install's origin
     metadata); after a restore that metadata is gone and they fall
-    back to ["origin#?"]. Outbound messages are tagged with these ids
-    ({!Message.t}[.fact_origins]/[.install_origins]). *)
+    back to ["origin#?"]. A rule held more than once (as an own rule
+    and a delegation, or delegated by several origins) answers with
+    the first holder's id, in that order. Outbound messages are tagged
+    with these ids ({!Message.t}[.fact_origins]/[.install_origins]):
+    each compiled plan carries its rule's id as its label, so tagging
+    never compares rules. *)
 
 val flow : t -> Wdl_analysis.Flow.t
 (** Knowledge-flow graph of the peer's current program — own rules

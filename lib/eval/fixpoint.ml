@@ -15,8 +15,8 @@ type result = {
   induced : Fact.t list;
   messages : Fact.t list;
   suspensions : (string * Rule.t) list;
-  origins : (string * Rule.t) list;
-  susp_sources : ((string * Rule.t) * Rule.t) list;
+  origins : (string * string) list;
+  susp_sources : ((string * Rule.t) * string) list;
   errors : Runtime_error.t list;
   iterations : int;
   derivations : int;
@@ -47,12 +47,32 @@ end
 
 module Head_tbl = Hashtbl.Make (Head_key)
 
-module Susp_tbl = Hashtbl.Make (struct
-  type t = string * Rule.t
+(* A delegation boundary hit, by identity: the target peer, the rule,
+   the boundary literal and the values of the variables the residual
+   keeps ([Plan.match_step.resid]). Equal keys ship equal residuals, so
+   the residual is built once per key. *)
+module Hit = struct
+  type t = {
+    target : string;
+    id : int;
+    pos : int;
+    binding : Value.t option array;
+  }
 
-  let equal (t1, r1) (t2, r2) = String.equal t1 t2 && Rule.equal r1 r2
-  let hash x = Hashtbl.hash_param 64 128 x
-end)
+  let equal a b =
+    a.id = b.id && a.pos = b.pos && String.equal a.target b.target
+    && Array.for_all2 (Option.equal Value.equal) a.binding b.binding
+
+  let hash k =
+    Array.fold_left
+      (fun h v -> (h * 31) + match v with Some v -> Value.hash v | None -> 7)
+      ((Hashtbl.hash k.target * 17) + (k.id * 13) + k.pos)
+      k.binding
+end
+
+module Hit_tbl = Hashtbl.Make (Hit)
+
+type shipped = { residual : Rule.t; source : Rule.t; label : string }
 
 (* Evaluation state shared across a whole run. *)
 type state = {
@@ -63,11 +83,10 @@ type state = {
   mutable delta_next : (string, Relation.t) Hashtbl.t;
   induced : unit Head_tbl.t;
   messages : unit Head_tbl.t;
-  suspensions : unit Susp_tbl.t;
-  (* Origin tagging for the knowledge-flow oracle: which source rule
-     (as written) produced each remote delivery / delegation. *)
-  origins : unit Susp_tbl.t;  (* key = (dst peer, source rule) *)
-  susp_src : Rule.t Susp_tbl.t;  (* (dst, residual) -> source rule *)
+  suspensions : shipped Hit_tbl.t;
+  (* Origin tagging for the knowledge-flow oracle: which rule, by
+     label, produced each remote delivery. *)
+  origins : (string * string, unit) Hashtbl.t;  (* (dst peer, label) *)
   provenance : derivation Fact_tbl.t option;
   mutable errors : Runtime_error.t list;
   mutable error_count : int;
@@ -100,19 +119,6 @@ let delta_add st rel tuple =
       r
   in
   ignore (Relation.insert r tuple)
-
-(* [src] is the rule as the user wrote it. When two written rules
-   produce the same residual for the same target, keep the smallest by
-   [Rule.compare] — an order-independent tie-break, so attribution
-   does not depend on which rule the evaluator happened to run first. *)
-let suspend ?src st target rule =
-  Susp_tbl.replace st.suspensions (target, rule) ();
-  match src with
-  | None -> ()
-  | Some s -> (
-    match Susp_tbl.find_opt st.susp_src (target, rule) with
-    | Some s0 when Rule.compare s0 s <= 0 -> ()
-    | Some _ | None -> Susp_tbl.replace st.susp_src (target, rule) s)
 
 (* The relations an atom position reads, given the source: the full
    store or the previous iteration's delta. *)
@@ -154,15 +160,14 @@ let premises_of_env (plan : Plan.t) env =
       | _, _, _ -> None)
     plan.Plan.premise_patterns
 
-(* Route a ground, locally produced head. [prov] lazily builds the
-   provenance entry when a new view fact is stored. *)
-let dispatch_head ?src st ~prov ~rel ~peer (tuple : Tuple.t) =
+(* Route a ground, locally produced head of the rule labelled
+   [label]. [prov] lazily builds the provenance entry when a new view
+   fact is stored. *)
+let dispatch_head st ~label ~prov ~rel ~peer (tuple : Tuple.t) =
   st.derivations <- st.derivations + 1;
   if not (String.equal peer st.self) then begin
     Head_tbl.replace st.messages { Head_key.rel; peer; tuple } ();
-    match src with
-    | Some r -> Susp_tbl.replace st.origins (peer, r) ()
-    | None -> ()
+    Hashtbl.replace st.origins (peer, label) ()
   end
   else
     match Database.ensure st.db ~rel ~arity:(Tuple.arity tuple) with
@@ -207,6 +212,25 @@ let residual_rule (plan : Plan.t) env pos =
     |> List.map (Literal.subst sigma)
   in
   Rule.make ~head:(Atom.subst sigma plan.Plan.rule.Rule.head) ~body
+
+(* Delegation boundary at step [m]: record the hit, building its
+   residual the first time the binding is seen. *)
+let suspend st (plan : Plan.t) (m : Plan.match_step) env target =
+  let key =
+    {
+      Hit.target;
+      id = plan.Plan.id;
+      pos = m.Plan.pos;
+      binding = Array.map (fun s -> env.(s)) m.Plan.resid;
+    }
+  in
+  if not (Hit_tbl.mem st.suspensions key) then
+    Hit_tbl.add st.suspensions key
+      {
+        residual = residual_rule plan env m.Plan.pos;
+        source = plan.Plan.source;
+        label = plan.Plan.label;
+      }
 
 let head_key st (plan : Plan.t) env =
   match
@@ -296,7 +320,7 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
       report st (Runtime_error.Unbound_at_eval { var = x; where = "peer position" })
     | RName p when p <> st.self ->
       (* Delegation boundary: ship the residual rule to [p]. *)
-      suspend ~src:plan.Plan.source st p (residual_rule plan env m.Plan.pos)
+      suspend st plan m env p
     | RName _ ->
       let use_delta = delta_pos = Some m.Plan.pos in
       let arity = Array.length m.Plan.args in
@@ -381,7 +405,7 @@ let emit_rule st (plan : Plan.t) env =
     let prov fact =
       { fact; rule = plan.Plan.source; premises = premises_of_env plan env }
     in
-    dispatch_head ~src:plan.Plan.source st ~prov ~rel ~peer tuple
+    dispatch_head st ~label:plan.Plan.label ~prov ~rel ~peer tuple
 
 let eval_plan st ~delta_pos (plan : Plan.t) =
   exec_plan st plan ~delta_pos ~emit:(fun env -> emit_rule st plan env)
@@ -496,7 +520,7 @@ let eval_agg_plan st (plan : Plan.t) =
               key_args
           in
           let prov fact = { fact; rule; premises = [] } in
-          dispatch_head ~src:plan.Plan.source st ~prov ~rel ~peer
+          dispatch_head st ~label:plan.Plan.label ~prov ~rel ~peer
             (Tuple.of_list args))
       groups
   end
@@ -566,6 +590,35 @@ let run_stratum ?seed st (stratum : Prog.stratum) =
   in
   loop ()
 
+(* The distinct residuals per target, sorted by (target, residual),
+   each with the label of its source. When two rules ship the same
+   residual to the same target, the source is the smallest rule by
+   [Rule.compare] (then label): an order-independent tie-break, so
+   attribution does not depend on which rule the evaluator happened to
+   run first. Structural comparison runs only here, over distinct
+   hits. *)
+let shipped st =
+  let order (t1, s1) (t2, s2) =
+    match String.compare t1 t2 with
+    | 0 -> (
+      match Rule.compare s1.residual s2.residual with
+      | 0 -> (
+        match Rule.compare s1.source s2.source with
+        | 0 -> String.compare s1.label s2.label
+        | c -> c)
+      | c -> c)
+    | c -> c
+  in
+  let rec dedup = function
+    | (t1, s1) :: (t2, s2) :: rest
+      when String.equal t1 t2 && Rule.equal s1.residual s2.residual ->
+      dedup ((t1, s1) :: rest)
+    | (t, s) :: rest -> ((t, s.residual), s.label) :: dedup rest
+    | [] -> []
+  in
+  Hit_tbl.fold (fun k s acc -> (k.Hit.target, s) :: acc) st.suspensions []
+  |> List.sort order |> dedup
+
 (* Per-peer instrument handles. Resolving an instrument is a labelled
    hashtable lookup — cheap, but measurable on small stages when done
    four times per run. Callers that run many stages ([Peer]) resolve
@@ -612,7 +665,7 @@ let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
         | Some Decl.Intensional -> true
         | Some Decl.Extensional | None -> false
       in
-      Prog.compile ~self ~intensional rules
+      Prog.compile ~self ~intensional (Prog.sources rules)
   in
   match compiled with
   | Error e -> Error e
@@ -626,9 +679,8 @@ let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
         delta_next = Hashtbl.create 8;
         induced = Head_tbl.create 64;
         messages = Head_tbl.create 64;
-        suspensions = Susp_tbl.create 32;
-        origins = Susp_tbl.create 16;
-        susp_src = Susp_tbl.create 16;
+        suspensions = Hit_tbl.create 32;
+        origins = Hashtbl.create 16;
         provenance =
           (if record_provenance then Some (Fact_tbl.create 64) else None);
         errors = [];
@@ -656,28 +708,16 @@ let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
       Head_tbl.fold (fun k () acc -> Head_key.to_fact k :: acc) tbl []
       |> List.sort Fact.compare
     in
+    let susp_sources = shipped st in
     Ok
       {
         induced = to_list st.induced;
         messages = to_list st.messages;
-        suspensions =
-          Susp_tbl.fold (fun s () acc -> s :: acc) st.suspensions []
-          |> List.sort (fun (p1, r1) (p2, r2) ->
-                 match String.compare p1 p2 with
-                 | 0 -> Rule.compare r1 r2
-                 | c -> c);
+        suspensions = List.map fst susp_sources;
         origins =
-          Susp_tbl.fold (fun s () acc -> s :: acc) st.origins []
-          |> List.sort (fun (p1, r1) (p2, r2) ->
-                 match String.compare p1 p2 with
-                 | 0 -> Rule.compare r1 r2
-                 | c -> c);
-        susp_sources =
-          Susp_tbl.fold (fun k v acc -> (k, v) :: acc) st.susp_src []
-          |> List.sort (fun ((p1, r1), _) ((p2, r2), _) ->
-                 match String.compare p1 p2 with
-                 | 0 -> Rule.compare r1 r2
-                 | c -> c);
+          Hashtbl.fold (fun k () acc -> k :: acc) st.origins []
+          |> List.sort compare;
+        susp_sources;
         errors = List.rev st.errors;
         iterations = st.iterations;
         derivations = st.derivations;

@@ -38,15 +38,15 @@ type result = {
       (** facts whose [peer] field is the destination *)
   suspensions : (string * Wdl_syntax.Rule.t) list;
       (** (target peer, residual rule), deduplicated *)
-  origins : (string * Wdl_syntax.Rule.t) list;
-      (** (destination peer, source rule as written) for every remote
-          head emission — the attribution behind message origin tags
-          and the knowledge-flow runtime oracle *)
-  susp_sources : ((string * Wdl_syntax.Rule.t) * Wdl_syntax.Rule.t) list;
-      (** per suspension key, the source rule (as written) whose
-          evaluation shipped the residual; ties broken toward the
-          smallest rule by [Rule.compare], independent of evaluation
-          order *)
+  origins : (string * string) list;
+      (** (destination peer, rule label) for every remote head
+          emission — the attribution behind message origin tags and
+          the knowledge-flow runtime oracle *)
+  susp_sources : ((string * Wdl_syntax.Rule.t) * string) list;
+      (** per suspension, in the same order as [suspensions], the label
+          of the rule whose evaluation shipped the residual; when
+          several did, the one whose rule (as written) is smallest by
+          [Rule.compare], independent of evaluation order *)
   errors : Runtime_error.t list;
   iterations : int;       (** fixpoint iterations summed over strata *)
   derivations : int;      (** successful head instantiations, incl. dups *)
@@ -95,11 +95,20 @@ val run :
     program ignores [seed] and falls back to full evaluation.
 
     [program], when given, must have been compiled (see
-    {!Program.compile}) from exactly [rules] against a database whose
-    relation kinds match [db]'s — the [rules] argument is then ignored
-    and the cached stratification and plans are used directly, saving
-    the per-call [Stratify.compute] + [Plan.compile] work. [Peer]
-    caches one program per rule-set version.
+    {!Program.compile}, possibly patched since) against a database
+    whose relation kinds match [db]'s — the [rules] argument is then
+    ignored and the cached stratification and plans are used directly,
+    saving the per-call [Stratify.compute] + [Plan.compile] work.
+    [Peer] caches one program and patches it as its rule set changes.
+    Without [program], [rules] are compiled with {!Program.sources}'
+    ids and labels.
+
+    Attribution is by rule identity: [origins] and [susp_sources] name
+    rules by their plans' labels, and a delegation boundary hit is
+    keyed by (target, rule id, literal, values of the variables the
+    residual keeps), so the residual rule is built once per distinct
+    binding. Structural comparison of residuals runs once, when the
+    result is assembled.
 
     Semi-naive iterations after the first execute only the
     [(plan, delta position)] pairs whose delta relation is non-empty

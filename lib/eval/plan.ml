@@ -36,6 +36,10 @@ type match_step = {
   bsrc : arg array;  (* aligned key sources *)
   out_binds : (int * slot) array;  (* free positions: first occurrence *)
   out_checks : (int * slot) array;  (* repeated free slots: equality *)
+  resid : slot array;
+      (* slots of the variables a residual at this step keeps (head and
+         body from [pos] on), by variable name: the same list for every
+         plan of one rule, so it keys a boundary hit across them *)
 }
 
 type step =
@@ -46,6 +50,8 @@ type step =
 type t = {
   rule : Rule.t;  (** the body the plan executes (possibly reordered) *)
   source : Rule.t;  (** the rule as the user wrote it *)
+  id : int;
+  label : string;
   steps : step list;
   head_rel : name_ref;
   head_peer : name_ref;
@@ -98,6 +104,17 @@ let compile_atom c (a : Atom.t) =
 
 let no_probe = ([||], [||], [||], [||])
 
+(* The slots of the variables a residual shipped at literal [pos] keeps:
+   the head's and those of the body from [pos] on, ordered by name so
+   that plans with different slot numberings agree. *)
+let residual_slots c (rule : Rule.t) pos =
+  List.concat
+    (Atom.vars rule.Rule.head
+    :: List.filteri (fun i _ -> i >= pos) (List.map Literal.vars rule.Rule.body))
+  |> List.sort_uniq String.compare
+  |> List.filter_map (Hashtbl.find_opt c.tbl)
+  |> Array.of_list
+
 (* Classify a positive atom's argument positions against the set of
    slots bound before this step. The relation/peer name slots count as
    bound during the match: a name slot is either bound already or gets
@@ -132,7 +149,7 @@ let probe_spec bound (rel : name_ref) (peer : name_ref) (args : arg array) =
     Array.of_list (List.rev !binds),
     Array.of_list (List.rev !checks) )
 
-let compile ?source (rule : Rule.t) =
+let compile ?source ?(id = 0) ?(label = "") (rule : Rule.t) =
   let c = { names = []; count = 0; tbl = Hashtbl.create 16 } in
   let bound = Hashtbl.create 16 in
   let steps =
@@ -146,13 +163,13 @@ let compile ?source (rule : Rule.t) =
           in
           Match
             { pos; neg = false; rel; peer; args; atom = a; bpos; bsrc;
-              out_binds; out_checks }
+              out_binds; out_checks; resid = [||] }
         | Literal.Neg a ->
           let rel, peer, args = compile_atom c a in
           let bpos, bsrc, out_binds, out_checks = no_probe in
           Match
             { pos; neg = true; rel; peer; args; atom = a; bpos; bsrc;
-              out_binds; out_checks }
+              out_binds; out_checks; resid = [||] }
         | Literal.Cmp (op, e1, e2) ->
           Cmp (op, compile_expr c e1, compile_expr c e2, lit)
         | Literal.Assign (x, e) ->
@@ -166,6 +183,15 @@ let compile ?source (rule : Rule.t) =
       rule.Rule.body
   in
   let head_rel, head_peer, head_args = compile_atom c rule.Rule.head in
+  (* Only a positive atom can be a delegation boundary. *)
+  let steps =
+    List.map
+      (function
+        | Match ({ neg = false; pos; _ } as m) ->
+          Match { m with resid = residual_slots c rule pos }
+        | step -> step)
+      steps
+  in
   let source = match source with Some s -> s | None -> rule in
   (* Written order, not step order: the same fact explains the same way
      whichever of a rule's plans derived it. [source] is a permutation
@@ -188,6 +214,8 @@ let compile ?source (rule : Rule.t) =
   {
     rule;
     source;
+    id;
+    label;
     steps;
     head_rel;
     head_peer;

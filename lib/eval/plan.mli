@@ -48,6 +48,12 @@ type match_step = {
       (** free positions binding a slot (first occurrence in the atom) *)
   out_checks : (int * slot) array;
       (** repeated free slots: equality checks against [out_binds] *)
+  resid : slot array;
+      (** for a positive atom, the slots of the variables a residual
+          shipped at this step keeps (the head's and those of the body
+          from [pos] on), ordered by variable name: every plan of one
+          rule lists the same variables here, so their values key a
+          delegation boundary hit; empty for a negated atom *)
 }
 
 type step =
@@ -59,6 +65,9 @@ type t = {
   rule : Rule.t;  (** the body the plan executes (possibly reordered) *)
   source : Rule.t;
       (** the rule as written — provenance and diagnostics show this *)
+  id : int;  (** the rule's identity in its program ({!Program.source}) *)
+  label : string;
+      (** the rule's diagnostic label: what origin tags name it by *)
   steps : step list;
   head_rel : name_ref;
   head_peer : name_ref;
@@ -70,9 +79,10 @@ type t = {
           provenance instantiation *)
 }
 
-val compile : ?source:Rule.t -> Rule.t -> t
+val compile : ?source:Rule.t -> ?id:int -> ?label:string -> Rule.t -> t
 (** [source] (default: the rule itself) is the rule as the user wrote
-    it, kept for provenance when the compiled body was reordered. *)
+    it, kept for provenance when the compiled body was reordered.
+    [id] (default 0) and [label] (default [""]) are stored verbatim. *)
 
 val order_body :
   ?bound:string list -> self:string -> stats:(string -> int) -> Rule.t -> Rule.t

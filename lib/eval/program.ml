@@ -1,8 +1,23 @@
 open Wdl_syntax
 
+type source = { id : int; label : string; rule : Rule.t }
+
+let sources rules =
+  List.mapi (fun i rule -> { id = i; label = Printf.sprintf "#%d" (i + 1); rule }) rules
+
 type activation = { plan : Plan.t; pos : int }
 
+type read = { rel : string option; at : int; act : activation }
+
+type member = {
+  source : source;
+  base : Plan.t;
+  reads : read list;
+  stats_rels : string list;
+}
+
 type stratum = {
+  members : member list;
   agg_plans : Plan.t list;
   plans : Plan.t list;
   by_rel : (string, activation list) Hashtbl.t;
@@ -11,11 +26,7 @@ type stratum = {
   n_plans : int;
 }
 
-type t = {
-  version : int;
-  rules : Rule.t list;
-  strata : stratum array;
-}
+type t = { strata : stratum array }
 
 (* Positive body atoms of a plan with the statically-known relation
    name read at each, or None for a relation variable. A variable may
@@ -41,91 +52,168 @@ let local_prefix ~self (r : Rule.t) =
   in
   go 0 r.Rule.body
 
-(* The delta-first plan for [base]'s activation at [pos]: the delta
-   literal, then the rest of the local prefix ordered with the delta's
-   variables bound, then the suffix unchanged. The prefix holds the
-   same literals, so the same variables are bound at the delegation
-   boundary and residuals are the base plan's. [base] itself when the
-   delta literal is past the boundary or alone in the prefix, when the
-   body is already delta-first, or when the assembled rule is unsafe
-   (which is also how a prefix literal the ordering could not place
-   shows). *)
-let delta_first ~self ~stats (base : Plan.t) pos =
-  let rule = base.Plan.rule in
-  let k = local_prefix ~self rule in
-  if pos >= k || k = 1 then base
+let same_order (a : Rule.t) (b : Rule.t) =
+  List.equal Literal.equal a.Rule.body b.Rule.body
+
+let base_order ~self ?stats rule =
+  match stats with
+  | None -> rule
+  | Some stats -> Plan.order_body ~self ~stats rule
+
+(* The delta-first body for the activation of [base] (a base order) at
+   [pos]: the delta literal, then the rest of the local prefix ordered
+   with the delta's variables bound, then the suffix unchanged. The
+   prefix holds the same literals, so the same variables are bound at
+   the delegation boundary and residuals are the base plan's. [None]
+   (run the base plan) when the delta literal is past the boundary or
+   alone in the prefix, when the body is already delta-first, or when
+   the assembled rule is unsafe (which is also how a prefix literal the
+   ordering could not place shows). *)
+let delta_order ~self ~stats (base : Rule.t) pos =
+  let k = local_prefix ~self base in
+  if pos >= k || k = 1 then None
   else
-    let lead = List.nth rule.Rule.body pos in
-    let rest = List.filteri (fun i _ -> i < k && i <> pos) rule.Rule.body in
-    let suffix = List.filteri (fun i _ -> i >= k) rule.Rule.body in
+    let lead = List.nth base.Rule.body pos in
+    let rest = List.filteri (fun i _ -> i < k && i <> pos) base.Rule.body in
+    let suffix = List.filteri (fun i _ -> i >= k) base.Rule.body in
     let ordered =
       Plan.order_body ~bound:(Literal.vars lead) ~self ~stats
-        (Rule.make ~head:rule.Rule.head ~body:rest)
+        (Rule.make ~head:base.Rule.head ~body:rest)
     in
     let body = (lead :: ordered.Rule.body) @ suffix in
-    if List.equal Literal.equal body rule.Rule.body then base
+    if List.equal Literal.equal body base.Rule.body then None
     else
-      let candidate = Rule.make ~head:rule.Rule.head ~body in
+      let candidate = Rule.make ~head:base.Rule.head ~body in
       match Safety.check_rule candidate with
-      | Ok () -> Plan.compile ~source:base.Plan.source candidate
-      | Error _ -> base
+      | Ok () -> Some candidate
+      | Error _ -> None
 
-let compile_stratum ~self ?stats rules =
-  let all_plans =
-    List.map
-      (fun r ->
-        match stats with
-        | None -> Plan.compile r
-        | Some stats ->
-          let r' = Plan.order_body ~self ~stats r in
-          if r' == r then Plan.compile r else Plan.compile ~source:r r')
-      rules
+(* Without statistics, delta-first plans order their prefix with
+   constant ones: source order among eligible literals. *)
+let variant_stats stats = Option.value stats ~default:(fun _ -> 0)
+
+let compile_member ~self ?stats (source : source) =
+  let plan r =
+    Plan.compile ~source:source.rule ~id:source.id ~label:source.label r
   in
-  let agg_plans, plans =
-    List.partition (fun p -> Rule.is_aggregate p.Plan.rule) all_plans
+  let base = plan (base_order ~self ?stats source.rule) in
+  let reads =
+    if Rule.is_aggregate source.rule then []
+    else
+      List.map
+        (fun (at, rel) ->
+          let act =
+            match rel with
+            | None -> { plan = base; pos = at }
+            | Some _ -> (
+              match delta_order ~self ~stats:(variant_stats stats) base.Plan.rule at with
+              | None -> { plan = base; pos = at }
+              | Some v -> { plan = plan v; pos = 0 })
+          in
+          { rel; at; act })
+        (delta_reads base)
   in
-  let variant_stats = Option.value stats ~default:(fun _ -> 0) in
+  let stats_rels =
+    List.filter_map
+      (function
+        | Literal.Pos a -> Term.as_name a.Atom.rel
+        | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> None)
+      source.rule.Rule.body
+  in
+  { source; base; reads; stats_rels }
+
+(* Whether [stats] would give [m] another base order or another
+   delta-first order at some activation. *)
+let reorders ~self ~stats m =
+  let base = base_order ~self ~stats m.source.rule in
+  (not (same_order base m.base.Plan.rule))
+  || List.exists
+       (fun r ->
+         r.rel <> None
+         &&
+         match delta_order ~self ~stats base r.at with
+         | None -> r.act.plan != m.base
+         | Some v -> r.act.plan == m.base || not (same_order v r.act.plan.Plan.rule))
+       m.reads
+
+let index members =
   let by_rel = Hashtbl.create 8 in
-  let wildcard = ref [] in
-  let n = ref 0 in
-  let n_variants = ref 0 in
+  let agg_plans = ref [] and plans = ref [] and wildcard = ref [] in
+  let n = ref 0 and n_plans = ref 0 in
   List.iter
-    (fun plan ->
+    (fun m ->
+      incr n_plans;
+      if Rule.is_aggregate m.source.rule then agg_plans := m.base :: !agg_plans
+      else plans := m.base :: !plans;
       List.iter
-        (fun (pos, rel) ->
+        (fun r ->
           incr n;
-          match rel with
-          | None -> wildcard := { plan; pos } :: !wildcard
+          if r.act.plan != m.base then incr n_plans;
+          match r.rel with
+          | None -> wildcard := r.act :: !wildcard
           | Some name ->
-            let a =
-              match delta_first ~self ~stats:variant_stats plan pos with
-              | v when v == plan -> { plan; pos }
-              | v ->
-                incr n_variants;
-                { plan = v; pos = 0 }
-            in
             let cur = Option.value ~default:[] (Hashtbl.find_opt by_rel name) in
-            Hashtbl.replace by_rel name (a :: cur))
-        (delta_reads plan))
-    plans;
+            Hashtbl.replace by_rel name (r.act :: cur))
+        m.reads)
+    members;
   (* Restore source order inside each bucket: scheduling must not
      change which derivation an evaluator finds first. *)
   Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) by_rel;
   {
-    agg_plans;
-    plans;
+    members;
+    agg_plans = List.rev !agg_plans;
+    plans = List.rev !plans;
     by_rel;
     wildcard = List.rev !wildcard;
     n_activations = !n;
-    n_plans = List.length all_plans + !n_variants;
+    n_plans = !n_plans;
   }
 
-let compile ?(version = 0) ?stats ~self ~intensional rules =
-  match Stratify.compute ~self ~intensional rules with
+let compile ?stats ~self ~intensional sources =
+  match Stratify.assign ~self ~intensional (List.map (fun s -> s.rule) sources) with
   | Error e -> Error e
-  | Ok { Stratify.strata } ->
-    Ok { version; rules; strata = Array.map (compile_stratum ~self ?stats) strata }
+  | Ok placed ->
+    let strata = Array.make (List.fold_left max 0 placed + 1) [] in
+    List.iter2 (fun k s -> strata.(k) <- s :: strata.(k)) placed sources;
+    Ok
+      {
+        strata =
+          Array.map
+            (fun l -> index (List.rev_map (compile_member ~self ?stats) l))
+            strata;
+      }
 
-let version t = t.version
-let rules t = t.rules
+let patch ?stats ~self t ~add ~remove =
+  let removed (s : source) = List.mem s.id remove in
+  let added =
+    List.filter_map
+      (fun s -> if removed s then None else Some (compile_member ~self ?stats s))
+      add
+  in
+  let last = Array.length t.strata - 1 in
+  {
+    strata =
+      Array.mapi
+        (fun i s ->
+          let kept = List.filter (fun m -> not (removed m.source)) s.members in
+          if i = last && added <> [] then index (kept @ added)
+          else if List.compare_lengths kept s.members <> 0 then index kept
+          else s)
+        t.strata;
+  }
+
+let replan ~self ~stats ~crossed t =
+  let stale m = List.exists crossed m.stats_rels && reorders ~self ~stats m in
+  let touched s = List.exists stale s.members in
+  if not (Array.exists touched t.strata) then None
+  else
+    let recompile m = if stale m then compile_member ~self ~stats m.source else m in
+    Some
+      {
+        strata =
+          Array.map
+            (fun s -> if touched s then index (List.map recompile s.members) else s)
+            t.strata;
+      }
+
 let plan_count t = Array.fold_left (fun acc s -> acc + s.n_plans) 0 t.strata

@@ -2,12 +2,27 @@
     so repeated stages stop paying [Stratify.compute] + [Plan.compile]
     for an unchanged rule set.
 
-    A [t] is immutable once built. Callers that cache one (notably
-    [Peer]) key it on a {e rule-set version counter}: any change to the
-    rule set (rule added/removed, delegation installed/retracted) or to
-    the relation-kind map (a declaration can turn a name intensional,
-    which changes stratification) must bump the version, so a cached
-    program whose [version] no longer matches is recompiled.
+    A program is built from {e sources}: each rule with an int id and a
+    diagnostic label, which every plan compiled from it carries. The
+    evaluator reports message origins and delegation sources by label,
+    so tagging an emission never touches the rule's structure.
+
+    A [t] is immutable. Besides {!compile}, two cheaper operations
+    derive a new program from an old one:
+    - {!patch} adds or removes {!Stratify.is_sink} rules (no local
+      intensional head, no negation, no aggregate). A
+      sink adds no dependency edge and [Stratify] places it in the last
+      stratum, so the patched program has every other rule in the
+      stratum, with the plans, that {!compile} would give it. {e Patch
+      invariant}: a program patched from [compile sources] holds,
+      stratum by stratum and in order, the rules of [compile sources'],
+      where [sources'] is [sources] with the sink appended or removed;
+      only join orders planned against older statistics may differ.
+    - {!replan} re-orders, with fresh statistics, only the rules that
+      read a relation whose cardinality crossed a band, and builds a
+      new program only if some base or delta-first order changed.
+    Plans are kept per rule ({!member}), so both touch only the rules
+    they concern.
 
     Each stratum also carries the {e activation index} driving
     semi-naive scheduling: an inverted index from body-relation name to
@@ -37,12 +52,38 @@
 
 open Wdl_syntax
 
+type source = {
+  id : int;  (** unique within the program *)
+  label : string;  (** what origin tags name the rule by *)
+  rule : Rule.t;
+}
+
+val sources : Rule.t list -> source list
+(** Ids [0..n-1] by position, labels ["#k"] with [k] the 1-based
+    position: for callers with a bare rule list. *)
+
 type activation = {
   plan : Plan.t;  (** the base plan, or its delta-first variant *)
   pos : int;  (** body position of the positive atom reading the delta *)
 }
 
+type read = {
+  rel : string option;  (** the delta relation; [None]: a relation variable *)
+  at : int;  (** the atom's position in the base plan *)
+  act : activation;
+}
+
+type member = {
+  source : source;
+  base : Plan.t;  (** ordered by the statistics it was compiled with *)
+  reads : read list;  (** one per positive body atom, in base order *)
+  stats_rels : string list;
+      (** the relations whose cardinalities its orders depend on *)
+}
+(** One rule's compiled plans. *)
+
 type stratum = {
+  members : member list;  (** the stratum's rules, in evaluation order *)
   agg_plans : Plan.t list;  (** aggregate rules, run once before the fixpoint *)
   plans : Plan.t list;      (** non-aggregate plans, iteration-1 order *)
   by_rel : (string, activation list) Hashtbl.t;
@@ -53,30 +94,44 @@ type stratum = {
   n_plans : int;  (** compiled plans, delta-first variants included *)
 }
 
-type t = {
-  version : int;
-  rules : Rule.t list;     (** the rules this program was compiled from *)
-  strata : stratum array;  (** bottom-up stratification order *)
-}
+type t = { strata : stratum array  (** bottom-up stratification order *) }
 
 val compile :
-  ?version:int ->
   ?stats:(string -> int) ->
   self:string ->
   intensional:(string -> bool) ->
-  Rule.t list ->
+  source list ->
   (t, Stratify.error) result
-(** Stratify and compile [rules]. [intensional] must be the same
-    relation-kind predicate the evaluating database will answer;
-    [version] (default 0) is stored verbatim for cache keying.
-    [stats] (live relation cardinalities) makes {!Plan.order_body}
-    reorder each rule body before plan compilation; plans keep the
-    original rule as their [source]. Without it, base plans follow the
-    written order and delta-first plans order their prefix with
-    constant statistics (source order among eligible literals). *)
+(** Stratify and compile the sources' rules, each stratum in source
+    order. [intensional] must be the same relation-kind predicate the
+    evaluating database will answer. [stats] (live relation
+    cardinalities) makes {!Plan.order_body} reorder each rule body
+    before plan compilation; plans keep the original rule as their
+    [source]. Without it, base plans follow the written order and
+    delta-first plans order their prefix with constant statistics
+    (source order among eligible literals). *)
 
-val version : t -> int
-val rules : t -> Rule.t list
+val patch :
+  ?stats:(string -> int) ->
+  self:string ->
+  t ->
+  add:source list ->
+  remove:int list ->
+  t
+(** Append the plans of the [add] sinks, in order, to the last stratum,
+    then drop every rule whose id is in [remove] (an added one
+    included) with its plans. Each touched stratum is re-indexed once.
+    The caller guarantees that every added rule is a sink under the
+    [intensional] the program was compiled with and has an id the
+    program does not hold. Exact for sinks (see the patch invariant);
+    removing any other rule may leave the stratification stale. *)
+
+val replan :
+  self:string -> stats:(string -> int) -> crossed:(string -> bool) -> t -> t option
+(** Re-derive, under [stats], the base and delta-first orders of every
+    rule that reads a relation satisfying [crossed]; recompile only the
+    rules whose order changed. [None] when no order changed: the
+    program stays valid as it is. *)
 
 val plan_count : t -> int
 (** Total compiled plans across strata, delta-first variants included

@@ -54,7 +54,16 @@ let body_deps ~self ~intensional body =
   in
   go [] body
 
-let compute ~self ~intensional rules =
+let is_sink ~self ~intensional (r : Rule.t) =
+  head_node ~self ~intensional r.head = None
+  && (not (Rule.is_aggregate r))
+  && List.for_all
+       (function
+         | Literal.Neg _ -> false
+         | Literal.Pos _ | Literal.Cmp _ | Literal.Assign _ -> true)
+       r.body
+
+let assign ~self ~intensional rules =
   let deps =
     List.map
       (fun (r : Rule.t) ->
@@ -196,9 +205,26 @@ let compute ~self ~intensional rules =
             max acc (node_stratum dep + if neg then 1 else 0))
           0 d.body_deps
     in
-    let with_stratum = List.map (fun (r, d) -> (rule_stratum d, r)) deps in
-    let max_stratum = List.fold_left (fun acc (s, _) -> max acc s) 0 with_stratum in
-    let strata = Array.make (max_stratum + 1) [] in
-    List.iter (fun (s, r) -> strata.(s) <- r :: strata.(s)) with_stratum;
-    Array.iteri (fun i rs -> strata.(i) <- List.rev rs) strata;
-    Ok { strata }
+    (* A sink adds no edge: it runs in the last stratum, where every
+       relation it reads is complete, so installing or retracting one
+       leaves every other rule's stratum as it was. *)
+    let placed =
+      List.map
+        (fun (r, d) ->
+          if is_sink ~self ~intensional r then None else Some (rule_stratum d))
+        deps
+    in
+    let last =
+      List.fold_left
+        (fun acc s -> match s with Some s -> max acc s | None -> acc)
+        0 placed
+    in
+    Ok (List.map (Option.value ~default:last) placed)
+
+let compute ~self ~intensional rules =
+  match assign ~self ~intensional rules with
+  | Error e -> Error e
+  | Ok placed ->
+    let strata = Array.make (List.fold_left max 0 placed + 1) [] in
+    List.iter2 (fun s r -> strata.(s) <- r :: strata.(s)) placed rules;
+    Ok { strata = Array.map List.rev strata }

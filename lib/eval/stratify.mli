@@ -14,7 +14,16 @@
 
     A rule set whose dependency graph has a cycle through negation is
     rejected (the demo system did not implement negation at all; we
-    implement the standard stratified semantics). *)
+    implement the standard stratified semantics).
+
+    A {e sink} ({!is_sink}) derives into no local intensional relation
+    and negates and aggregates nothing, so it contributes no edge to the
+    dependency graph. [compute] places every sink in the {e last}
+    stratum, where each relation it reads is complete. Adding a sink to
+    a rule set that stratifies therefore always stratifies, with every
+    other rule in the stratum it had and the sink appended to the last
+    one; removing a sink is the converse. Peers install and retract
+    sinks (most delegations) on that basis without recomputing. *)
 
 open Wdl_syntax
 
@@ -35,7 +44,20 @@ val compute :
   (t, error) result
 (** [intensional rel] must say whether a local relation name is (or
     would be) intensional; unknown relations auto-create as extensional
-    and should answer [false]. *)
+    and should answer [false]. Within a stratum, rules keep their order
+    in the input list. *)
+
+val assign :
+  self:string ->
+  intensional:(string -> bool) ->
+  Rule.t list ->
+  (int list, error) result
+(** Each rule's stratum, in input order: what {!compute} groups by. *)
+
+val is_sink : self:string -> intensional:(string -> bool) -> Rule.t -> bool
+(** Whether the rule is a sink: its head has no {!head_node} (a remote
+    or extensional head), and its body has no negated literal and it
+    has no aggregate. *)
 
 (** {1 Dependency introspection}
 

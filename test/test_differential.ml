@@ -150,7 +150,7 @@ let base_program (prog : Program.t) =
       s.Program.plans;
     { s with Program.by_rel }
   in
-  { prog with Program.strata = Array.map base prog.Program.strata }
+  { Program.strata = Array.map base prog.Program.strata }
 
 (* The pool's rules, some with a remote suffix: a delegation point, and
    sometimes a local literal behind it. *)
@@ -180,7 +180,7 @@ let two_stages ~variants spec =
       spec.rules
   in
   let intensional rel = Database.kind db rel = Some Decl.Intensional in
-  match Program.compile ~self:"p" ~intensional rules with
+  match Program.compile ~self:"p" ~intensional (Program.sources rules) with
   | Error _ -> None
   | Ok prog ->
     let program = if variants then prog else base_program prog in
@@ -207,6 +207,152 @@ let two_stages ~variants spec =
         (List.filteri (fun i _ -> i >= half) spec.facts)
     in
     Some (stage1, observe ~seed ())
+
+(* {1 Patched programs against compiled ones} *)
+
+(* Sinks over the dspec relations: remote or extensional heads, no
+   negation, no aggregate; some with a delegation boundary, some reading
+   views of every stratum, one a relation variable. *)
+let sink_pool =
+  [
+    "out@q($x) :- s@p($x)";
+    "accum@p($x) :- vr@p($x)";
+    "no@q($x) :- nots@p($x)";
+    "cnt@q($n) :- counts@p($n), r@p($n)";
+    "far@q($y) :- e@p($x,$y), data@q($x)";
+    "pair@q($x,$y) :- tc@p($x,$y), r@p($y)";
+    "any@q($n,$x) :- names@p($n), $n@p($x)";
+    "big@q($x) :- r@p($x), $x >= 2";
+    "hop@q($x) :- r@p($x), s@q($x), e@p($x,$x)";
+  ]
+
+type patch_op =
+  | Install of string  (* a sink from the pool *)
+  | Retract of int  (* the k-th sink held, modulo their count *)
+  | Grow of (string * int list) list  (* base facts: may cross bands *)
+
+let patch_op_print = function
+  | Install r -> "install " ^ r
+  | Retract k -> Printf.sprintf "retract #%d" k
+  | Grow facts ->
+    "grow "
+    ^ String.concat " "
+        (List.map
+           (fun (r, args) ->
+             Printf.sprintf "%s(%s)" r (String.concat "," (List.map string_of_int args)))
+           facts)
+
+let patch_arb =
+  let gen =
+    QCheck.Gen.(
+      let* spec = dspec_gen in
+      let* ops =
+        list_size (int_range 1 8)
+          (frequency
+             [
+               (3, map (fun r -> Install r) (oneofl sink_pool));
+               (2, map (fun k -> Retract k) (int_range 0 7));
+               (2, map (fun l -> Grow l) (list_size (int_range 1 12) fact_gen));
+             ])
+      in
+      return (spec, ops))
+  in
+  QCheck.make gen ~print:(fun (spec, ops) ->
+      dspec_print spec ^ "\n" ^ String.concat "\n" (List.map patch_op_print ops))
+
+(* Power-of-two cardinality bands, as a peer plans against them. *)
+let bands db =
+  List.map
+    (fun (i : Database.info) ->
+      let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
+      (i.Database.name, bits (Relation.cardinal i.Database.data) 0))
+    (Database.relations db)
+
+(* Run [ops] twice over: on a program patched with [Program.patch]
+   and [Program.replan] as a peer does, and on a fresh
+   [Program.compile] of the same sources. Installs and retracts queue
+   up, as between a peer's stages; each [Grow] and the end of the ops
+   is a stage: the queue is patched in as one batch (so a sink can come
+   and go inside it), the program re-planned if a band was crossed, and
+   both programs must then compute the same views, messages,
+   suspensions and attribution. *)
+let patched_agrees (spec, ops) =
+  let db = build_db spec in
+  let intensional rel = Database.kind db rel = Some Decl.Intensional in
+  let stats rel =
+    match Database.find db rel with
+    | Some i -> Relation.cardinal i.Database.data
+    | None -> 0
+  in
+  let next = ref 0 in
+  let source text =
+    incr next;
+    { Program.id = !next; label = Printf.sprintf "L%d" !next; rule = Parser.parse_rule text }
+  in
+  let held =
+    ref (List.map (fun r -> source (String.sub r 0 (String.length r - 1))) spec.rules)
+  in
+  let observe program =
+    let db = Database.copy db in
+    match Fixpoint.run ~program ~self:"p" db [] with
+    | Error _ -> None
+    | Ok r ->
+      Some
+        ( views_of db,
+          r.Fixpoint.messages,
+          r.Fixpoint.suspensions,
+          r.Fixpoint.origins,
+          r.Fixpoint.susp_sources )
+  in
+  match Program.compile ~stats ~self:"p" ~intensional !held with
+  | Error _ -> true
+  | Ok p0 ->
+    let patched = ref p0 and planned = ref (bands db) in
+    let add = ref [] and remove = ref [] in
+    let stage () =
+      patched := Program.patch ~stats ~self:"p" !patched ~add:(List.rev !add) ~remove:!remove;
+      add := [];
+      remove := [];
+      let now = bands db in
+      if now <> !planned then begin
+        let crossed rel = List.assoc_opt rel now <> List.assoc_opt rel !planned in
+        planned := now;
+        Option.iter (fun p -> patched := p)
+          (Program.replan ~self:"p" ~stats ~crossed !patched)
+      end;
+      match Program.compile ~stats ~self:"p" ~intensional !held with
+      | Error _ -> false
+      | Ok fresh -> observe !patched = observe fresh
+    in
+    List.for_all
+      (function
+        | Install text ->
+          let s = source text in
+          held := !held @ [ s ];
+          add := s :: !add;
+          true
+        | Retract k -> (
+          let sinks =
+            List.filter (fun (s : Program.source) ->
+                Stratify.is_sink ~self:"p" ~intensional s.rule) !held
+          in
+          match sinks with
+          | [] -> true
+          | _ ->
+            let s = List.nth sinks (k mod List.length sinks) in
+            held := List.filter (fun (h : Program.source) -> h.id <> s.id) !held;
+            remove := s.id :: !remove;
+            true)
+        | Grow facts ->
+          List.iter
+            (fun (rel, args) ->
+              ignore
+                (Database.insert db ~rel
+                   (Tuple.of_list (List.map (fun n -> Value.Int n) args))))
+            facts;
+          stage ())
+      ops
+    && stage ()
 
 let tests =
   [
@@ -255,6 +401,9 @@ let tests =
       (QCheck.make ~print:dspec_print suffixed_gen)
       (fun spec ->
         two_stages ~variants:true spec = two_stages ~variants:false spec);
+    QCheck.Test.make ~count:100 ~long_factor:20
+      ~name:"patched programs compute what a fresh compile does" patch_arb
+      patched_agrees;
     (* [Sim.run] checks every peer against [Reference] after each round
        it stages in: views, the batch per destination and the
        delegations it holds installed, over fact, rule and delegation

@@ -166,9 +166,12 @@ let suite =
           int_of_float (Wdl_obs.Obs.read_one ~labels:[ ("peer", name) ] p)
         in
         let p = Peer.create "inc_p" in
+        (* A two-literal join: the planner puts the smaller relation
+           first, ties in written order. *)
         ok
           (Peer.load_string p
-             "int v@inc_p(x); a@inc_p(1); v@inc_p($x) :- a@inc_p($x);");
+             "int v@inc_p(x); a@inc_p(1); b@inc_p(1); b@inc_p(2); \
+              b@inc_p(3); v@inc_p($x) :- a@inc_p($x), b@inc_p($x);");
         ignore (Peer.stage p);
         (* Idle stages on three settled peers: a delta-capable one, one
            whose negation rule forces the full path, and one whose
@@ -192,33 +195,46 @@ let suite =
         check_bool "errors: first stage reports" (Peer.last_errors err <> []);
         idle_stage_is_ordinary ~delta:false err;
         let hits0 = read "wdl_eval_program_cache_hits_total" "inc_p" in
-        (* New fact, same rules, but [a] doubles from 1 to 2 tuples —
-           that crosses a cardinality band, so the planner recompiles
-           with fresh statistics instead of reusing the cache. *)
         let replans0 = read "wdl_eval_replans_total" "inc_p" in
-        ok (Peer.insert p (fact "a" "inc_p" [ Value.Int 2 ]));
-        ignore (Peer.stage p);
-        check_int "band crossing replans" (replans0 + 1)
+        let stage_a n =
+          ok (Peer.insert p (fact "a" "inc_p" [ Value.Int n ]));
+          ignore (Peer.stage p)
+        in
+        (* [a] doubles from 1 to 2 tuples: a band crossing, but [a] is
+           still the smaller side, so every order stays and the cached
+           program serves the stage. *)
+        stage_a 2;
+        check_int "order-keeping crossing is a cache hit" (hits0 + 1)
+          (read "wdl_eval_program_cache_hits_total" "inc_p");
+        check_int "order-keeping crossing does not replan" replans0
           (read "wdl_eval_replans_total" "inc_p");
         check_int "view caught up" 2 (List.length (Peer.query p "v"));
-        (* 2 -> 3 tuples stays inside the band: cached program reused. *)
-        ok (Peer.insert p (fact "a" "inc_p" [ Value.Int 3 ]));
-        ignore (Peer.stage p);
-        check_int "cached program reused" (hits0 + 1)
-          (read "wdl_eval_program_cache_hits_total" "inc_p");
+        (* [a] reaches 4 tuples, past [b]'s 3: the crossing flips the
+           join order, so the planner re-orders the rule. *)
+        stage_a 3;
+        stage_a 4;
+        check_int "order-flipping crossing replans" (replans0 + 1)
+          (read "wdl_eval_replans_total" "inc_p");
         check_int "view caught up again" 3 (List.length (Peer.query p "v"));
+        (* 4 -> 5 tuples stays inside the band: cached program reused. *)
+        let hits1 = read "wdl_eval_program_cache_hits_total" "inc_p" in
+        stage_a 5;
+        check_int "cached program reused" (hits1 + 1)
+          (read "wdl_eval_program_cache_hits_total" "inc_p");
         (* Rule change invalidates: the next stage recompiles (no hit). *)
         ok (Peer.load_string p "int w@inc_p(x); w@inc_p($x) :- a@inc_p($x);");
         ignore (Peer.stage p);
-        check_int "invalidated, recompiled" (hits0 + 1)
+        check_int "invalidated, recompiled" (hits1 + 1)
           (read "wdl_eval_program_cache_hits_total" "inc_p");
-        check_int "new view filled" 3 (List.length (Peer.query p "w"));
+        check_int "new view filled" 5 (List.length (Peer.query p "w"));
         (* A fresh twin with the same final facts and rules computes
            everything in one full stage; the cached peer must agree. *)
         let b =
           fresh_twin "inc_b"
-            "int v@_(x); int w@_(x); v@_($x) :- a@_($x); w@_($x) :- a@_($x);"
-            (List.map (fun i -> ("a", [ Value.Int i ])) [ 1; 2; 3 ])
+            "int v@_(x); int w@_(x); v@_($x) :- a@_($x), b@_($x); \
+             w@_($x) :- a@_($x);"
+            (List.map (fun i -> ("a", [ Value.Int i ])) [ 1; 2; 3; 4; 5 ]
+            @ List.map (fun i -> ("b", [ Value.Int i ])) [ 1; 2; 3 ])
         in
         check_int "twin: first stage compiles" 0
           (read "wdl_eval_program_cache_hits_total" "inc_b");
@@ -340,4 +356,64 @@ let suite =
         check_bool "oldest-first FIFO"
           (List.sort_uniq compare stages = stages);
         check_int "end state converged" 4 (List.length (Peer.query ghost "out")));
+    tc "add_rule is idempotent" (fun () ->
+        let p = Peer.create "idem_p" in
+        ok (Peer.load_string p "int v@idem_p(x); a@idem_p(1); a@idem_p(2);");
+        (* The same rule twice, as structurally equal values. *)
+        let rule () = Parser.parse_rule "v@idem_p($x) :- a@idem_p($x)" in
+        ok (Peer.add_rule p (rule ()));
+        ok (Peer.add_rule p (rule ()));
+        check_int "held once" 1 (List.length (Peer.rules p));
+        ignore (Peer.stage p);
+        check_int "evaluated once" 2 (Peer.stats p).Peer.derivations;
+        (* On a settled peer, adding it again is no change at all. *)
+        let events () = Trace.count (Peer.trace p) in
+        let hits () =
+          Wdl_obs.Obs.read_one ~labels:[ ("peer", "idem_p") ]
+            "wdl_eval_program_cache_hits_total"
+        in
+        let events0 = events () and hits0 = hits () in
+        ok (Peer.add_rule p (rule ()));
+        check_int "no event" events0 (events ());
+        check_bool "no work" (not (Peer.has_work p));
+        ok (Peer.insert p (fact "a" "idem_p" [ Value.Int 3 ]));
+        ignore (Peer.stage p);
+        check_bool "program kept" (hits () = hits0 +. 1.);
+        check_int "view" 3 (List.length (Peer.query p "v"));
+        check_bool "one remove drops it" (Peer.remove_rule p (rule ()));
+        check_bool "and nothing is left" (not (Peer.remove_rule p (rule ()))));
+    tc "compile time is split by kind: full, patch, replan" (fun () ->
+        let count kind =
+          Wdl_obs.Obs.histogram_count
+            (Wdl_obs.Obs.histogram
+               ~labels:[ ("peer", "cmp_p"); ("kind", kind) ]
+               "wdl_eval_compile_microseconds")
+        in
+        let p = Peer.create "cmp_p" in
+        (* Not delta-capable: every stage plans against the store as
+           [refill_intensional] leaves it, so only [a]'s growth below
+           crosses a band. *)
+        Peer.set_track_provenance p true;
+        ok
+          (Peer.load_string p
+             "int v@cmp_p(x); a@cmp_p(1); b@cmp_p(1); b@cmp_p(2); \
+              b@cmp_p(3); v@cmp_p($x) :- a@cmp_p($x), b@cmp_p($x);");
+        ignore (Peer.stage p);
+        check_int "first stage compiles in full" 1 (count "full");
+        (* A delegation with a remote head is a sink: patched in. *)
+        Peer.receive p
+          (Message.make ~src:"q" ~dst:"cmp_p" ~stage:1
+             ~installs:[ Parser.parse_rule "out@q($x) :- b@cmp_p($x)" ]
+             ());
+        check_int "patched in" 1 (List.length (Peer.stage p));
+        check_int "one patch" 1 (count "patch");
+        (* [a] grows past [b]: a band crossing that flips the join. *)
+        List.iter
+          (fun n -> ok (Peer.insert p (fact "a" "cmp_p" [ Value.Int n ])))
+          [ 2; 3; 4 ];
+        ignore (Peer.stage p);
+        check_int "one replan" 1 (count "replan");
+        check_int "still one full compile" 1 (count "full");
+        check_int "one patch still" 1 (count "patch");
+        check_int "view" 3 (List.length (Peer.query p "v")));
   ]

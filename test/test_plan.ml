@@ -6,7 +6,8 @@ open Check
 (* The one stratum of a single-stratum program over peer p. *)
 let stratum ?(intensional = fun _ -> false) srcs =
   match
-    Program.compile ~self:"p" ~intensional (List.map Parser.parse_rule srcs)
+    Program.compile ~self:"p" ~intensional
+      (Program.sources (List.map Parser.parse_rule srcs))
   with
   | Ok { Program.strata = [| s |]; _ } -> s
   | Ok _ -> Alcotest.fail "expected one stratum"
@@ -120,7 +121,7 @@ let suite =
            already start at their delta, so only tc's gets a variant. *)
         match
           Program.compile ~self:"p" ~intensional:(String.equal "tc")
-            (List.map Parser.parse_rule tc_rules)
+            (Program.sources (List.map Parser.parse_rule tc_rules))
         with
         | Ok p -> check_int "plans" 3 (Program.plan_count p)
         | Error _ -> Alcotest.fail "expected a program");

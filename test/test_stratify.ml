@@ -11,6 +11,65 @@ let strata_count = function
   | Ok { Stratify.strata } -> Array.length strata
   | Error e -> Alcotest.fail (Format.asprintf "%a" Stratify.pp_error e)
 
+(* {1 The install fast path} *)
+
+let views = [ "v"; "w"; "u"; "cnt" ]
+
+(* Rule sets over the views, with negation, an aggregate, relation and
+   peer variables (stars), and a remote head under negation; some close
+   a cycle through negation. *)
+let set_pool =
+  [
+    "v@p($x) :- a@p($x)";
+    "v@p($x) :- w@p($x)";
+    "w@p($x) :- a@p($x), not b@p($x)";
+    "w@p($x) :- a@p($x), not v@p($x)";
+    "u@p($x) :- w@p($x), not v@p($x)";
+    "cnt@p(count($x)) :- u@p($x)";
+    "u@p($x) :- cnt@p($x)";
+    "$r@p($x) :- names@p($r), a@p($x)";
+    "v@p($x) :- names@p($r), $r@p($x)";
+    "$r@p($x) :- names@p($r), v@p($x)";
+    "out@q($x) :- a@p($x), not u@p($x)";
+    "out@$n($x) :- names@p($n), w@p($x)";
+  ]
+
+(* Sinks: remote or extensional heads, no negation, no aggregate. *)
+let sink_pool =
+  [
+    "out@q($x) :- v@p($x)";
+    "out@q($x) :- names@p($r), $r@p($x)";
+    "a@p($x) :- u@p($x), cnt@p($x)";
+    "b@p($y) :- a@p($x), $y := $x + 1";
+    "out@q($x) :- cnt@p($x), rem@q($x), u@p($x)";
+  ]
+
+let fast_path_arb =
+  QCheck.make
+    ~print:(fun (set, c) -> String.concat ";\n" set ^ "\n+ " ^ c)
+    QCheck.Gen.(
+      pair (list_size (int_range 0 7) (oneofl set_pool)) (oneofl sink_pool))
+
+(* A peer installs a sink without recomputing the stratification: the
+   set plus the sink stratifies exactly when the set does, every rule of
+   the set keeps its stratum, and the sink joins the last one. *)
+let fast_path_exact (set, c) =
+  let intensional r = List.mem r views in
+  let set = rules set and c = Parser.parse_rule c in
+  Stratify.is_sink ~self:"p" ~intensional c
+  &&
+  match
+    ( Stratify.compute ~self:"p" ~intensional set,
+      Stratify.compute ~self:"p" ~intensional (set @ [ c ]) )
+  with
+  | Ok { Stratify.strata = s }, Ok { Stratify.strata = s' } ->
+    let last = Array.length s - 1 in
+    let patched = Array.mapi (fun i l -> if i = last then l @ [ c ] else l) s in
+    Array.length s = Array.length s'
+    && Array.for_all2 (List.equal Rule.equal) patched s'
+  | Error _, Error _ -> true
+  | Ok _, Error _ | Error _, Ok _ -> false
+
 let suite =
   [
     tc "positive recursion stays in one stratum" (fun () ->
@@ -113,4 +172,20 @@ let suite =
         | Error e -> Alcotest.fail (Format.asprintf "%a" Stratify.pp_error e));
     tc "empty rule set" (fun () ->
         check_int "strata" 1 (strata_count (compute [])));
+    tc "sinks run in the last stratum" (fun () ->
+        match
+          compute
+            ~intensional:(fun r -> r = "v" || r = "w")
+            [ "out@q($x) :- base@p($x)";
+              "v@p($x) :- base@p($x)";
+              "w@p($x) :- base@p($x), not v@p($x)" ]
+        with
+        | Ok { Stratify.strata = [| _; last |] } ->
+          check_int "sink beside the negation" 2 (List.length last)
+        | Ok _ -> Alcotest.fail "expected two strata"
+        | Error e -> Alcotest.fail (Format.asprintf "%a" Stratify.pp_error e));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:300 ~long_factor:20
+         ~name:"installing a sink needs no stratification" fast_path_arb
+         fast_path_exact);
   ]
