@@ -93,12 +93,11 @@ type t = {
   mutable sinks_out : int list;
   mutable n_cache_hits : int;
   (* Cost-based join planning: the compiler reorders rule bodies by
-     live relation cardinalities; the cached program stays valid while
-     every relation's cardinality stays within the power-of-two band it
-     was compiled against ([program_bands]).  Crossing a band re-runs
-     the planner on the rules reading a crossed relation; a crossing
-     that changes some order is counted by [n_replans]. *)
-  mutable program_bands : (string * int) array;
+     live relation cardinalities, and each rule of the cached program
+     keeps the power-of-two bands it was planned against.  A stage
+     whose statistics move one re-plans that rule
+     ([Wdl_eval.Program.replan]); one that changes some order is
+     counted by [n_replans]. *)
   mutable n_replans : int;
   (* Delta staging.  [stage_adds = Some facts] means every base-data
      change since the last completed stage is exactly those fresh
@@ -249,7 +248,6 @@ let create ?policy ?trace_capacity ?(inbox_capacity = max_int)
     sinks_in = [];
     sinks_out = [];
     n_cache_hits = 0;
-    program_bands = [||];
     n_replans = 0;
     (* The first stage of any peer (fresh or restored) is a full one. *)
     stage_adds = None;
@@ -457,6 +455,19 @@ let aggregate_local_error t rule =
        name this peer"
   else None
 
+(* The checks every rule entering the set passes, own or delegated:
+   safety, aggregate locality, a writable head, stratification. *)
+let admit t rule =
+  match Safety.check_rule rule with
+  | Error errs -> Error (Safety.errors_to_string errs)
+  | Ok () -> (
+    match aggregate_local_error t rule with
+    | Some msg -> Error msg
+    | None -> (
+      match builtin_head_error t rule with
+      | Some msg -> Error msg
+      | None -> stratifies t rule))
+
 (* Accepted rules still get a static look: delegation hygiene and
    redundancy warnings land in the trace (and the
    wdl_analysis_warnings_total counter), never block installation. *)
@@ -472,30 +483,21 @@ let analysis_warnings t rule =
 let add_rule t rule =
   if List.exists (fun (_, r) -> Rule.equal r rule) t.own_rules then Ok ()
   else
-  match Safety.check_rule rule with
-  | Error errs -> Error (Safety.errors_to_string errs)
-  | Ok () -> (
-    match aggregate_local_error t rule with
-    | Some msg -> Error msg
-    | None ->
-    match builtin_head_error t rule with
-    | Some msg -> Error msg
-    | None ->
-    match stratifies t rule with
-    | Error msg -> Error msg
-    | Ok () ->
-      let warnings = analysis_warnings t rule in
-      t.own_rules <- (hold t rule, rule) :: t.own_rules;
-      t.dirty <- true;
-      invalidate_program t;
-      record_event t (Trace.Rule_added { peer = t.name; rule });
-      List.iter
-        (fun (d : Wdl_analysis.Diagnostic.t) ->
-          record_event t
-            (Trace.Analysis_warning
-               { peer = t.name; code = d.code; message = d.message }))
-        warnings;
-      Ok ())
+  match admit t rule with
+  | Error msg -> Error msg
+  | Ok () ->
+    let warnings = analysis_warnings t rule in
+    t.own_rules <- (hold t rule, rule) :: t.own_rules;
+    t.dirty <- true;
+    invalidate_program t;
+    record_event t (Trace.Rule_added { peer = t.name; rule });
+    List.iter
+      (fun (d : Wdl_analysis.Diagnostic.t) ->
+        record_event t
+          (Trace.Analysis_warning
+             { peer = t.name; code = d.code; message = d.message }))
+      warnings;
+    Ok ()
 
 let remove_rule t rule =
   let gone, kept = List.partition (fun (_, r) -> Rule.equal r rule) t.own_rules in
@@ -783,19 +785,7 @@ let install_delegation t ~src rule =
   if Deleg_tbl.mem t.delegated (src, rule) then false
   else if not (authz_allows t ~src rule) then false
   else
-    match aggregate_local_error t rule with
-    | Some reason ->
-      record_event t
-        (Trace.Delegation_rejected { peer = t.name; src; rule; reason });
-      false
-    | None ->
-    match builtin_head_error t rule with
-    | Some reason ->
-      record_event t
-        (Trace.Delegation_rejected { peer = t.name; src; rule; reason });
-      false
-    | None ->
-    match stratifies t rule with
+    match admit t rule with
     | Error reason ->
       record_event t
         (Trace.Delegation_rejected { peer = t.name; src; rule; reason });
@@ -1486,60 +1476,24 @@ let group_facts_by_dst facts =
     facts;
   by_dst
 
-(* Power-of-two cardinality band: bit length of the cardinal (0 for an
-   empty relation). The planner's join order only depends on coarse
-   relative sizes, so a compiled program stays valid while every
-   relation sits inside the band it was planned against; a relation
-   doubling (or emptying) past a band edge forces a replan. *)
-let card_band n =
-  let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-  bits n 0
-
-let band_signature db =
-  let a =
-    Array.of_list
-      (List.map
-         (fun (i : Database.info) ->
-           (i.Database.name, card_band (Relation.cardinal i.Database.data)))
-         (Database.relations db))
-  in
-  Array.sort compare a;
-  a
-
 let live_cardinal t rel =
   match Database.find t.db rel with
   | Some i -> Relation.cardinal i.Database.data
   | None -> 0
 
-(* The relations whose band differs between two signatures, or that
-   only one of them has. *)
-let crossed_relations old now =
-  let rec walk i j acc =
-    if i = Array.length old then
-      Array.fold_left (fun acc (n, _) -> n :: acc) acc (Array.sub now j (Array.length now - j))
-    else if j = Array.length now then
-      Array.fold_left (fun acc (n, _) -> n :: acc) acc (Array.sub old i (Array.length old - i))
-    else
-      let (n1, b1), (n2, b2) = (old.(i), now.(j)) in
-      match String.compare n1 n2 with
-      | 0 -> walk (i + 1) (j + 1) (if b1 = b2 then acc else n1 :: acc)
-      | c when c < 0 -> walk (i + 1) j (n1 :: acc)
-      | _ -> walk i (j + 1) (n2 :: acc)
-  in
-  walk 0 0 []
-
-(* Compile time by kind: [full] compiles, [patch]es and band-crossing
-   [replan]s. *)
-let compile_span t kind f =
-  Wdl_obs.Obs.time_span
+(* Compile time by kind: [full] compiles, [patch]es and [replan]s. *)
+let compile_histogram t kind =
+  Wdl_obs.Obs.histogram
     ~labels:[ ("peer", t.name); ("kind", kind) ]
-    "wdl_eval_compile_microseconds" f
+    ~buckets:Wdl_obs.Obs.latency_buckets "wdl_eval_compile_microseconds"
+
+let compile_span t kind f = Wdl_obs.Obs.time (compile_histogram t kind) f
 
 (* The program for this stage. Without a cached one, compile in full.
-   Otherwise patch in the queued sink changes, and when a relation has
-   crossed a cardinality band since the program was planned, re-order
-   the rules reading one; a crossing that changes some order counts as
-   a replan, anything else as a cache hit. [None] on stratification
+   Otherwise patch in the queued sink changes and re-plan the rules
+   whose orders read a relation that left its planned band; only that
+   re-planning is timed, and one that changes some order counts as a
+   replan, anything else as a cache hit. [None] on stratification
    errors — [Fixpoint.run] then recomputes and reports the error
    itself. *)
 let compiled_program t =
@@ -1553,7 +1507,6 @@ let compiled_program t =
     with
     | Ok p ->
       t.program <- Some p;
-      t.program_bands <- band_signature t.db;
       Some p
     | Error _ -> None)
   | Some p ->
@@ -1566,24 +1519,17 @@ let compiled_program t =
     in
     t.sinks_in <- [];
     t.sinks_out <- [];
-    let bands = band_signature t.db in
-    let replanned =
-      if bands = t.program_bands then None
-      else begin
-        let crossed = crossed_relations t.program_bands bands in
-        t.program_bands <- bands;
-        compile_span t "replan" (fun () ->
-            Wdl_eval.Program.replan ~self ~stats
-              ~crossed:(fun rel -> List.mem rel crossed) p)
-      end
-    in
+    let started = Wdl_obs.Obs.now_us () in
     let p =
-      match replanned with
-      | Some p ->
-        t.n_replans <- t.n_replans + 1;
-        p
+      match Wdl_eval.Program.replan ~self ~stats p with
       | None ->
         t.n_cache_hits <- t.n_cache_hits + 1;
+        p
+      | Some (p, changed) ->
+        Wdl_obs.Obs.observe (compile_histogram t "replan")
+          (Wdl_obs.Obs.now_us () -. started);
+        if changed then t.n_replans <- t.n_replans + 1
+        else t.n_cache_hits <- t.n_cache_hits + 1;
         p
     in
     t.program <- Some p;
@@ -1718,8 +1664,8 @@ let prepare t inbox_adds =
 
 (* evaluate: runs the fixpoint (against the cached compiled program
    while it is valid) and settles the post-fixpoint state — provenance,
-   errors, inductive updates, the next additive run, the band
-   reference. [None] when the program does not stratify. *)
+   errors, inductive updates, the next additive run. [None] when the
+   program does not stratify. *)
 let evaluate t prepared =
   let seed = match prepared with Delta seed -> Some seed | Full -> None in
   let program = compiled_program t in
@@ -1761,14 +1707,6 @@ let evaluate t prepared =
        causes. *)
     t.stage_adds <-
       (if result.Wdl_eval.Fixpoint.errors = [] then Some [] else None);
-    (* A delta-capable peer's next compile measures retained state, so
-       its band reference moves to the post-fixpoint store: one taken
-       before this stage's derivations would read every in-fixpoint
-       growth spurt as a band crossing. Other peers' next compile
-       measures the post-[refill_intensional] store the compile-time
-       reference was taken against. *)
-    if delta_capable t && Option.is_some t.program then
-      t.program_bands <- band_signature t.db;
     Some result
 
 (* emit: the messages that bring every destination up to this stage's

@@ -43,12 +43,15 @@ val create :
     semi-naive iterations skip plans whose delta relations are empty.
     Join ordering is cost-based: rule bodies are reordered at compile
     time by live relation cardinalities (the WDL031 greedy reorder
-    promoted into the planner). When a relation's cardinality crosses a
-    power-of-two band, the rules reading it are re-ordered; a crossing
-    that changes some order is counted in
+    promoted into the planner). Each compiled rule keeps the
+    power-of-two cardinality band of every relation its orders read;
+    each stage re-plans only the rules with a band that moved
+    ({!Wdl_eval.Program.replan}), so a relation no rule reads never
+    costs a check. A stage where some order changed is counted in
     [wdl_eval_replans_total{peer=...}], any other stage served by the
     cached program in [wdl_eval_program_cache_hits_total]. Compile time
-    is observed per kind ([full], [patch], [replan]) in
+    is observed per kind ([full], [patch], and [replan] for stages
+    where a band moved) in
     [wdl_eval_compile_microseconds{peer=...,kind=...}]. *)
 
 val name : t -> string

@@ -120,31 +120,19 @@ let delta_add st rel tuple =
   in
   ignore (Relation.insert r tuple)
 
-(* The relations an atom position reads, given the source: the full
-   store or the previous iteration's delta. *)
-let readable_relations st ~use_delta ~rel_name ~arity =
+(* Every relation of [arity] in the source an unbound relation
+   position enumerates: the full store or the previous iteration's
+   delta. *)
+let readable_relations st ~use_delta ~arity =
   if use_delta then
-    match rel_name with
-    | Some c -> (
-      match Hashtbl.find_opt st.delta c with
-      | Some r when Relation.arity r = arity -> [ (c, r) ]
-      | Some _ | None -> [])
-    | None ->
-      Hashtbl.fold
-        (fun name r acc -> if Relation.arity r = arity then (name, r) :: acc else acc)
-        st.delta []
+    Hashtbl.fold
+      (fun name r acc -> if Relation.arity r = arity then (name, r) :: acc else acc)
+      st.delta []
   else
-    match rel_name with
-    | Some c -> (
-      match Database.find st.db c with
-      | Some info when info.Database.arity = arity -> [ (c, info.Database.data) ]
-      | Some _ -> []
-      | None -> [])
-    | None ->
-      List.filter_map
-        (fun (info : Database.info) ->
-          if info.arity = arity then Some (info.name, info.data) else None)
-        (Database.relations st.db)
+    List.filter_map
+      (fun (info : Database.info) ->
+        if info.arity = arity then Some (info.name, info.data) else None)
+      (Database.relations st.db)
 
 (* Provenance: instantiate the plan's positive body atoms. *)
 let premises_of_env (plan : Plan.t) env =
@@ -392,7 +380,7 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
             | None -> ());
             run_source relation;
             match enum_slot with Some s -> env.(s) <- None | None -> ())
-          (readable_relations st ~use_delta ~rel_name:None ~arity))
+          (readable_relations st ~use_delta ~arity))
   in
   step plan.Plan.steps
 

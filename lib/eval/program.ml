@@ -13,7 +13,7 @@ type member = {
   source : source;
   base : Plan.t;
   reads : read list;
-  stats_rels : string list;
+  bands : (string * int) list;
 }
 
 type stratum = {
@@ -92,6 +92,28 @@ let delta_order ~self ~stats (base : Rule.t) pos =
    constant ones: source order among eligible literals. *)
 let variant_stats stats = Option.value stats ~default:(fun _ -> 0)
 
+(* Power-of-two cardinality band: bit length of the cardinal (0 for an
+   empty relation). Join orders only depend on coarse relative sizes,
+   so a member's orders stand while every relation they read sits in
+   the band it was planned against. *)
+let band n =
+  let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
+  bits n 0
+
+(* The band, under [stats], of each relation whose cardinality
+   [Plan.order_body] weighs in [rule]'s orders: the named local
+   positive atoms of a non-aggregate body of two literals or more. *)
+let bands_of ~self ~stats (rule : Rule.t) =
+  if Rule.is_aggregate rule || List.compare_length_with rule.Rule.body 1 <= 0 then []
+  else
+    List.sort_uniq compare
+      (List.filter_map
+         (function
+           | Literal.Pos a when Term.as_name a.Atom.peer = Some self ->
+             Option.map (fun rel -> (rel, band (stats rel))) (Term.as_name a.Atom.rel)
+           | Literal.Pos _ | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> None)
+         rule.Rule.body)
+
 let compile_member ~self ?stats (source : source) =
   let plan r =
     Plan.compile ~source:source.rule ~id:source.id ~label:source.label r
@@ -113,14 +135,8 @@ let compile_member ~self ?stats (source : source) =
           { rel; at; act })
         (delta_reads base)
   in
-  let stats_rels =
-    List.filter_map
-      (function
-        | Literal.Pos a -> Term.as_name a.Atom.rel
-        | Literal.Neg _ | Literal.Cmp _ | Literal.Assign _ -> None)
-      source.rule.Rule.body
-  in
-  { source; base; reads; stats_rels }
+  let bands = bands_of ~self ~stats:(variant_stats stats) source.rule in
+  { source; base; reads; bands }
 
 (* Whether [stats] would give [m] another base order or another
    delta-first order at some activation. *)
@@ -202,18 +218,32 @@ let patch ?stats ~self t ~add ~remove =
         t.strata;
   }
 
-let replan ~self ~stats ~crossed t =
-  let stale m = List.exists crossed m.stats_rels && reorders ~self ~stats m in
-  let touched s = List.exists stale s.members in
+let replan ~self ~stats t =
+  let moved m = List.exists (fun (rel, b) -> band (stats rel) <> b) m.bands in
+  let touched s = List.exists moved s.members in
   if not (Array.exists touched t.strata) then None
   else
-    let recompile m = if stale m then compile_member ~self ~stats m.source else m in
-    Some
-      {
-        strata =
-          Array.map
-            (fun s -> if touched s then index (List.map recompile s.members) else s)
-            t.strata;
-      }
+    let changed = ref false in
+    let replan_stratum s =
+      let reordered = ref false in
+      let members =
+        List.map
+          (fun m ->
+            if not (moved m) then m
+            else if reorders ~self ~stats m then begin
+              reordered := true;
+              compile_member ~self ~stats m.source
+            end
+            else { m with bands = bands_of ~self ~stats m.source.rule })
+          s.members
+      in
+      if !reordered then begin
+        changed := true;
+        index members
+      end
+      else { s with members }
+    in
+    let strata = Array.map (fun s -> if touched s then replan_stratum s else s) t.strata in
+    Some ({ strata }, !changed)
 
 let plan_count t = Array.fold_left (fun acc s -> acc + s.n_plans) 0 t.strata

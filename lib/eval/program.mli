@@ -18,11 +18,12 @@
       stratum by stratum and in order, the rules of [compile sources'],
       where [sources'] is [sources] with the sink appended or removed;
       only join orders planned against older statistics may differ.
-    - {!replan} re-orders, with fresh statistics, only the rules that
-      read a relation whose cardinality crossed a band, and builds a
-      new program only if some base or delta-first order changed.
-    Plans are kept per rule ({!member}), so both touch only the rules
-    they concern.
+    - {!replan} re-orders, with fresh statistics, only the rules whose
+      orders read a relation that left the cardinality band it was
+      planned against, and re-indexes only the strata where some base
+      or delta-first order changed.
+    Plans are kept per rule ({!member}), each with the bands it was
+    planned against, so both touch only the rules they concern.
 
     Each stratum also carries the {e activation index} driving
     semi-naive scheduling: an inverted index from body-relation name to
@@ -77,8 +78,10 @@ type member = {
   source : source;
   base : Plan.t;  (** ordered by the statistics it was compiled with *)
   reads : read list;  (** one per positive body atom, in base order *)
-  stats_rels : string list;
-      (** the relations whose cardinalities its orders depend on *)
+  bands : (string * int) list;
+      (** the power-of-two cardinality band of each relation its orders
+          read, under the statistics they were planned with (bit length
+          of the cardinal, 0 when empty) *)
 }
 (** One rule's compiled plans. *)
 
@@ -109,7 +112,8 @@ val compile :
     before plan compilation; plans keep the original rule as their
     [source]. Without it, base plans follow the written order and
     delta-first plans order their prefix with constant statistics
-    (source order among eligible literals). *)
+    (source order among eligible literals); their bands are those of
+    empty relations. *)
 
 val patch :
   ?stats:(string -> int) ->
@@ -126,12 +130,12 @@ val patch :
     program does not hold. Exact for sinks (see the patch invariant);
     removing any other rule may leave the stratification stale. *)
 
-val replan :
-  self:string -> stats:(string -> int) -> crossed:(string -> bool) -> t -> t option
+val replan : self:string -> stats:(string -> int) -> t -> (t * bool) option
 (** Re-derive, under [stats], the base and delta-first orders of every
-    rule that reads a relation satisfying [crossed]; recompile only the
-    rules whose order changed. [None] when no order changed: the
-    program stays valid as it is. *)
+    rule with a recorded band that [stats] no longer gives; recompile
+    the rules whose order changed and re-band the others. [None] when
+    every band holds: the program stays valid as it is. Otherwise the
+    re-planned program, and whether some order changed. *)
 
 val plan_count : t -> int
 (** Total compiled plans across strata, delta-first variants included

@@ -260,20 +260,12 @@ let patch_arb =
   QCheck.make gen ~print:(fun (spec, ops) ->
       dspec_print spec ^ "\n" ^ String.concat "\n" (List.map patch_op_print ops))
 
-(* Power-of-two cardinality bands, as a peer plans against them. *)
-let bands db =
-  List.map
-    (fun (i : Database.info) ->
-      let rec bits n acc = if n = 0 then acc else bits (n lsr 1) (acc + 1) in
-      (i.Database.name, bits (Relation.cardinal i.Database.data) 0))
-    (Database.relations db)
-
 (* Run [ops] twice over: on a program patched with [Program.patch]
    and [Program.replan] as a peer does, and on a fresh
    [Program.compile] of the same sources. Installs and retracts queue
    up, as between a peer's stages; each [Grow] and the end of the ops
    is a stage: the queue is patched in as one batch (so a sink can come
-   and go inside it), the program re-planned if a band was crossed, and
+   and go inside it), the program re-planned where a band moved, and
    both programs must then compute the same views, messages,
    suspensions and attribution. *)
 let patched_agrees (spec, ops) =
@@ -307,19 +299,13 @@ let patched_agrees (spec, ops) =
   match Program.compile ~stats ~self:"p" ~intensional !held with
   | Error _ -> true
   | Ok p0 ->
-    let patched = ref p0 and planned = ref (bands db) in
+    let patched = ref p0 in
     let add = ref [] and remove = ref [] in
     let stage () =
       patched := Program.patch ~stats ~self:"p" !patched ~add:(List.rev !add) ~remove:!remove;
       add := [];
       remove := [];
-      let now = bands db in
-      if now <> !planned then begin
-        let crossed rel = List.assoc_opt rel now <> List.assoc_opt rel !planned in
-        planned := now;
-        Option.iter (fun p -> patched := p)
-          (Program.replan ~self:"p" ~stats ~crossed !patched)
-      end;
+      Option.iter (fun (p, _) -> patched := p) (Program.replan ~self:"p" ~stats !patched);
       match Program.compile ~stats ~self:"p" ~intensional !held with
       | Error _ -> false
       | Ok fresh -> observe !patched = observe fresh

@@ -391,13 +391,14 @@ let suite =
         in
         let p = Peer.create "cmp_p" in
         (* Not delta-capable: every stage plans against the store as
-           [refill_intensional] leaves it, so only [a]'s growth below
-           crosses a band. *)
+           [refill_intensional] leaves it, so only [a]'s and [c]'s
+           growth below moves a band. *)
         Peer.set_track_provenance p true;
         ok
           (Peer.load_string p
-             "int v@cmp_p(x); a@cmp_p(1); b@cmp_p(1); b@cmp_p(2); \
-              b@cmp_p(3); v@cmp_p($x) :- a@cmp_p($x), b@cmp_p($x);");
+             "int v@cmp_p(x); ext c@cmp_p(x); a@cmp_p(1); b@cmp_p(1); \
+              b@cmp_p(2); b@cmp_p(3); \
+              v@cmp_p($x) :- a@cmp_p($x), b@cmp_p($x);");
         ignore (Peer.stage p);
         check_int "first stage compiles in full" 1 (count "full");
         (* A delegation with a remote head is a sink: patched in. *)
@@ -413,7 +414,49 @@ let suite =
           [ 2; 3; 4 ];
         ignore (Peer.stage p);
         check_int "one replan" 1 (count "replan");
+        (* [c] grows past a band, but no rule reads it: nothing is
+           re-planned, and the cached program serves the stage. *)
+        let hits () =
+          Wdl_obs.Obs.read_one ~labels:[ ("peer", "cmp_p") ]
+            "wdl_eval_program_cache_hits_total"
+        in
+        let hits0 = hits () in
+        List.iter
+          (fun n -> ok (Peer.insert p (fact "c" "cmp_p" [ Value.Int n ])))
+          [ 1; 2; 3; 4 ];
+        ignore (Peer.stage p);
+        check_int "an unread relation is not re-planned" 1 (count "replan");
+        check_bool "and its stage is a cache hit" (hits () = hits0 +. 1.);
+        (* [a] doubles again while [b] stays the smaller side: the
+           rule is re-planned to the same order and re-banded, so the
+           next stage inside the new band checks nothing. *)
+        List.iter
+          (fun n -> ok (Peer.insert p (fact "a" "cmp_p" [ Value.Int n ])))
+          [ 5; 6; 7; 8 ];
+        ignore (Peer.stage p);
+        check_int "an order-keeping move is re-planned" 2 (count "replan");
+        ok (Peer.insert p (fact "a" "cmp_p" [ Value.Int 9 ]));
+        ignore (Peer.stage p);
+        check_int "and re-banded" 2 (count "replan");
         check_int "still one full compile" 1 (count "full");
         check_int "one patch still" 1 (count "patch");
         check_int "view" 3 (List.length (Peer.query p "v")));
+    tc "delegations pass the checks own rules pass" (fun () ->
+        let p = Peer.create "p" in
+        ok (Peer.load_string p "a@p(1);");
+        let rule = Parser.parse_rule "out@q($x, $y) :- a@p($x)" in
+        let reason =
+          match Peer.add_rule p rule with
+          | Error msg -> msg
+          | Ok () -> Alcotest.fail "add_rule accepted an unsafe rule"
+        in
+        Peer.receive p (Message.make ~src:"q" ~dst:"p" ~stage:1 ~installs:[ rule ] ());
+        ignore (Peer.stage p);
+        check_int "not installed" 0 (List.length (Peer.delegated_rules p));
+        check_bool "no runtime errors" (Peer.last_errors p = []);
+        check_bool "rejection traced with the checker's message"
+          (Trace.find (Peer.trace p) (function
+             | Trace.Delegation_rejected r -> r.reason = reason
+             | _ -> false)
+          <> None));
   ]
