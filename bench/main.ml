@@ -385,7 +385,7 @@ let t7 () =
         [ Parser.parse_rule "a@Emilien($x) :- b@Emilien($x), c@Emilien($x)" ]
       ()
   in
-  let frame = Webdamlog.Wire.encode sample_msg in
+  let frame = Webdamlog.Wire.batch [ sample_msg ] in
   let plan_rule =
     Parser.parse_rule
       "v@p($x, $z) :- a@p($x, $y), b@p($y, $z), not c@p($x), $z > 0"
@@ -397,8 +397,8 @@ let t7 () =
       ( "parse 4-statement program",
         fun () -> ignore (Parser.parse_program sample_program) );
       ( "wire encode (10 facts + 1 rule)",
-        fun () -> ignore (Webdamlog.Wire.encode sample_msg) );
-      ("wire decode", fun () -> ignore (Webdamlog.Wire.decode frame));
+        fun () -> ignore (Webdamlog.Wire.batch [ sample_msg ]) );
+      ("wire decode", fun () -> ignore (Webdamlog.Wire.unbatch frame));
       ("plan compile", fun () -> ignore (Wdl_eval.Plan.compile plan_rule));
       ( "relation insert (fresh tuples)",
         fun () ->

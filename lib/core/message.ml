@@ -17,48 +17,15 @@ let make ~src ~dst ~stage ?(facts = None) ?(installs = []) ?(retracts = [])
 
 let is_empty m = m.facts = None && m.installs = [] && m.retracts = []
 
-(* Wire size of a fact: the length of its one-line rendering, computed
-   arithmetically. The sizer runs on every transport send, and
-   [Format.asprintf "%a" Fact.pp] there — a scratch formatter plus a
-   rendered string per fact per send — dominated message-heavy stage
-   profiles. The arithmetic mirrors [Fact.pp]/[Value.pp] exactly:
-   bare names when [Term.is_ident], quoted-and-escaped otherwise,
-   ", " between arguments. *)
-let escaped_len s =
-  let n = ref 0 in
-  String.iter
-    (fun c ->
-      n := !n + (match c with '"' | '\\' | '\n' | '\t' | '\r' -> 2 | _ -> 1))
-    s;
-  !n
-
-let name_len s = if Term.is_ident s then String.length s else 2 + escaped_len s
-
-let int_len x =
-  (* [n / 10] truncates toward zero, so the loop also terminates on
-     [min_int], whose negation overflows. *)
-  let rec go n acc = if n = 0 then acc else go (n / 10) (acc + 1) in
-  if x = 0 then 1 else (if x < 0 then 1 else 0) + go x 0
-
-let value_len = function
-  | Value.Int x -> int_len x
-  | Value.Float _ as v -> String.length (Value.to_string v)
-  | Value.String s -> 2 + escaped_len s
-  | Value.Bool b -> if b then 4 else 5
-
-let fact_size f =
-  let args =
-    List.fold_left (fun acc v -> acc + 2 + value_len v) (-2) f.Fact.args
-  in
-  name_len f.Fact.rel + 1 + name_len f.Fact.peer + 1 + max 0 args + 1
-
 let size m =
-  (* One-line rendering, like the wire: [Format.asprintf] at its
-     default margin wraps long rules, and the inserted newline+indent
-     made the sizer overcount what the transport actually frames. *)
+  (* One-line renderings, like the wire: facts through the wire's own
+     writer, rules unwrapped ([Format.asprintf] at its default margin
+     wraps long rules, and the inserted newline+indent made the sizer
+     overcount what the transport actually frames). *)
+  let buf = Buffer.create 256 in
+  Option.iter (List.iter (Fact.add_to_buffer buf)) m.facts;
   let rule_size r = String.length (Pp_util.one_line Rule.pp r) in
-  let facts = match m.facts with None -> 0 | Some fs -> List.fold_left (fun a f -> a + fact_size f) 0 fs in
-  facts
+  Buffer.length buf
   + List.fold_left (fun a r -> a + rule_size r) 0 m.installs
   + List.fold_left (fun a r -> a + rule_size r) 0 m.retracts
   + String.length m.src + String.length m.dst + 8

@@ -47,12 +47,6 @@ val make :
 
 val is_empty : t -> bool
 
-val fact_size : Fact.t -> int
-(** Exact byte length of the fact's one-line wire rendering
-    ([String.length (Fact.to_string f)]), computed arithmetically —
-    no formatter, no intermediate string. The equality is enforced by
-    a QCheck property over arbitrary facts. *)
-
 val size : t -> int
 (** Estimated wire size in bytes (used by transport statistics):
     one-line renderings of facts and rules plus a small fixed header

@@ -542,6 +542,14 @@ let insert t (fact : Fact.t) =
       (Printf.sprintf "fact %s targets peer %s, not this peer (%s)"
          (Format.asprintf "%a" Fact.pp fact)
          fact.Fact.peer t.name)
+  else if
+    List.exists
+      (function Value.Float x -> Float.is_nan x | _ -> false)
+      fact.Fact.args
+  then
+    (* NaN has no literal: it could not be journaled, snapshotted or
+       sent. *)
+    Error (Printf.sprintf "fact %s holds NaN" (Fact.to_string fact))
   else
     match Builtin.Registry.find t.builtins fact.Fact.rel with
     | Some inst -> builtin_write t inst Builtin.Insert fact
@@ -1017,15 +1025,17 @@ let accept_all_delegations t =
    non-program state (trust entries, delegation origins, cached remote
    batches, already-sent state). *)
 
-let one_line = Pp_util.one_line
-
 let snapshot t =
   let buf = Buffer.create 4096 in
   let stmt pp v =
-    Buffer.add_string buf (one_line pp v);
+    Buffer.add_string buf (Pp_util.one_line pp v);
     Buffer.add_string buf ";\n"
   in
-  let marker rel args = stmt Fact.pp (Fact.make ~rel ~peer:"snapshot" args) in
+  let fact f =
+    Fact.add_to_buffer buf f;
+    Buffer.add_string buf ";\n"
+  in
+  let marker rel args = fact (Fact.make ~rel ~peer:"snapshot" args) in
   let trust_entries = Acl.explicit t.acl in
   let decls =
     List.map
@@ -1106,7 +1116,7 @@ let snapshot t =
     (fun (p, b) -> marker "trust" [ Value.String p; Value.Bool b ])
     trust_entries;
   List.iter (fun d -> stmt Decl.pp d) decls;
-  List.iter (fun f -> stmt Fact.pp f) ext_facts;
+  List.iter fact ext_facts;
   List.iter (fun r -> stmt Rule.pp r) own;
   List.iter
     (fun (src, r) ->
@@ -1121,7 +1131,7 @@ let snapshot t =
   List.iter
     (fun (src, batch) ->
       marker "batch" [ Value.String src; Value.Int (List.length batch) ];
-      List.iter (fun f -> stmt Fact.pp f) batch)
+      List.iter fact batch)
     cache;
   List.iter
     (fun (dst, r) ->
@@ -1131,7 +1141,7 @@ let snapshot t =
   List.iter
     (fun (dst, batch) ->
       marker "batch" [ Value.String dst; Value.Int (List.length batch) ];
-      List.iter (fun f -> stmt Fact.pp f) batch)
+      List.iter fact batch)
     batches;
   Buffer.contents buf
 

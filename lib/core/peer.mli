@@ -148,7 +148,8 @@ val flow : t -> Wdl_analysis.Flow.t
 
 val insert : t -> Fact.t -> (unit, string) result
 (** A local update to an extensional relation; visible at the next
-    stage the peer runs. Rejects facts for other peers and for views. *)
+    stage the peer runs. Rejects facts for other peers, for views, and
+    facts holding a NaN float. *)
 
 val delete : t -> Fact.t -> (unit, string) result
 

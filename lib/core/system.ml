@@ -340,8 +340,8 @@ let round t =
       let items = List.rev !(Hashtbl.find outbox dst) in
       match items with
       | [ (src, msg) ] ->
-        (* Size-1 fast path: a singleton group gains nothing from the
-           batch frame, so skip the batching bookkeeping entirely. *)
+        (* Size-1 fast path: a singleton group is a plain send, so it
+           skips the batching bookkeeping entirely. *)
         (try t.transport.Wdl_net.Transport.send ~src ~dst msg
          with _ -> t.transport_errors <- t.transport_errors + 1)
       | _ -> (

@@ -21,8 +21,8 @@ val create :
     Each round's outbox is coalesced per destination into one
     [send_many] — the delivery schedule is unchanged (everything still
     lands in the same round; per-stage observability is preserved),
-    only the number of wire units drops; singleton groups skip the
-    batch frame entirely. [drop_unknown] controls messages to
+    only the number of wire units drops; a singleton group is a plain
+    [send], not counted as a batch. [drop_unknown] controls messages to
     peers this system doesn't host: dropped when using the default
     in-process transport (they could never be delivered), sent
     otherwise (over TCP the peer may live in another process).

@@ -1,50 +1,47 @@
 (** Wire codec: {!Message} values as self-describing text frames.
 
-    A frame is itself a parseable WebdamLog program: a [header@wire]
-    fact carrying source, destination, stage and section counts,
-    followed by the fact batch and the delegation install/retract
-    rules in order. Re-using the language's own reader/printer keeps
-    the codec total on every message the engine can produce.
+    A frame is itself a parseable WebdamLog program, one statement per
+    line. Re-using the language's own reader keeps the codec total on
+    every message the engine can produce; facts are written by
+    {!Wdl_syntax.Fact.add_to_buffer}, rules by the rule printer.
 
-    {!transport} lifts any byte transport (typically
-    {!Wdl_net.Tcp}) into a {!Message} transport. *)
+    {v
+    frame    ::= batch@wire(n);  section x n
+    section  ::= header@wire(src, dst, stage, nf, ni, nr, nfo, nio);
+                 origins@wire(id, ...);     only when nfo + nio > 0
+                 fact x nf                  nf = -1: no fact batch
+                 rule x ni  rule x nr       installs, then retracts
+    envelope ::= envelope@wire(src, inc, seq, ack, has);  section if has
+    v}
 
-val encode : Message.t -> string
-val decode : string -> (Message.t, string) result
-
-(** {1 Batch frames}
-
-    Everything queued for one destination in a round can ride as one
-    frame: a [batch@wire(version, count)] fact followed by [count]
-    ordinary message sections. The version tag keeps the format
-    evolvable; a singleton batch is emitted as a plain single-message
-    frame, and {!unbatch} accepts both shapes — so old and new
-    processes interoperate in either direction. *)
+    The count [n] detects a frame cut between two sections. *)
 
 val batch : Message.t list -> string
+(** Everything queued for one destination in a round, as one frame
+    (a single message is a frame of one section). *)
 
 val unbatch : string -> (Message.t list, string) result
-(** Inverse of {!batch}; a bare single-message frame (the pre-batching
-    format) decodes as a singleton list. *)
+(** Inverse of {!batch}. Total: any input gives [Ok] or [Error]. *)
 
 val transport : string Wdl_net.Transport.t -> Message.t Wdl_net.Transport.t
-(** Frames that fail to decode are dropped (counted nowhere: a
-    malformed frame from the outside world must not kill the peer).
-    [send_many] coalesces the batch into one {!batch} frame — one byte
-    send, one wire unit. *)
+(** Lifts a byte transport (typically {!Wdl_net.Tcp}) into a
+    {!Message} transport. [send_many] coalesces the batch into one
+    {!batch} frame — one byte send, one wire unit. Frames that fail
+    to decode are dropped (a malformed frame from the outside world
+    must not kill the peer) and counted in
+    [wdl_net_undecodable_frames_total{transport="wire"}]. *)
 
 (** {1 Reliable-session envelopes}
 
     {!Wdl_net.Reliable} stamps messages with incarnation, sequence and
-    ack metadata; these frames carry it as one extra [envelope@wire]
-    fact line ahead of the normal message frame (absent for a pure
-    ack), keeping the whole envelope parseable WebdamLog text. The
-    incarnation field appears only once a link has been forgotten, so
-    a first session's header keeps the four fields older decoders
-    read; both forms decode. *)
+    ack metadata; these frames carry it as one [envelope@wire] fact
+    line ahead of the message section (absent for a pure ack), keeping
+    the whole envelope parseable WebdamLog text. *)
 
 val encode_envelope : Message.t Wdl_net.Reliable.envelope -> string
+
 val decode_envelope : string -> (Message.t Wdl_net.Reliable.envelope, string) result
+(** Total, like {!unbatch}. *)
 
 val envelope_transport :
   string Wdl_net.Transport.t ->
@@ -53,4 +50,5 @@ val envelope_transport :
     frames, ready for {!Wdl_net.Reliable.wrap}:
     [Reliable.wrap (Wire.envelope_transport tcp)] is an exactly-once
     [Message.t] transport over real sockets. Undecodable frames are
-    dropped. *)
+    dropped and counted in
+    [wdl_net_undecodable_frames_total{transport="envelope"}]. *)

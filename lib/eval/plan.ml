@@ -362,18 +362,6 @@ let instantiate_args args env =
 
 let ( let* ) = Result.bind
 
-let numeric op_name fi ff a b =
-  match a, b with
-  | Value.Int x, Value.Int y -> Ok (Value.Int (fi x y))
-  | Value.Float x, Value.Float y -> Ok (Value.Float (ff x y))
-  | Value.Int x, Value.Float y -> Ok (Value.Float (ff (float_of_int x) y))
-  | Value.Float x, Value.Int y -> Ok (Value.Float (ff x (float_of_int y)))
-  | a, b ->
-    Error
-      (Expr.Type_error
-         (Printf.sprintf "%s expects numbers, got %s and %s" op_name
-            (Value.type_name a) (Value.type_name b)))
-
 let rec eval_cexpr e env ~slot_names =
   match e with
   | CConst v -> Ok v
@@ -381,24 +369,12 @@ let rec eval_cexpr e env ~slot_names =
     match env.(s) with
     | Some v -> Ok v
     | None -> Error (Expr.Unbound_variable slot_names.(s)))
-  | CAdd (a, b) -> (
-    let* va = eval_cexpr a env ~slot_names in
-    let* vb = eval_cexpr b env ~slot_names in
-    match va, vb with
-    | Value.String x, Value.String y -> Ok (Value.String (x ^ y))
-    | va, vb -> numeric "+" ( + ) ( +. ) va vb)
-  | CSub (a, b) ->
-    let* va = eval_cexpr a env ~slot_names in
-    let* vb = eval_cexpr b env ~slot_names in
-    numeric "-" ( - ) ( -. ) va vb
-  | CMul (a, b) ->
-    let* va = eval_cexpr a env ~slot_names in
-    let* vb = eval_cexpr b env ~slot_names in
-    numeric "*" ( * ) ( *. ) va vb
-  | CDiv (a, b) -> (
-    let* va = eval_cexpr a env ~slot_names in
-    let* vb = eval_cexpr b env ~slot_names in
-    match vb with
-    | Value.Int 0 -> Error (Expr.Type_error "division by zero")
-    | Value.Float f when f = 0. -> Error (Expr.Type_error "division by zero")
-    | vb -> numeric "/" ( / ) ( /. ) va vb)
+  | CAdd (a, b) -> binary Expr.add a b env ~slot_names
+  | CSub (a, b) -> binary Expr.sub a b env ~slot_names
+  | CMul (a, b) -> binary Expr.mul a b env ~slot_names
+  | CDiv (a, b) -> binary Expr.div a b env ~slot_names
+
+and binary op a b env ~slot_names =
+  let* va = eval_cexpr a env ~slot_names in
+  let* vb = eval_cexpr b env ~slot_names in
+  op va vb

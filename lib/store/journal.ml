@@ -27,12 +27,20 @@ let open_ file =
         "wdl_journal_entries_total";
   }
 
-let one_line = Pp_util.one_line
-
-let render = function
-  | Insert f -> "+ " ^ one_line Fact.pp f ^ ";"
-  | Delete f -> "- " ^ one_line Fact.pp f ^ ";"
-  | Declare d -> "d " ^ one_line Decl.pp d ^ ";"
+let render entry =
+  let buf = Buffer.create 128 in
+  (match entry with
+  | Insert f ->
+    Buffer.add_string buf "+ ";
+    Fact.add_to_buffer buf f
+  | Delete f ->
+    Buffer.add_string buf "- ";
+    Fact.add_to_buffer buf f
+  | Declare d ->
+    Buffer.add_string buf "d ";
+    Buffer.add_string buf (Pp_util.one_line Decl.pp d));
+  Buffer.add_char buf ';';
+  Buffer.contents buf
 
 let append t entry =
   Wdl_obs.Obs.time t.append_hist @@ fun () ->

@@ -36,20 +36,25 @@ let numbers values =
 let all_ints values =
   List.for_all (function Value.Int _ -> true | _ -> false) values
 
+(* A float result; NaN (from infinities of both signs) has no literal,
+   so it is an error, like division by zero in expressions. *)
+let float op x =
+  if Float.is_nan x then
+    Error (Printf.sprintf "%s over infinities of both signs is not a number" (op_name op))
+  else Ok (Value.Float x)
+
 let apply op values =
   match op, values with
   | _, [] -> Error "aggregate over an empty group"
   | Count, _ -> Ok (Value.Int (List.length values))
   | Avg, _ ->
-    Result.map
-      (fun ns -> Value.Float (List.fold_left ( +. ) 0. ns /. float_of_int (List.length ns)))
-      (numbers values)
+    Result.bind (numbers values) (fun ns ->
+        float op (List.fold_left ( +. ) 0. ns /. float_of_int (List.length ns)))
   | Sum, _ ->
-    Result.map
-      (fun ns ->
+    Result.bind (numbers values) (fun ns ->
         let total = List.fold_left ( +. ) 0. ns in
-        if all_ints values then Value.Int (int_of_float total) else Value.Float total)
-      (numbers values)
+        if all_ints values then Ok (Value.Int (int_of_float total))
+        else float op total)
   | (Min | Max), first :: rest ->
     (* numeric coercion: compare as floats when int and float mix *)
     let cmp a b =

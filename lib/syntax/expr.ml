@@ -13,16 +13,39 @@ type error =
 let ( let* ) = Result.bind
 
 let numeric op_name fi ff a b =
+  let float x y =
+    let r = ff x y in
+    if Float.is_nan r then
+      Error
+        (Type_error
+           (Printf.sprintf "%s %s %s is not a number" (Value.to_string a)
+              op_name (Value.to_string b)))
+    else Ok (Value.Float r)
+  in
   match a, b with
   | Value.Int x, Value.Int y -> Ok (Value.Int (fi x y))
-  | Value.Float x, Value.Float y -> Ok (Value.Float (ff x y))
-  | Value.Int x, Value.Float y -> Ok (Value.Float (ff (float_of_int x) y))
-  | Value.Float x, Value.Int y -> Ok (Value.Float (ff x (float_of_int y)))
+  | Value.Float x, Value.Float y -> float x y
+  | Value.Int x, Value.Float y -> float (float_of_int x) y
+  | Value.Float x, Value.Int y -> float x (float_of_int y)
   | a, b ->
     Error
       (Type_error
          (Printf.sprintf "%s expects numbers, got %s and %s" op_name
             (Value.type_name a) (Value.type_name b)))
+
+let add a b =
+  match a, b with
+  | Value.String x, Value.String y -> Ok (Value.String (x ^ y))
+  | a, b -> numeric "+" ( + ) ( +. ) a b
+
+let sub = numeric "-" ( - ) ( -. )
+let mul = numeric "*" ( * ) ( *. )
+
+let div a b =
+  match b with
+  | Value.Int 0 -> Error (Type_error "division by zero")
+  | Value.Float f when f = 0. -> Error (Type_error "division by zero")
+  | b -> numeric "/" ( / ) ( /. ) a b
 
 let rec eval s = function
   | Const v -> Ok v
@@ -30,27 +53,15 @@ let rec eval s = function
     match Subst.find x s with
     | Some v -> Ok v
     | None -> Error (Unbound_variable x))
-  | Add (a, b) -> (
-    let* va = eval s a in
-    let* vb = eval s b in
-    match va, vb with
-    | Value.String x, Value.String y -> Ok (Value.String (x ^ y))
-    | va, vb -> numeric "+" ( + ) ( +. ) va vb)
-  | Sub (a, b) ->
-    let* va = eval s a in
-    let* vb = eval s b in
-    numeric "-" ( - ) ( -. ) va vb
-  | Mul (a, b) ->
-    let* va = eval s a in
-    let* vb = eval s b in
-    numeric "*" ( * ) ( *. ) va vb
-  | Div (a, b) -> (
-    let* va = eval s a in
-    let* vb = eval s b in
-    match vb with
-    | Value.Int 0 -> Error (Type_error "division by zero")
-    | Value.Float f when f = 0. -> Error (Type_error "division by zero")
-    | vb -> numeric "/" ( / ) ( /. ) va vb)
+  | Add (a, b) -> binary add s a b
+  | Sub (a, b) -> binary sub s a b
+  | Mul (a, b) -> binary mul s a b
+  | Div (a, b) -> binary div s a b
+
+and binary op s a b =
+  let* va = eval s a in
+  let* vb = eval s b in
+  op va vb
 
 let vars e =
   let rec go acc = function

@@ -18,6 +18,18 @@ type error =
   | Type_error of string  (** human-readable description *)
 
 val eval : Subst.t -> t -> (Value.t, error) result
+
+(** {1 The operators on values}
+
+    Shared by {!eval} and compiled plans. Float results that would be
+    NaN are a [Type_error]: NaN has no literal, so no relation holds
+    it. *)
+
+val add : Value.t -> Value.t -> (Value.t, error) result
+val sub : Value.t -> Value.t -> (Value.t, error) result
+val mul : Value.t -> Value.t -> (Value.t, error) result
+val div : Value.t -> Value.t -> (Value.t, error) result
+
 val vars : t -> string list
 (** Free variables, each listed once, in first-occurrence order. *)
 

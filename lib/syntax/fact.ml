@@ -34,6 +34,23 @@ let pp ppf f =
        Value.pp)
     f.args
 
-(* The one-line rendering — what the wire writes, and what
-   [Message.fact_size] mirrors arithmetically. *)
-let to_string f = Pp_util.one_line pp f
+let add_name buf s =
+  if Term.is_ident s then Buffer.add_string buf s
+  else Value.add_to_buffer buf (Value.String s)
+
+let add_to_buffer buf f =
+  add_name buf f.rel;
+  Buffer.add_char buf '@';
+  add_name buf f.peer;
+  Buffer.add_char buf '(';
+  List.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Value.add_to_buffer buf v)
+    f.args;
+  Buffer.add_char buf ')'
+
+let to_string f =
+  let buf = Buffer.create 64 in
+  add_to_buffer buf f;
+  Buffer.contents buf

@@ -15,10 +15,14 @@ val equal : t -> t -> bool
 val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the one-line rendering of {!pp} (no line breaks at any
+    width): the one writer behind wire frames, journal lines,
+    snapshots and [Message.size]. A QCheck property pins it to
+    [Pp_util.one_line pp]. *)
+
 val to_string : t -> string
-(** The one-line rendering of {!pp} (no line breaks at any width) —
-    exactly what the wire encoding writes for a fact, and the string
-    whose byte length [Message.fact_size] computes arithmetically. *)
+(** {!add_to_buffer} into a fresh string. *)
 
 val pp_bare_name : Format.formatter -> string -> unit
 (** Prints a relation/peer name bare when identifier-like, quoted

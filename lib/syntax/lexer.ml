@@ -131,6 +131,10 @@ let lex_number st =
   else
     match int_of_string_opt text with
     | Some n -> INT n
+    | None when int_of_string_opt ("-" ^ text) = Some min_int ->
+      (* [max_int + 1]: the parser negates it to [min_int] after a
+         unary minus, and reads it as a float otherwise. *)
+      INT min_int
     | None -> FLOAT (float_of_string text)
 
 let lex_string st =
@@ -236,6 +240,7 @@ let tokenize src =
 let pp_token ppf = function
   | IDENT s -> Format.fprintf ppf "identifier %s" s
   | VAR s -> Format.fprintf ppf "$%s" s
+  | INT n when n = min_int -> Format.pp_print_string ppf "4611686018427387904"
   | INT n -> Format.pp_print_int ppf n
   | FLOAT f -> Format.pp_print_float ppf f
   | STRING s -> Format.fprintf ppf "%S" s

@@ -6,7 +6,8 @@
 type token =
   | IDENT of string       (** bare name: relation, peer, or symbol *)
   | VAR of string         (** [$x], payload without the [$] *)
-  | INT of int
+  | INT of int            (** [max_int + 1], alone or after a unary
+                              minus, is [INT min_int] *)
   | FLOAT of float
   | STRING of string      (** unescaped payload *)
   | BOOL of bool

@@ -72,25 +72,39 @@ let name_term st =
       (Format.asprintf "expected a relation or peer name but found %a"
          Lexer.pp_token tok)
 
+(* The constant a numeric literal denotes, [neg]ated after a unary
+   minus. The lexer reads [max_int + 1] as [INT min_int]: negated it is
+   [min_int] ([- min_int = min_int]), and alone the float it overflows
+   to. *)
+let number ~neg = function
+  | Lexer.INT n when n = min_int && not neg ->
+    Some (Value.Float (-.float_of_int min_int))
+  | Lexer.INT n -> Some (Value.Int (if neg then -n else n))
+  | Lexer.FLOAT f -> Some (Value.Float (if neg then -.f else f))
+  | _ -> None
+
+(* The literal after a unary minus that [st] has just consumed. *)
+let negative st =
+  match number ~neg:true (peek st) with
+  | Some v -> advance st; v
+  | None ->
+    fail st
+      (Format.asprintf "expected a number after '-' but found %a"
+         Lexer.pp_token (peek st))
+
 (* A term in argument position. Bare identifiers denote string values. *)
 let term st =
   match peek st with
-  | Lexer.INT n -> advance st; Term.Const (Value.Int n)
-  | Lexer.FLOAT f -> advance st; Term.Const (Value.Float f)
   | Lexer.STRING s -> advance st; Term.Const (Value.String s)
   | Lexer.BOOL b -> advance st; Term.Const (Value.Bool b)
   | Lexer.IDENT s -> advance st; Term.Const (Value.String s)
   | Lexer.VAR x -> advance st; Term.Var x
-  | Lexer.MINUS -> (
-    advance st;
-    match peek st with
-    | Lexer.INT n -> advance st; Term.Const (Value.Int (-n))
-    | Lexer.FLOAT f -> advance st; Term.Const (Value.Float (-.f))
-    | tok ->
-      fail st
-        (Format.asprintf "expected a number after '-' but found %a"
-           Lexer.pp_token tok))
-  | tok -> fail st (Format.asprintf "expected a term but found %a" Lexer.pp_token tok)
+  | Lexer.MINUS -> advance st; Term.Const (negative st)
+  | tok -> (
+    match number ~neg:false tok with
+    | Some v -> advance st; Term.Const v
+    | None ->
+      fail st (Format.asprintf "expected a term but found %a" Lexer.pp_token tok))
 
 let comma_list st elem =
   if peek st = Lexer.RPAREN then []
@@ -188,29 +202,27 @@ and expr_term_rest st lhs =
 
 and expr_factor st =
   match peek st with
-  | Lexer.INT n -> advance st; Expr.Const (Value.Int n)
-  | Lexer.FLOAT f -> advance st; Expr.Const (Value.Float f)
   | Lexer.STRING s -> advance st; Expr.Const (Value.String s)
   | Lexer.BOOL b -> advance st; Expr.Const (Value.Bool b)
   | Lexer.VAR x -> advance st; Expr.Var x
   | Lexer.MINUS -> (
     advance st;
     (* Fold unary minus on numeric literals into the constant. *)
-    match peek st with
-    | Lexer.INT n ->
-      advance st;
-      Expr.Const (Value.Int (-n))
-    | Lexer.FLOAT f ->
-      advance st;
-      Expr.Const (Value.Float (-.f))
-    | _ -> Expr.Sub (Expr.Const (Value.Int 0), expr_factor st))
+    match number ~neg:true (peek st) with
+    | Some v -> advance st; Expr.Const v
+    | None -> Expr.Sub (Expr.Const (Value.Int 0), expr_factor st))
   | Lexer.LPAREN ->
     advance st;
     let e = expr st in
     expect st Lexer.RPAREN "')'";
     e
-  | tok ->
-    fail st (Format.asprintf "expected an expression but found %a" Lexer.pp_token tok)
+  | tok -> (
+    match number ~neg:false tok with
+    | Some v -> advance st; Expr.Const v
+    | None ->
+      fail st
+        (Format.asprintf "expected an expression but found %a" Lexer.pp_token
+           tok))
 
 let cmpop st =
   match peek st with
@@ -267,24 +279,17 @@ let decl st kind =
 (* Builtin-module parameter values: ground constants only. *)
 let param_value st =
   match peek st with
-  | Lexer.INT n -> advance st; Value.Int n
-  | Lexer.FLOAT f -> advance st; Value.Float f
   | Lexer.STRING s -> advance st; Value.String s
   | Lexer.BOOL b -> advance st; Value.Bool b
   | Lexer.IDENT s -> advance st; Value.String s
-  | Lexer.MINUS -> (
-    advance st;
-    match peek st with
-    | Lexer.INT n -> advance st; Value.Int (-n)
-    | Lexer.FLOAT f -> advance st; Value.Float (-.f)
-    | tok ->
+  | Lexer.MINUS -> advance st; negative st
+  | tok -> (
+    match number ~neg:false tok with
+    | Some v -> advance st; v
+    | None ->
       fail st
-        (Format.asprintf "expected a number after '-' but found %a"
+        (Format.asprintf "expected a parameter value but found %a"
            Lexer.pp_token tok))
-  | tok ->
-    fail st
-      (Format.asprintf "expected a parameter value but found %a" Lexer.pp_token
-         tok)
 
 (* [builtin <kind> rel@peer(cols) with k=v, …] — "builtin" and "with"
    are contextual (not reserved words): a statement starting with the

@@ -22,8 +22,7 @@ let hash = function
   | String x -> Hashtbl.hash (2, x)
   | Bool x -> Hashtbl.hash (3, x)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
+let add_escaped buf s =
   String.iter
     (fun c ->
       match c with
@@ -33,25 +32,37 @@ let escape s =
       | '\t' -> Buffer.add_string buf "\\t"
       | '\r' -> Buffer.add_string buf "\\r"
       | c -> Buffer.add_char buf c)
-    s;
+    s
+
+(* Shortest decimal representation that parses back to the same float.
+   The infinities are spelled as literals that overflow to them. *)
+let float_repr x =
+  if x = Float.infinity then "1e999"
+  else if x = Float.neg_infinity then "-1e999"
+  else
+    let short = Printf.sprintf "%.12g" x in
+    let s =
+      if float_of_string short = x then short else Printf.sprintf "%.17g" x
+    in
+    if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
+    then s
+    else s ^ "."
+
+let add_to_buffer buf = function
+  | Int x -> Buffer.add_string buf (Int.to_string x)
+  | Float x -> Buffer.add_string buf (float_repr x)
+  | String s ->
+    Buffer.add_char buf '"';
+    add_escaped buf s;
+    Buffer.add_char buf '"'
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+
+let to_string v =
+  let buf = Buffer.create 16 in
+  add_to_buffer buf v;
   Buffer.contents buf
 
-(* Shortest decimal representation that parses back to the same float. *)
-let float_repr x =
-  let short = Printf.sprintf "%.12g" x in
-  let s = if float_of_string short = x then short else Printf.sprintf "%.17g" x in
-  if String.contains s '.' || String.contains s 'e' || String.contains s 'n'
-     || String.contains s 'i'
-  then s
-  else s ^ "."
-
-let pp ppf = function
-  | Int x -> Format.pp_print_int ppf x
-  | Float x -> Format.pp_print_string ppf (float_repr x)
-  | String s -> Format.fprintf ppf "\"%s\"" (escape s)
-  | Bool b -> Format.pp_print_bool ppf b
-
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let as_name = function
   | String s when String.length s > 0 -> Some s

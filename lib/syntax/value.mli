@@ -14,8 +14,14 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val hash : t -> int
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the value in re-parseable concrete syntax: strings quoted
+    and escaped, floats in their shortest exact decimal form (always
+    with a [.] or an exponent, the infinities as [1e999] and [-1e999]).
+    NaN has no literal; it is kept out of relations and expressions. *)
+
 val pp : Format.formatter -> t -> unit
-(** Prints in re-parseable concrete syntax (strings are quoted). *)
+(** {!add_to_buffer}'s rendering, as one unbreakable token. *)
 
 val to_string : t -> string
 

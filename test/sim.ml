@@ -21,7 +21,7 @@
    - phases are applied at quiescent points;
    - builtin relations appear only in fault-free specs: window
      horizons count the peer's own stages, and faults move stage
-     numbering (ROADMAP item 4);
+     numbering (ROADMAP item 6);
    - no rule op falls between a checkpoint and its crash: the journal
      covers base data only (persist.mli), so a crash phase applies its
      rule ops first;

@@ -27,6 +27,13 @@ let suite =
           = Ok (Value.Float 1.5));
         check_bool "string rejected"
           (Result.is_error (Aggregate.apply Aggregate.Sum [ Value.String "x" ]));
+        List.iter
+          (fun op ->
+            check_bool "infinities of both signs are not a number"
+              (Result.is_error
+                 (Aggregate.apply op
+                    [ Value.Float infinity; Value.Int 1; Value.Float neg_infinity ])))
+          [ Aggregate.Sum; Aggregate.Avg ];
         check_bool "count anything"
           (Aggregate.apply Aggregate.Count [ Value.String "x"; Value.Bool true ]
           = Ok (Value.Int 2));

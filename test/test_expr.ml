@@ -30,6 +30,14 @@ let suite =
         check_bool "float"
           (Result.is_error
              (Expr.eval sub (Expr.Div (Var "x", Const (Value.Float 0.))))));
+    tc "float results that would be NaN are errors" (fun () ->
+        let inf = Expr.Const (Value.Float infinity) in
+        List.iter
+          (fun (label, e) -> check_bool label (Result.is_error (Expr.eval sub e)))
+          [ ("inf - inf", Expr.Sub (inf, inf)); ("inf * 0", Expr.Mul (inf, Const (Value.Int 0)));
+            ("inf / inf", Expr.Div (inf, inf)) ];
+        check_bool "inf + 1 is inf"
+          (eval_ok sub (Expr.Add (inf, Const (Value.Int 1))) = Value.Float infinity));
     tc "type errors" (fun () ->
         let s = Subst.bind_exn "b" (Value.Bool true) Subst.empty in
         check_bool "bool + int"

@@ -208,8 +208,9 @@ let wire_suite =
             ~installs:[ parse_rule "mix@p($x) :- data@q($x);" ]
             ~fact_origins:[ "p#1"; "p#2" ] ~install_origins:[ "p#3" ] ()
         in
-        match Wire.decode (Wire.encode m) with
-        | Ok m' -> check_bool "round-trip" (msg_equal m m')
+        match Wire.unbatch (Wire.batch [ m ]) with
+        | Ok [ m' ] -> check_bool "round-trip" (msg_equal m m')
+        | Ok _ -> Alcotest.fail "wrong arity"
         | Error e -> Alcotest.fail e);
     tc "empty origins stay off the wire" (fun () ->
         let m =
@@ -217,16 +218,17 @@ let wire_suite =
             ~facts:(Some [ Fact.make ~rel:"out" ~peer:"q" [ Value.Int 1 ] ])
             ()
         in
-        let frame = Wire.encode m in
+        let frame = Wire.batch [ m ] in
         check_bool "no origins relation"
           (not
              (String.split_on_char '\n' frame
              |> List.exists (fun l ->
                     String.length l >= 7 && String.sub l 0 7 = "origins")));
-        match Wire.decode frame with
-        | Ok m' ->
+        match Wire.unbatch frame with
+        | Ok [ m' ] ->
           check_bool "round-trip" (msg_equal m m');
           Alcotest.(check (list string)) "no fact origins" [] m'.Message.fact_origins
+        | Ok _ -> Alcotest.fail "wrong arity"
         | Error e -> Alcotest.fail e);
     tc "diagnostics carry a top-level file field in JSON" (fun () ->
         match

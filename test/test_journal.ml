@@ -17,6 +17,7 @@ let suite =
           [ Journal.Declare (Decl.make ~kind:Decl.Extensional ~rel:"m" ~peer:"p" [ "x" ]);
             Journal.Insert (fact 1);
             Journal.Insert (Fact.make ~rel:"m" ~peer:"p" [ Value.String "é\"x" ]);
+            Journal.Insert (Fact.make ~rel:"m" ~peer:"p" [ Value.Float neg_infinity ]);
             Journal.Delete (fact 1) ]
         in
         List.iter (Journal.append j) entries;

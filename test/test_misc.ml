@@ -6,13 +6,21 @@ open Check
 let suite =
   [
     tc "wire transport adapter drops malformed frames" (fun () ->
+        let dropped () =
+          Wdl_obs.Obs.counter_value
+            (Wdl_obs.Obs.counter ~labels:[ ("transport", "wire") ]
+               "wdl_net_undecodable_frames_total")
+        in
         let bytes = Wdl_net.Inmem.create () in
         let msgs = Wire.transport bytes in
+        let before = dropped () in
         bytes.Wdl_net.Transport.send ~src:"a" ~dst:"b" "not a frame at all";
         bytes.Wdl_net.Transport.send ~src:"a" ~dst:"b"
-          (Wire.encode (Message.make ~src:"a" ~dst:"b" ~stage:1 ~facts:(Some []) ()));
+          (Wire.batch
+             [ Message.make ~src:"a" ~dst:"b" ~stage:1 ~facts:(Some []) () ]);
         let delivered = msgs.Wdl_net.Transport.drain "b" in
-        check_int "only the valid one" 1 (List.length delivered));
+        check_int "only the valid one" 1 (List.length delivered);
+        check_int "the dropped frame is counted" 1 (dropped () - before));
     tc "httpd turns handler exceptions into 500s" (fun () ->
         let server = Wdl_web.Httpd.start (fun _ -> failwith "boom") in
         Fun.protect
@@ -129,7 +137,8 @@ let suite =
             ~facts:(Some [ Fact.make ~rel:"pictures" ~peer:"Jules" [ Value.String "café" ] ])
             ()
         in
-        match Wire.decode (Wire.encode m) with
-        | Ok m' -> Alcotest.check Alcotest.string "src" "Émilien" m'.Message.src
+        match Wire.unbatch (Wire.batch [ m ]) with
+        | Ok [ m' ] -> Alcotest.check Alcotest.string "src" "Émilien" m'.Message.src
+        | Ok _ -> Alcotest.fail "wrong arity"
         | Error e -> Alcotest.fail e);
   ]

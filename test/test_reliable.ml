@@ -213,14 +213,17 @@ let unit_tests =
         let a = { e with Reliable.env_seq = 0; env_payload = None } in
         let a' = ok' (Wire.decode_envelope (Wire.encode_envelope a)) in
         check_bool "pure ack" (a'.Reliable.env_payload = None);
-        (* A first session sends the four-field header an older decoder
-           reads, and decodes it back as incarnation 0. *)
+        (* A first session's header has the same five fields, with
+           incarnation 0. *)
         let a0 = { a with Reliable.env_inc = 0 } in
         let text = Wire.encode_envelope a0 in
-        check_bool "no incarnation field"
-          (String.starts_with ~prefix:"envelope@wire(\"Jules\", 0, 3, false)" text);
+        Alcotest.check Alcotest.string "one header shape"
+          "envelope@wire(\"Jules\", 0, 0, 3, false);\n" text;
         check_int "first session" 0
           (ok' (Wire.decode_envelope text)).Reliable.env_inc;
+        check_bool "the four-field header is malformed"
+          (Result.is_error
+             (Wire.decode_envelope "envelope@wire(\"Jules\", 0, 3, false);"));
         check_bool "garbage rejected"
           (Result.is_error (Wire.decode_envelope "nope")));
     tc "reliable over tcp + wire: ack crosses processes" (fun () ->

@@ -21,7 +21,11 @@ let sample_fact =
     [ Value.Int 32; Value.String "sea \"quoted\".jpg"; Value.String "Émilien";
       Value.Float 0.5; Value.Bool true ]
 
-let roundtrip m = check_bool "round-trip" (msg_equal m (ok' (Wire.decode (Wire.encode m))))
+let roundtrip m =
+  match Wire.unbatch (Wire.batch [ m ]) with
+  | Ok [ m' ] -> check_bool "round-trip" (msg_equal m m')
+  | Ok _ -> Alcotest.fail "wrong arity"
+  | Error e -> Alcotest.fail e
 
 let suite =
   [
@@ -39,41 +43,39 @@ let suite =
              ~facts:(Some [ Fact.make ~rel:"not" ~peer:"ext" [] ])
              ()));
     tc "decode rejects garbage" (fun () ->
-        check_bool "garbage" (Result.is_error (Wire.decode "not a frame"));
+        check_bool "garbage" (Result.is_error (Wire.unbatch "not a frame"));
         check_bool "missing header"
-          (Result.is_error (Wire.decode "m@p(1);"));
+          (Result.is_error (Wire.unbatch "batch@wire(1); m@p(1);"));
         check_bool "truncated"
           (Result.is_error
-             (Wire.decode
-                {|header@wire("a", "b", 1, 3, 0, 0); m@p(1);|})));
+             (Wire.unbatch
+                {|batch@wire(1); header@wire("a", "b", 1, 3, 0, 0, 0, 0); m@p(1);|}));
+        check_bool "a bare message section is not a frame"
+          (Result.is_error
+             (Wire.unbatch {|header@wire("a", "b", 1, 1, 0, 0, 0, 0); m@p(1);|})));
     tc "frames are single-line statements" (fun () ->
         let m =
           Message.make ~src:"a" ~dst:"b" ~stage:1 ~installs:[ sample_rule ] ()
         in
-        let lines = String.split_on_char '\n' (Wire.encode m) in
-        (* header + 1 rule + trailing empty *)
-        check_int "lines" 3 (List.length lines));
+        let lines = String.split_on_char '\n' (Wire.batch [ m ]) in
+        (* batch + header + 1 rule + trailing empty *)
+        check_int "lines" 4 (List.length lines));
     tc "batch: empty and singleton shapes" (fun () ->
         check_bool "empty round-trips" (Wire.unbatch (Wire.batch []) = Ok []);
         let m =
           Message.make ~src:"a" ~dst:"b" ~stage:1
             ~facts:(Some [ sample_fact ]) ()
         in
-        check_bool "singleton is the old single-message format"
-          (Wire.batch [ m ] = Wire.encode m);
+        Alcotest.check Alcotest.string
+          "a singleton is a counted frame of one section"
+          "batch@wire(1);\n\
+             header@wire(\"a\", \"b\", 1, 1, 0, 0, 0, 0);\n\
+             pictures@sigmod(32, \"sea \\\"quoted\\\".jpg\", \"Émilien\", \
+             0.5, true);\n"
+          (Wire.batch [ m ]);
         match Wire.unbatch (Wire.batch [ m ]) with
         | Ok [ m' ] -> check_bool "singleton round-trips" (msg_equal m m')
         | _ -> Alcotest.fail "expected a singleton");
-    tc "batch: old-format frames still decode (interop)" (fun () ->
-        let m =
-          Message.make ~src:"Jules" ~dst:"Émilien" ~stage:3
-            ~facts:(Some [ sample_fact ]) ~installs:[ sample_rule ] ()
-        in
-        (* A pre-batching sender emits a bare message frame. *)
-        match Wire.unbatch (Wire.encode m) with
-        | Ok [ m' ] -> check_bool "decodes as a singleton batch" (msg_equal m m')
-        | Ok _ -> Alcotest.fail "wrong arity"
-        | Error e -> Alcotest.fail e);
     tc "batch: multi-message frame keeps order and content" (fun () ->
         let mk i =
           Message.make ~src:"a" ~dst:"b" ~stage:i
@@ -85,9 +87,9 @@ let suite =
         | Error e -> Alcotest.fail e);
         check_bool "garbage rejected" (Result.is_error (Wire.unbatch "nope"));
         check_bool "malformed number rejected"
-          (Result.is_error (Wire.unbatch "batch@wire(1, 1);\nv@p(4e+);"));
-        check_bool "future version rejected"
-          (Result.is_error (Wire.unbatch "batch@wire(99, 0);")));
+          (Result.is_error (Wire.unbatch "batch@wire(1);\nv@p(4e+);"));
+        check_bool "a versioned header is malformed"
+          (Result.is_error (Wire.unbatch "batch@wire(1, 0);")));
     tc "tcp: send_many rides one connection, in order, and reuses it"
       (fun () ->
         let ta, ca = Wdl_net.Tcp.create () in
@@ -251,4 +253,103 @@ let batch_prop =
         if List.equal msg_equal msgs got then true
         else QCheck.Test.fail_report "decoded batch differs")
 
-let suite = suite @ [ QCheck_alcotest.to_alcotest batch_prop ]
+(* {1 Decoder totality}
+
+   Frames come from the network: every prefix of a valid frame (a cut
+   connection) and every frame with a few bytes changed must decode to
+   [Ok] or [Error], never raise. *)
+
+let envelope_gen =
+  QCheck.Gen.(
+    let* env_src = oneofl [ "a"; "Jules" ] in
+    let* env_inc = int_bound 3 in
+    let* env_seq = int_bound 50 in
+    let* env_ack = int_bound 50 in
+    let* env_payload = option msg_gen in
+    return { Wdl_net.Reliable.env_src; env_inc; env_seq; env_ack; env_payload })
+
+let corrupted_gen =
+  QCheck.Gen.(
+    let* frame =
+      oneof
+        [
+          map Wire.batch (list_size (int_bound 3) msg_gen);
+          map Wire.encode_envelope envelope_gen;
+          string_size ~gen:char (int_bound 64);
+        ]
+    in
+    let corrupt =
+      if frame = "" then return frame
+      else
+        let* edits =
+          list_size (int_range 1 3)
+            (pair (int_bound (String.length frame - 1)) char)
+        in
+        let b = Bytes.of_string frame in
+        List.iter (fun (i, c) -> Bytes.set b i c) edits;
+        return (Bytes.to_string b)
+    in
+    let* variants = list_size (return 4) corrupt in
+    return (frame, variants))
+
+let totality_prop =
+  QCheck.Test.make ~count:100 ~long_factor:20
+    ~name:"wire decoders are total on cut and corrupted frames"
+    (QCheck.make
+       ~print:(fun (frame, variants) ->
+         String.concat "\n" (List.map String.escaped (frame :: variants)))
+       corrupted_gen)
+    (fun (frame, variants) ->
+      let decode s =
+        ignore (Wire.unbatch s);
+        ignore (Wire.decode_envelope s)
+      in
+      for i = 0 to String.length frame do
+        decode (String.sub frame 0 i)
+      done;
+      List.iter decode variants;
+      true)
+
+let suite =
+  suite @ List.map QCheck_alcotest.to_alcotest [ batch_prop; totality_prop ]
+
+(* {1 Non-finite floats}
+
+   The infinities are ordinary values: they must reach a remote peer
+   over the wire exactly as they do in process. NaN has no literal, so
+   arithmetic that would produce it is a runtime error and no peer
+   admits it. *)
+
+let non_finite_test () =
+  let run transport =
+    let sys = System.create ~transport () in
+    let p = System.add_peer sys "p" and q = System.add_peer sys "q" in
+    ok'
+      (Peer.load_string p
+         {|a@p(2.);
+           got@q($x) :- a@p($x);
+           got@q($y) :- a@p($x), $y := $x * -1e308 * 10.;
+           got@q($y) :- a@p($x), $y := $x * 1e308 * 10.;
+           got@q($y) :- a@p($x), $y := $x * 1e308 * 10. - $x * 1e308 * 10.;|});
+    ok' (Peer.load_string q "ext got@q(x);");
+    ignore (ok' (System.run ~max_rounds:20 sys));
+    check_bool "the NaN rule is a runtime error" (Peer.last_errors p <> []);
+    List.map (fun f -> f.Fact.args) (Peer.query q "got")
+  in
+  let expected =
+    [ [ Value.Float neg_infinity ]; [ Value.Float 2. ]; [ Value.Float infinity ] ]
+  in
+  let check label got =
+    check_bool (label ^ ": q got 2., -inf and inf") (got = expected)
+  in
+  check "inmem" (run (Wdl_net.Inmem.create ~sizer:Message.size ()));
+  check "wire" (run (Wire.transport (Wdl_net.Inmem.create ())));
+  let p = Peer.create "p" in
+  check_bool "NaN is not admitted"
+    (Result.is_error
+       (Peer.insert p (Fact.make ~rel:"a" ~peer:"p" [ Value.Float nan ])))
+
+let suite =
+  suite
+  @ [ tc "non-finite floats cross the wire; NaN is an error, not a fact"
+        non_finite_test ]
