@@ -419,20 +419,30 @@ let t7 () =
   let dir = Filename.temp_file "wdl_bench" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o755;
-  let j = Wdl_store.Journal.open_ (Filename.concat dir "bench.wal") in
-  let jn = ref 0 in
-  let test =
-    Test.make ~name:"journal append (flushed)"
-      (Staged.stage (fun () ->
-           incr jn;
-           Wdl_store.Journal.append j
-             (Wdl_store.Journal.Insert
-                (Fact.make ~rel:"m" ~peer:"p" [ Value.Int !jn ]))))
-  in
-  (match measure test with
-  | (_, ns) :: _ -> pf "%-36s %14s@." "journal append (flushed)" (pp_ns ns)
-  | [] -> ());
-  Wdl_store.Journal.close j
+  let wal = Filename.concat dir "bench.wal" in
+  (* The directory goes even when the measurement raises. *)
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists wal then Sys.remove wal;
+      Sys.rmdir dir)
+    (fun () ->
+      let j = Wdl_store.Journal.open_ wal in
+      let jn = ref 0 in
+      let test =
+        Test.make ~name:"journal append (flushed)"
+          (Staged.stage (fun () ->
+               incr jn;
+               Wdl_store.Journal.append j
+                 (Wdl_store.Journal.Insert
+                    (Fact.make ~rel:"m" ~peer:"p" [ Value.Int !jn ]))))
+      in
+      Fun.protect
+        ~finally:(fun () -> Wdl_store.Journal.close j)
+        (fun () ->
+          match measure test with
+          | (_, ns) :: _ ->
+            pf "%-36s %14s@." "journal append (flushed)" (pp_ns ns)
+          | [] -> ()))
 
 (* {1 A2: compiled plans vs the reference evaluator} *)
 

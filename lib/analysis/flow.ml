@@ -174,11 +174,6 @@ let build (sources : source list) =
     selves = List.sort_uniq String.compare (List.map (fun s -> s.src_self) sources);
   }
 
-let of_rules ~self rules =
-  build
-    [ { src_self = self; src_file = None;
-        src_rules = List.map (fun r -> (r, None)) rules } ]
-
 let of_labeled ~self labeled =
   let rules =
     List.map

@@ -48,9 +48,6 @@ val build : source list -> t
 (** One source per program file; rule ids are assigned ["self#k"] in
     order, matching the ids a live [Peer] assigns at install time. *)
 
-val of_rules : self:string -> Rule.t list -> t
-(** Single anonymous source. *)
-
 val of_labeled : self:string -> (string * Rule.t) list -> t
 (** Rules with caller-chosen ids, all executing at [self] — how a live
     [Peer] exposes its program (own rules plus installed delegations,

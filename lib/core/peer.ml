@@ -2,19 +2,7 @@ open Wdl_syntax
 open Wdl_store
 module Builtin = Wdl_builtin.Builtin
 
-module Deleg_tbl = Hashtbl.Make (struct
-  type t = string * Rule.t
-
-  let equal (s1, r1) (s2, r2) = String.equal s1 s2 && Rule.equal r1 r2
-  let hash x = Hashtbl.hash_param 64 128 x
-end)
-
-module Rule_tbl = Hashtbl.Make (struct
-  type t = Rule.t
-
-  let equal = Rule.equal
-  let hash x = Hashtbl.hash_param 64 128 x
-end)
+module Rules = Wdl_eval.Rules
 
 module Fact_tbl = Hashtbl.Make (struct
   type t = Fact.t
@@ -60,45 +48,17 @@ type t = {
   inbox_capacity : int;
   shed : shed_policy;
   mutable n_shed : int;
-  (* Rule identity: every own rule and installed delegation gets an id
-     from [rule_seq] when it arrives, which orders delegations and keys
-     its plans in the compiled program. *)
-  delegated : int Deleg_tbl.t;  (* (origin, rule) -> id *)
-  mutable rule_seq : int;
-  mutable own_rules : (int * Rule.t) list;  (* (id, rule), reverse addition order *)
-  holders : int Rule_tbl.t;
-      (* rule -> how many own rules and delegations are structurally it *)
-  mutable n_nonmono : int;  (* held rules that negate or aggregate *)
+  rules : Rules.t;  (* own rules, delegations, the compiled program *)
   mutable induced_pending : Fact.t list;
   remote_cache : (string, Fact.t list) Hashtbl.t;  (* src -> last batch *)
   last_batches : (string, Fact.t list) Hashtbl.t;  (* dst -> sorted batch *)
   batch_origins : (string, Sset.t) Hashtbl.t;
       (* dst -> ids of the rules whose evaluation fed that batch *)
-  deleg_origins : string Deleg_tbl.t;
-      (* (origin, rule) -> the origin's id for the rule that shipped
-         the delegation, taken from the install's origin metadata *)
   mutable last_delegations : (string * Rule.t) list;
       (* (target, rule) sent, sorted like [Fixpoint.result.suspensions] *)
   mutable stage_no : int;
   mutable dirty : bool;
   mutable last_errors : Wdl_eval.Runtime_error.t list;
-  (* Incremental-evaluation state.  [program] caches the compiled
-     program; [None] forces a full compile at the next stage.  Sink
-     rules installed or retracted since are queued in [sinks_in]
-     (newest first) and [sinks_out] (ids) and patched in at the next
-     stage; any other change to the rule set or to the relation kinds
-     drops the program. *)
-  mutable program : Wdl_eval.Program.t option;
-  mutable sinks_in : Wdl_eval.Program.source list;
-  mutable sinks_out : int list;
-  mutable n_cache_hits : int;
-  (* Cost-based join planning: the compiler reorders rule bodies by
-     live relation cardinalities, and each rule of the cached program
-     keeps the power-of-two bands it was planned against.  A stage
-     whose statistics move one re-plans that rule
-     ([Wdl_eval.Program.replan]); one that changes some order is
-     counted by [n_replans]. *)
-  mutable n_replans : int;
   (* Delta staging.  [stage_adds = Some facts] means every base-data
      change since the last completed stage is exactly those fresh
      insertions — then, for a monotone rule set with purely additive
@@ -123,10 +83,9 @@ type t = {
    per-peer callback series, sampled at scrape time.  A later peer
    created with the same name replaces the callbacks. *)
 let register_metrics t =
-  let labels = [ ("peer", t.name) ] in
-  let field name help read =
-    Wdl_obs.Obs.on_collect ~help ~labels ~kind:`Counter name (fun () ->
-        float_of_int (read ()))
+  let field ?(kind = `Counter) name help read =
+    Wdl_obs.Obs.on_collect ~help ~labels:[ ("peer", t.name) ] ~kind name
+      (fun () -> float_of_int (read ()))
   in
   field "wdl_peer_stages_total" "Stages run by this peer" (fun () ->
       t.n_stages);
@@ -152,35 +111,23 @@ let register_metrics t =
   field "wdl_peer_trace_events_total"
     "Trace events recorded (including ones beyond the ring's capacity)"
     (fun () -> Trace.count t.trace);
-  field "wdl_eval_program_cache_hits_total"
-    "Stages served by the cached compiled program, patched or not (no \
-     restratification, no replan)"
-    (fun () -> t.n_cache_hits);
-  field "wdl_eval_replans_total"
-    "Replans forced by a relation crossing a cardinality band that \
-     changed some rule's join order (rule set unchanged)" (fun () ->
-      t.n_replans);
   field "wdl_eval_delta_stages_total"
     "Stages evaluated by delta staging (retained fixpoint + seeded \
      semi-naive pass) instead of full recomputation" (fun () ->
       t.n_delta_stages);
-  Wdl_obs.Obs.on_collect
-    ~help:"Distinct values interned by this peer's store pool" ~labels
-    ~kind:`Gauge "wdl_store_interned_values" (fun () ->
-      float_of_int (Database.interned_count t.db));
-  Wdl_obs.Obs.on_collect
-    ~help:"Approximate heap footprint of this peer's tuple store" ~labels
-    ~kind:`Gauge "wdl_store_memory_bytes" (fun () ->
-      float_of_int (Database.memory_bytes t.db));
+  field ~kind:`Gauge "wdl_store_interned_values"
+    "Distinct values interned by this peer's store pool" (fun () ->
+      Database.interned_count t.db);
+  field ~kind:`Gauge "wdl_store_memory_bytes"
+    "Approximate heap footprint of this peer's tuple store" (fun () ->
+      Database.memory_bytes t.db);
   field "wdl_sys_inbox_shed_total"
     "Messages dropped because this peer's bounded inbox was full"
     (fun () -> t.n_shed);
-  Wdl_obs.Obs.on_collect ~help:"Messages waiting in this peer's inbox"
-    ~labels ~kind:`Gauge "wdl_sys_inbox_depth" (fun () ->
-      float_of_int (Queue.length t.inbox));
+  field ~kind:`Gauge "wdl_sys_inbox_depth" "Messages waiting in this peer's inbox"
+    (fun () -> Queue.length t.inbox);
   let builtin_field ~kind name help read =
-    Wdl_obs.Obs.on_collect ~help ~labels ~kind name (fun () ->
-        float_of_int (read (Builtin.Registry.totals t.builtins)))
+    field ~kind name help (fun () -> read (Builtin.Registry.totals t.builtins))
   in
   field "wdl_builtin_ticks_total"
     "Stage-boundary builtin-module ticks that changed a materialization"
@@ -201,14 +148,30 @@ let register_metrics t =
     "Approximate private-state footprint of this peer's builtin modules"
     (fun s -> s.Builtin.memory_bytes)
 
+(* A rule head naming a read-only builtin relation (time) would fail
+   on every derivation; reject it at install time instead. *)
+let builtin_head_error ~self builtins (rule : Rule.t) =
+  match rule.Rule.head.Atom.rel, rule.Rule.head.Atom.peer with
+  | Term.Const (Value.String rel), Term.Const (Value.String peer)
+    when peer = self -> (
+    match Builtin.Registry.find builtins rel with
+    | Some inst when not inst.Builtin.writable ->
+      Some
+        (Printf.sprintf
+           "rule head writes the read-only builtin relation %s (builtin %s)"
+           rel inst.Builtin.bkind)
+    | Some _ | None -> None)
+  | _ -> None
+
 let create ?policy ?trace_capacity ?(inbox_capacity = max_int)
     ?(shed = Drop_newest) name =
   if name = "" then invalid_arg "Peer.create: empty name";
   if inbox_capacity < 1 then
     invalid_arg "Peer.create: inbox_capacity must be at least 1";
+  let db = Database.create () and builtins = Builtin.Registry.create () in
   let t = {
     name;
-    db = Database.create ();
+    db;
     acl = Acl.create ?policy ();
     authz = Authz.create ();
     enforce_authz = false;
@@ -230,30 +193,22 @@ let create ?policy ?trace_capacity ?(inbox_capacity = max_int)
     inbox_capacity;
     shed;
     n_shed = 0;
-    delegated = Deleg_tbl.create 16;
-    rule_seq = 0;
-    own_rules = [];
-    holders = Rule_tbl.create 16;
-    n_nonmono = 0;
+    rules =
+      Rules.create ~self:name ~intensional:(Database.is_intensional db)
+        ~head_error:(builtin_head_error ~self:name builtins);
     induced_pending = [];
     remote_cache = Hashtbl.create 8;
     last_batches = Hashtbl.create 8;
     batch_origins = Hashtbl.create 8;
-    deleg_origins = Deleg_tbl.create 16;
     last_delegations = [];
     stage_no = 0;
     dirty = false;
     last_errors = [];
-    program = None;
-    sinks_in = [];
-    sinks_out = [];
-    n_cache_hits = 0;
-    n_replans = 0;
     (* The first stage of any peer (fresh or restored) is a full one. *)
     stage_adds = None;
     n_delta_stages = 0;
     eval_handles = Wdl_eval.Fixpoint.handles ~self:name;
-    builtins = Builtin.Registry.create ();
+    builtins;
     clock = (fun () -> Wdl_obs.Obs.now_us () /. 1e6);
     n_builtin_ticks = 0;
     n_builtin_expired = 0;
@@ -265,26 +220,12 @@ let create ?policy ?trace_capacity ?(inbox_capacity = max_int)
 let name t = t.name
 let database t = t.db
 
-(* Any change that can alter stratification or the compiled plans must
-   go through here (or [patch_program]) so the next stage compiles (or
-   patches) the program. Rule-set changes also end the current additive
-   run: a new (or retracted) rule can derive facts no seeded pass would
-   find. *)
-let invalidate_program t =
-  t.program <- None;
-  t.sinks_in <- [];
-  t.sinks_out <- [];
+(* A rule-set change ends the current additive run: a new (or
+   retracted) rule can derive facts no seeded pass would find. *)
+let rules_changed t =
+  t.dirty <- true;
   t.stage_adds <- None
 
-(* A sink coming or going: queued for [Program.patch] while there is a
-   program to patch. *)
-let patch_program t change =
-  if Option.is_some t.program then begin
-    match change with
-    | `In source -> t.sinks_in <- source :: t.sinks_in
-    | `Out id -> t.sinks_out <- id :: t.sinks_out
-  end;
-  t.stage_adds <- None
 let set_journal t j = t.journal <- j
 let journal t = t.journal
 let journal_entry t e = Option.iter (fun j -> Journal.append j e) t.journal
@@ -323,173 +264,30 @@ let set_enforce_authz t b = t.enforce_authz <- b
 let enforcing_authz t = t.enforce_authz
 let trace t = t.trace
 let stage_number t = t.stage_no
-let rules t = List.rev_map snd t.own_rules
+let rules t = Rules.own_rules t.rules
+let delegated_rules t = Rules.delegations t.rules
+let all_rules t = Rules.held t.rules
+let rule_id t rule = Rules.label t.rules rule
+let flow t = Wdl_analysis.Flow.of_labeled ~self:t.name (Rules.labels t.rules)
+let intensional t rel = Database.is_intensional t.db rel
 
-(* Installed delegations as (id, (origin, rule)), oldest first. *)
-let delegations t =
-  Deleg_tbl.fold (fun k id acc -> (id, k) :: acc) t.delegated []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
-let delegated_rules t = List.map snd (delegations t)
-
-let all_rules t = rules t @ List.map snd (delegated_rules t)
-
-let monotone (r : Rule.t) =
-  (not (Rule.is_aggregate r))
-  && List.for_all
-       (function
-         | Literal.Neg _ -> false
-         | Literal.Pos _ | Literal.Cmp _ | Literal.Assign _ -> true)
-       r.Rule.body
-
-let holders t rule = Option.value ~default:0 (Rule_tbl.find_opt t.holders rule)
-
-(* The bookkeeping every rule entering the set gets, own or delegated:
-   a fresh id, which it returns. *)
-let hold t rule =
-  t.rule_seq <- t.rule_seq + 1;
-  Rule_tbl.replace t.holders rule (holders t rule + 1);
-  if not (monotone rule) then t.n_nonmono <- t.n_nonmono + 1;
-  t.rule_seq
-
-let release t rule =
-  (match holders t rule with
-  | n when n <= 1 -> Rule_tbl.remove t.holders rule
-  | n -> Rule_tbl.replace t.holders rule (n - 1));
-  if not (monotone rule) then t.n_nonmono <- t.n_nonmono - 1
-
-(* Diagnostic rule ids. Own rules are ["name#k"] by current program
-   position, which matches {!Wdl_analysis.Flow.build}'s file-order ids
-   for a peer loaded from one program. A delegated rule keeps the id
-   of the origin rule whose evaluation shipped it (sent alongside the
-   install); origin ids are not persisted, so a restored peer falls
-   back to ["src#?"]. *)
-let deleg_origin_id t (src, rule) =
-  match Deleg_tbl.find_opt t.deleg_origins (src, rule) with
-  | Some id -> id
-  | None -> src ^ "#?"
-
-(* The program sources: own rules in addition order, then delegations
-   in installation order, each with its id and label. Rules that are
-   structurally one share the label of the first of them, so a
-   delivery names one rule whichever copy derived it. *)
-let sources t =
-  let first = Rule_tbl.create 16 in
-  let source (id, rule) label =
-    let label =
-      match Rule_tbl.find_opt first rule with
-      | Some l -> l
-      | None ->
-        Rule_tbl.add first rule label;
-        label
-    in
-    { Wdl_eval.Program.id; label; rule }
-  in
-  let own =
-    List.mapi
-      (fun k r -> source r (Printf.sprintf "%s#%d" t.name (k + 1)))
-      (List.rev t.own_rules)
-  in
-  own
-  @ List.map
-      (fun (id, (src, rule)) -> source (id, rule) (deleg_origin_id t (src, rule)))
-      (delegations t)
-
-let rule_id t rule =
-  List.find_map
-    (fun (s : Wdl_eval.Program.source) ->
-      if Rule.equal s.rule rule then Some s.label else None)
-    (sources t)
-
-let flow t =
-  Wdl_analysis.Flow.of_labeled ~self:t.name
-    (List.mapi
-       (fun i r -> (Printf.sprintf "%s#%d" t.name (i + 1), r))
-       (rules t)
-    @ List.map
-        (fun (src, r) -> (deleg_origin_id t (src, r), r))
-        (delegated_rules t))
-
-let intensional t rel =
-  match Database.kind t.db rel with
-  | Some Decl.Intensional -> true
-  | Some Decl.Extensional | None -> false
-
-let sink t rule =
-  Wdl_eval.Stratify.is_sink ~self:t.name ~intensional:(intensional t) rule
-
-(* A candidate rule set must stratify; rejecting at install time keeps
-   every stage's fixpoint well-defined. The held set always stratifies,
-   and a sink adds no dependency edge, so a sink needs no check. *)
-let stratifies t candidate =
-  if sink t candidate then Ok ()
-  else
-    match
-      Wdl_eval.Stratify.compute ~self:t.name ~intensional:(intensional t)
-        (all_rules t @ [ candidate ])
-    with
-    | Ok _ -> Ok ()
-    | Error e -> Error (Format.asprintf "%a" Wdl_eval.Stratify.pp_error e)
-
-(* A rule head naming a read-only builtin relation (time) would fail
-   on every derivation; reject it at install time instead. *)
-let builtin_head_error t (rule : Rule.t) =
-  let head = rule.Rule.head in
-  match head.Atom.rel, head.Atom.peer with
-  | Term.Const (Value.String rel), Term.Const (Value.String peer)
-    when peer = t.name -> (
-    match Builtin.Registry.find t.builtins rel with
-    | Some inst when not inst.Builtin.writable ->
-      Some
-        (Printf.sprintf
-           "rule head writes the read-only builtin relation %s (builtin %s)"
-           rel inst.Builtin.bkind)
-    | Some _ | None -> None)
-  | _ -> None
-
-let aggregate_local_error t rule =
-  if Rule.is_aggregate rule && not (Wdl_eval.Fixpoint.statically_local ~self:t.name rule)
-  then
-    Some
-      "aggregate rules must be entirely local: every body atom's peer must \
-       name this peer"
-  else None
-
-(* The checks every rule entering the set passes, own or delegated:
-   safety, aggregate locality, a writable head, stratification. *)
-let admit t rule =
-  match Safety.check_rule rule with
-  | Error errs -> Error (Safety.errors_to_string errs)
-  | Ok () -> (
-    match aggregate_local_error t rule with
-    | Some msg -> Error msg
-    | None -> (
-      match builtin_head_error t rule with
-      | Some msg -> Error msg
-      | None -> stratifies t rule))
-
-(* Accepted rules still get a static look: delegation hygiene and
+(* A rule the peer already holds as its own is not added twice.
+   Accepted rules still get a static look: delegation hygiene and
    redundancy warnings land in the trace (and the
    wdl_analysis_warnings_total counter), never block installation. *)
-let analysis_warnings t rule =
-  let kind_of rel peer =
-    if peer = t.name then Database.kind t.db rel else None
-  in
-  Wdl_analysis.Analysis.added_rule_warnings ~self:t.name ~kind_of
-    ~existing:(all_rules t) rule
-
-(* Own rules change the program in full: their labels are positions. A
-   rule the peer already holds as its own is not added twice. *)
 let add_rule t rule =
-  if List.exists (fun (_, r) -> Rule.equal r rule) t.own_rules then Ok ()
+  if Rules.mem t.rules Rules.Own rule then Ok ()
   else
-  match admit t rule with
+  match Rules.admit t.rules rule with
   | Error msg -> Error msg
   | Ok () ->
-    let warnings = analysis_warnings t rule in
-    t.own_rules <- (hold t rule, rule) :: t.own_rules;
-    t.dirty <- true;
-    invalidate_program t;
+    let kind_of rel peer = if peer = t.name then Database.kind t.db rel else None in
+    let warnings =
+      Wdl_analysis.Analysis.added_rule_warnings ~self:t.name ~kind_of
+        ~existing:(all_rules t) rule
+    in
+    Rules.add t.rules Rules.Own rule;
+    rules_changed t;
     record_event t (Trace.Rule_added { peer = t.name; rule });
     List.iter
       (fun (d : Wdl_analysis.Diagnostic.t) ->
@@ -500,16 +298,12 @@ let add_rule t rule =
     Ok ()
 
 let remove_rule t rule =
-  let gone, kept = List.partition (fun (_, r) -> Rule.equal r rule) t.own_rules in
-  let had = gone <> [] in
-  if had then begin
-    t.own_rules <- kept;
-    List.iter (fun (_, r) -> release t r) gone;
-    t.dirty <- true;
-    invalidate_program t;
-    record_event t (Trace.Rule_removed { peer = t.name; rule })
-  end;
-  had
+  Rules.remove t.rules Rules.Own rule
+  && begin
+    rules_changed t;
+    record_event t (Trace.Rule_removed { peer = t.name; rule });
+    true
+  end
 
 (* Guarded write path for builtin relations. Deliberately not
    journaled: module state is time-dependent and restarts rebuild it
@@ -613,16 +407,9 @@ let load_program t (program : Program.t) =
            intensional and silently close a cycle through negation the
            rules were checked without. Re-check stratification against
            the candidate kind map before committing the declaration. *)
-        d.Decl.kind = Decl.Intensional && not (intensional t d.Decl.rel)
-        &&
-        match
-          Wdl_eval.Stratify.compute ~self:t.name
-            ~intensional:(fun rel ->
-              rel = d.Decl.rel || intensional t rel)
-            (all_rules t)
-        with
-        | Ok _ -> false
-        | Error _ -> true
+        d.Decl.kind = Decl.Intensional
+        && (not (intensional t d.Decl.rel))
+        && not (Rules.stratifies_if_intensional t.rules d.Decl.rel)
       then
         where
           (Format.asprintf "declaring %s intensional would break \
@@ -637,7 +424,8 @@ let load_program t (program : Program.t) =
           | Ok info -> (
             (* A declaration can turn a name intensional, which changes
                stratification for rules mentioning it. *)
-            invalidate_program t;
+            Rules.invalidate t.rules;
+            t.stage_adds <- None;
             match d.Decl.builtin with
             | None ->
               if Builtin.Registry.mem t.builtins d.Decl.rel then
@@ -690,10 +478,7 @@ let load_program t (program : Program.t) =
   in
   go 0 program
 
-let load_string t src =
-  match Parser.program src with
-  | Error msg -> Error msg
-  | Ok program -> load_program t program
+let load_string t src = Result.bind (Parser.program src) (load_program t)
 
 let query t rel =
   match Database.find t.db rel with
@@ -790,39 +575,29 @@ let authz_allows t ~src rule =
     false
 
 let install_delegation t ~src rule =
-  if Deleg_tbl.mem t.delegated (src, rule) then false
+  if Rules.mem t.rules (Rules.Delegated src) rule then false
   else if not (authz_allows t ~src rule) then false
   else
-    match admit t rule with
+    match Rules.admit t.rules rule with
     | Error reason ->
       record_event t
         (Trace.Delegation_rejected { peer = t.name; src; rule; reason });
       false
     | Ok () ->
-      let id = hold t rule in
-      Deleg_tbl.replace t.delegated (src, rule) id;
-      t.dirty <- true;
-      (* A sink with no structural twin (whose label it would share) is
-         patched in; anything else recompiles. *)
-      if sink t rule && holders t rule = 1 then
-        patch_program t
-          (`In { Wdl_eval.Program.id; label = deleg_origin_id t (src, rule); rule })
-      else invalidate_program t;
+      Rules.add t.rules (Rules.Delegated src) rule;
+      rules_changed t;
       record_event t (Trace.Delegation_installed { peer = t.name; src; rule });
       true
 
-(* Uninstall one delegation; false when it is not installed. *)
+(* Uninstall one delegation, forgetting its label; false when it is not
+   installed. *)
 let drop_delegation t ~src rule =
-  match Deleg_tbl.find_opt t.delegated (src, rule) with
-  | None -> false
-  | Some id ->
-    Deleg_tbl.remove t.delegated (src, rule);
-    release t rule;
-    if sink t rule && holders t rule = 0 then patch_program t (`Out id)
-    else invalidate_program t;
-    t.dirty <- true;
+  Rules.remove t.rules (Rules.Delegated src) rule
+  && begin
+    rules_changed t;
     record_event t (Trace.Delegation_retracted { peer = t.name; src; rule });
     true
+  end
 
 let record_store_error t rel message =
   t.last_errors <-
@@ -854,38 +629,18 @@ let apply_extensional t (fact : Fact.t) =
 
 (* {1 Peer lifecycle}
 
-   [forget_origin] is the receiver-side half of a peer's death: drop
-   everything the dead peer pushed here — installed delegations,
-   pending-approval entries, its cached per-stage batch (whose facts
-   were only live while the source maintained them), and its messages
-   still queued in the inbox.
-   Extensional facts it sent, queued ones included, are genuine updates
-   and persist.
-
-   [forget_destination] is the sender-side half: drop the diff
-   protocol's memory of what was sent to a name, so the next stage
-   re-sends current state from scratch — required both for name reuse
-   and for reconciling with a peer that rejoined empty-handed.
-
-   [reset_session] is [forget_destination] towards everyone: the
-   rejoining peer itself calls this so its own delegations and batches
-   are re-announced to a world that may have evicted it. *)
+   [forget_origin] is the receiver-side half of a peer's death (its
+   cached batch's facts were only live while the source maintained
+   them), [forget_destination] the sender-side half, and
+   [reset_session] the latter towards everyone (peer.mli). *)
 
 let forget_origin t ~src =
-  let doomed =
-    List.filter_map
-      (fun (_, (s, r)) -> if s = src then Some r else None)
-      (delegations t)
-  in
-  List.iter (fun r -> ignore (drop_delegation t ~src r : bool)) doomed;
+  let doomed = List.filter (fun (s, _) -> s = src) (delegated_rules t) in
+  List.iter (fun (_, r) -> ignore (drop_delegation t ~src r : bool)) doomed;
   List.iter
-    (fun (s, r) ->
-      if s = src then ignore (Acl.retract_pending t.acl ~src:s r))
+    (fun (s, r) -> if s = src then ignore (Acl.retract_pending t.acl ~src r))
     (Acl.pending t.acl);
-  Deleg_tbl.fold
-    (fun (s, r) _ acc -> if s = src then (s, r) :: acc else acc)
-    t.deleg_origins []
-  |> List.iter (Deleg_tbl.remove t.deleg_origins);
+  Rules.forget_labels t.rules ~src;
   (* Messages from [src] still queued would bring its delegations and
      batch back at the next stage. Their extensional facts are updates
      the transport has already delivered and nothing will re-send:
@@ -1047,13 +802,12 @@ let snapshot t =
         in
         (* Re-attach the builtin configuration so the declaration
            round-trips through the parser on restore. *)
-        match Builtin.Registry.find t.builtins info.Database.name with
-        | Some inst ->
-          Decl.make ?builtin:inst.Builtin.decl.Decl.builtin
-            ~kind:info.Database.kind ~rel:info.Database.name ~peer:t.name cols
-        | None ->
-          Decl.make ~kind:info.Database.kind ~rel:info.Database.name
-            ~peer:t.name cols)
+        let builtin =
+          Option.bind (Builtin.Registry.find t.builtins info.Database.name)
+            (fun inst -> inst.Builtin.decl.Decl.builtin)
+        in
+        Decl.make ?builtin ~kind:info.Database.kind ~rel:info.Database.name
+          ~peer:t.name cols)
       (Database.relations t.db)
   in
   let ext_facts =
@@ -1085,23 +839,15 @@ let snapshot t =
   let sent = t.last_delegations in
   let batches = sorted_tbl t.last_batches in
   let authz_entries = Authz.entries t.authz in
+  let policy = match Acl.policy t.acl with Acl.Open -> "open" | Acl.Closed -> "closed" in
   marker "meta"
-    [
-      Value.String t.name;
-      Value.Int t.stage_no;
-      Value.String (match Acl.policy t.acl with Acl.Open -> "open" | Acl.Closed -> "closed");
-      Value.Bool t.enforce_authz;
-      Value.Int (List.length authz_entries);
-      Value.Int (List.length trust_entries);
-      Value.Int (List.length decls);
-      Value.Int (List.length ext_facts);
-      Value.Int (List.length own);
-      Value.Int (List.length delegated);
-      Value.Int (List.length pending);
-      Value.Int (List.length cache);
-      Value.Int (List.length sent);
-      Value.Int (List.length batches);
-    ];
+    (Value.String t.name :: Value.Int t.stage_no :: Value.String policy
+     :: Value.Bool t.enforce_authz
+     :: List.map
+          (fun n -> Value.Int n)
+          List.[ length authz_entries; length trust_entries; length decls;
+                 length ext_facts; length own; length delegated; length pending;
+                 length cache; length sent; length batches ]);
   List.iter
     (fun (rel, kind, policy) ->
       let kind_s = match kind with `Stored -> "stored" | `Override -> "override" in
@@ -1115,34 +861,22 @@ let snapshot t =
   List.iter
     (fun (p, b) -> marker "trust" [ Value.String p; Value.Bool b ])
     trust_entries;
+  let tagged_rule tag (peer, r) =
+    marker tag [ Value.String peer ];
+    stmt Rule.pp r
+  in
+  let batch (peer, facts) =
+    marker "batch" [ Value.String peer; Value.Int (List.length facts) ];
+    List.iter fact facts
+  in
   List.iter (fun d -> stmt Decl.pp d) decls;
   List.iter fact ext_facts;
   List.iter (fun r -> stmt Rule.pp r) own;
-  List.iter
-    (fun (src, r) ->
-      marker "from" [ Value.String src ];
-      stmt Rule.pp r)
-    delegated;
-  List.iter
-    (fun (src, r) ->
-      marker "from" [ Value.String src ];
-      stmt Rule.pp r)
-    pending;
-  List.iter
-    (fun (src, batch) ->
-      marker "batch" [ Value.String src; Value.Int (List.length batch) ];
-      List.iter fact batch)
-    cache;
-  List.iter
-    (fun (dst, r) ->
-      marker "sent" [ Value.String dst ];
-      stmt Rule.pp r)
-    sent;
-  List.iter
-    (fun (dst, batch) ->
-      marker "batch" [ Value.String dst; Value.Int (List.length batch) ];
-      List.iter fact batch)
-    batches;
+  List.iter (tagged_rule "from") delegated;
+  List.iter (tagged_rule "from") pending;
+  List.iter batch cache;
+  List.iter (tagged_rule "sent") sent;
+  List.iter batch batches;
   Buffer.contents buf
 
 (* Counted-section reader over the parsed statement stream. *)
@@ -1158,26 +892,14 @@ module Restore_reader = struct
       st.stmts <- rest;
       Ok s
 
-  let fact st what =
+  let typed pick st what =
     let* s = next st what in
-    match s with
-    | Program.Fact f -> Ok f
-    | Program.Decl _ | Program.Rule _ ->
-      Error (Printf.sprintf "snapshot corrupt: expected %s" what)
+    Option.to_result (pick s)
+      ~none:(Printf.sprintf "snapshot corrupt: expected %s" what)
 
-  let rule st what =
-    let* s = next st what in
-    match s with
-    | Program.Rule r -> Ok r
-    | Program.Decl _ | Program.Fact _ ->
-      Error (Printf.sprintf "snapshot corrupt: expected %s" what)
-
-  let decl st what =
-    let* s = next st what in
-    match s with
-    | Program.Decl d -> Ok d
-    | Program.Fact _ | Program.Rule _ ->
-      Error (Printf.sprintf "snapshot corrupt: expected %s" what)
+  let fact = typed (function Program.Fact f -> Some f | _ -> None)
+  let rule = typed (function Program.Rule r -> Some r | _ -> None)
+  let decl = typed (function Program.Decl d -> Some d | _ -> None)
 
   let marker st rel what =
     let* f = fact st what in
@@ -1190,12 +912,13 @@ module Restore_reader = struct
       let* x = f st in
       times (n - 1) f (x :: acc) st
 
-  let sourced_rule st =
-    let* args = marker st "from" "a from marker" in
-    let* r = rule st "a delegated rule" in
+  (* A rule behind a [tag] marker naming a peer. *)
+  let tagged_rule tag what st =
+    let* args = marker st tag (Printf.sprintf "a %s marker" tag) in
+    let* r = rule st what in
     match args with
-    | [ Value.String src ] -> Ok (src, r)
-    | _ -> Error "snapshot corrupt: bad from marker"
+    | [ Value.String peer ] -> Ok (peer, r)
+    | _ -> Error (Printf.sprintf "snapshot corrupt: bad %s marker" tag)
 
   let batch st =
     let* args = marker st "batch" "a batch marker" in
@@ -1205,12 +928,12 @@ module Restore_reader = struct
       Ok (src, facts)
     | _ -> Error "snapshot corrupt: bad batch marker"
 
-  let sent_rule st =
-    let* args = marker st "sent" "a sent marker" in
-    let* r = rule st "a sent delegation" in
-    match args with
-    | [ Value.String dst ] -> Ok (dst, r)
-    | _ -> Error "snapshot corrupt: bad sent marker"
+  (* [f] on each element, stopping at the first error. *)
+  let rec each f = function
+    | [] -> Ok ()
+    | x :: rest ->
+      let* () = f x in
+      each f rest
 end
 
 let restore text =
@@ -1237,10 +960,8 @@ let restore text =
       times n_authz (fun st -> marker st "authz" "an authz entry") [] st
     in
     let* () =
-      List.fold_left
-        (fun acc args ->
-          let* () = acc in
-          match args with
+      each
+        (function
           | Value.String rel :: Value.String kind :: Value.Bool everyone :: peers ->
             let* policy =
               if everyone then Ok Authz.Everyone
@@ -1259,66 +980,55 @@ let restore text =
             | "override" -> Authz.declassify t.authz ~rel policy; Ok ()
             | _ -> Error "snapshot corrupt: bad authz kind")
           | _ -> Error "snapshot corrupt: bad authz entry")
-        (Ok ()) authz_entries
+        authz_entries
     in
     let* trust_entries =
       times n_trust (fun st -> marker st "trust" "a trust entry") [] st
     in
     let* () =
-      List.fold_left
-        (fun acc args ->
-          let* () = acc in
-          match args with
+      each
+        (function
           | [ Value.String p; Value.Bool b ] ->
             if b then Acl.trust t.acl p else Acl.untrust t.acl p;
             Ok ()
           | _ -> Error "snapshot corrupt: bad trust entry")
-        (Ok ()) trust_entries
+        trust_entries
     in
     let* decls = times n_decl (fun st -> decl st "a declaration") [] st in
     let* () =
-      List.fold_left
-        (fun acc (d : Decl.t) ->
-          let* () = acc in
+      each
+        (fun (d : Decl.t) ->
           match Database.declare t.db d with
           | Ok info -> (
             match d.Decl.builtin with
             | None -> Ok ()
-            | Some _ -> (
+            | Some _ ->
               (* Modules restart empty: stamps and sketch bits cannot
                  be reconstructed from a materialization dump. *)
-              match
-                Builtin.Registry.register t.builtins ~decl:d
-                  ~data:info.Database.data
-              with
-              | Ok _ -> Ok ()
-              | Error msg -> Error msg))
+              Result.map ignore
+                (Builtin.Registry.register t.builtins ~decl:d
+                   ~data:info.Database.data))
           | Error e -> Error (Format.asprintf "%a" Database.pp_error e))
-        (Ok ()) decls
+        decls
     in
     let* facts = times n_fact (fun st -> fact st "an extensional fact") [] st in
     let* () =
-      List.fold_left
-        (fun acc (f : Fact.t) ->
-          let* () = acc in
+      each
+        (fun (f : Fact.t) ->
           match Database.insert t.db ~rel:f.Fact.rel (Tuple.of_list f.Fact.args) with
           | Ok _ -> Ok ()
           | Error e -> Error (Format.asprintf "%a" Database.pp_error e))
-        (Ok ()) facts
+        facts
     in
     let* own = times n_rule (fun st -> rule st "an own rule") [] st in
-    List.iter (fun r -> t.own_rules <- (hold t r, r) :: t.own_rules) own;
-    let* delegated = times n_deleg sourced_rule [] st in
-    List.iter
-      (fun key ->
-        if not (Deleg_tbl.mem t.delegated key) then
-          Deleg_tbl.replace t.delegated key (hold t (snd key)))
-      delegated;
-    let* pending = times n_pending sourced_rule [] st in
+    List.iter (Rules.add t.rules Rules.Own) own;
+    let* delegated = times n_deleg (tagged_rule "from" "a delegated rule") [] st in
+    List.iter (fun (src, r) -> Rules.add t.rules (Rules.Delegated src) r) delegated;
+    let* pending = times n_pending (tagged_rule "from" "a delegated rule") [] st in
     List.iter (fun (src, r) -> Acl.enqueue t.acl ~src r) pending;
     let* cache = times n_cache batch [] st in
     List.iter (fun (src, b) -> Hashtbl.replace t.remote_cache src b) cache;
-    let* sent = times n_sent sent_rule [] st in
+    let* sent = times n_sent (tagged_rule "sent" "a sent delegation") [] st in
     t.last_delegations <- List.sort_uniq compare_delegation sent;
     let* batches = times n_batch batch [] st in
     List.iter (fun (dst, b) -> Hashtbl.replace t.last_batches dst b) batches;
@@ -1393,11 +1103,12 @@ let has_work t =
   t.dirty || t.induced_pending <> [] || not (Queue.is_empty t.inbox)
 
 let process_message t (msg : Message.t) =
+  let src = msg.Message.src in
   record_event t (Trace.Message_received { msg });
   (match msg.Message.facts with
   | None -> ()
   | Some batch ->
-    Hashtbl.replace t.remote_cache msg.Message.src batch;
+    Hashtbl.replace t.remote_cache src batch;
     (* Facts for extensional relations are updates: they persist.
        Facts for intensional relations live in the cache and are
        re-installed at every stage start while the source maintains
@@ -1409,40 +1120,30 @@ let process_message t (msg : Message.t) =
   (* Origin metadata rides index-aligned with the installs; record it
      before the approval gate so a later [accept_delegation] still
      finds it. A mismatched count means a sender without the metadata
-     (or a truncated frame) — ids then fall back to ["src#?"]. *)
+     (or a truncated frame) — ids then fall back to ["src#?"]. A
+     re-announced install can bring an installed rule its label (lost on
+     restore). *)
   if
     msg.Message.install_origins <> []
     && List.compare_lengths msg.Message.install_origins msg.Message.installs = 0
   then
-    List.iter2
-      (fun rule id ->
-        let key = (msg.Message.src, rule) in
-        (* A re-announced install can bring an installed rule its label
-           (lost on restore): the program relabels in full. *)
-        if
-          Deleg_tbl.mem t.delegated key
-          && Deleg_tbl.find_opt t.deleg_origins key <> Some id
-        then invalidate_program t;
-        Deleg_tbl.replace t.deleg_origins key id)
-      msg.Message.installs msg.Message.install_origins;
+    List.iter2 (Rules.set_label t.rules ~src) msg.Message.installs
+      msg.Message.install_origins;
   List.iter
     (fun rule ->
       (* Re-announced installs (rejoin reconciliation, retransmission
          across a crash) must not re-queue an already-installed rule
          for approval. *)
-      if Deleg_tbl.mem t.delegated (msg.Message.src, rule) then ()
-      else
-        match Acl.submit t.acl ~src:msg.Message.src rule with
-        | `Installed -> ignore (install_delegation t ~src:msg.Message.src rule)
+      if not (Rules.mem t.rules (Rules.Delegated src) rule) then
+        match Acl.submit t.acl ~src rule with
+        | `Installed -> ignore (install_delegation t ~src rule)
         | `Pending ->
-          record_event t
-            (Trace.Delegation_pending { peer = t.name; src = msg.Message.src; rule }))
+          record_event t (Trace.Delegation_pending { peer = t.name; src; rule }))
     msg.Message.installs;
   List.iter
     (fun rule ->
-      Deleg_tbl.remove t.deleg_origins (msg.Message.src, rule);
-      if not (drop_delegation t ~src:msg.Message.src rule) then
-        ignore (Acl.retract_pending t.acl ~src:msg.Message.src rule))
+      if not (drop_delegation t ~src rule) then
+        ignore (Acl.retract_pending t.acl ~src rule))
     msg.Message.retracts
 
 let refill_intensional t =
@@ -1491,68 +1192,6 @@ let live_cardinal t rel =
   | Some i -> Relation.cardinal i.Database.data
   | None -> 0
 
-(* Compile time by kind: [full] compiles, [patch]es and [replan]s. *)
-let compile_histogram t kind =
-  Wdl_obs.Obs.histogram
-    ~labels:[ ("peer", t.name); ("kind", kind) ]
-    ~buckets:Wdl_obs.Obs.latency_buckets "wdl_eval_compile_microseconds"
-
-let compile_span t kind f = Wdl_obs.Obs.time (compile_histogram t kind) f
-
-(* The program for this stage. Without a cached one, compile in full.
-   Otherwise patch in the queued sink changes and re-plan the rules
-   whose orders read a relation that left its planned band; only that
-   re-planning is timed, and one that changes some order counts as a
-   replan, anything else as a cache hit. [None] on stratification
-   errors — [Fixpoint.run] then recomputes and reports the error
-   itself. *)
-let compiled_program t =
-  let self = t.name and stats = live_cardinal t in
-  match t.program with
-  | None -> (
-    match
-      compile_span t "full" (fun () ->
-          Wdl_eval.Program.compile ~stats ~self ~intensional:(intensional t)
-            (sources t))
-    with
-    | Ok p ->
-      t.program <- Some p;
-      Some p
-    | Error _ -> None)
-  | Some p ->
-    let p =
-      if t.sinks_in = [] && t.sinks_out = [] then p
-      else
-        compile_span t "patch" (fun () ->
-            Wdl_eval.Program.patch ~stats ~self p ~add:(List.rev t.sinks_in)
-              ~remove:t.sinks_out)
-    in
-    t.sinks_in <- [];
-    t.sinks_out <- [];
-    let started = Wdl_obs.Obs.now_us () in
-    let p =
-      match Wdl_eval.Program.replan ~self ~stats p with
-      | None ->
-        t.n_cache_hits <- t.n_cache_hits + 1;
-        p
-      | Some (p, changed) ->
-        Wdl_obs.Obs.observe (compile_histogram t "replan")
-          (Wdl_obs.Obs.now_us () -. started);
-        if changed then t.n_replans <- t.n_replans + 1
-        else t.n_cache_hits <- t.n_cache_hits + 1;
-        p
-    in
-    t.program <- Some p;
-    Some p
-
-(* A rule set is monotone when no rule negates a body atom or
-   aggregates: derived facts then only accumulate as base facts do, so
-   a previous stage's fixpoint stays valid under purely additive
-   inputs. (Stratification only splits strata at negative and
-   aggregate edges, so a monotone program is also single-stratum —
-   what {!Wdl_eval.Fixpoint.run}'s [seed] requires.) *)
-let monotone_rules t = t.n_nonmono = 0
-
 (* The facts a message's batch adds over the cached batch from the
    same source, accumulated onto [acc] — or [None] when the message is
    not purely additive: it carries installs or retracts, or drops a
@@ -1588,7 +1227,7 @@ let batch_additions t (msg : Message.t) acc =
 let delta_capable t =
   (not t.track_provenance)
   && Builtin.Registry.is_empty t.builtins
-  && monotone_rules t
+  && Rules.monotone t.rules
 
 (* {2 The stage, phase by phase}
 
@@ -1678,12 +1317,10 @@ let prepare t inbox_adds =
    program does not stratify. *)
 let evaluate t prepared =
   let seed = match prepared with Delta seed -> Some seed | Full -> None in
-  let program = compiled_program t in
-  (* The rule list only matters when there is no program to run. *)
-  let rules = if Option.is_none program then all_rules t else [] in
   match
-    Wdl_eval.Fixpoint.run ~record_provenance:t.track_provenance ?seed
-      ?program ~handles:t.eval_handles ~self:t.name t.db rules
+    Result.bind (Rules.program t.rules ~stats:(live_cardinal t)) (fun program ->
+        Wdl_eval.Fixpoint.run ~record_provenance:t.track_provenance ?seed
+          ~program ~handles:t.eval_handles ~self:t.name t.db [])
   with
   | Error e ->
     (* The fixpoint did not run: retained intensional state is not a

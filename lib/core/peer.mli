@@ -36,23 +36,9 @@ val create :
     Raises [Invalid_argument] on an empty name.
 
     Every peer runs the one evaluation engine. Per-destination fact
-    batches are sent only when they changed. The compiled program is
-    cached across stages: installing or retracting a sink rule
-    ({!Wdl_eval.Stratify.is_sink}, which most delegations are) patches
-    it, and any other rule change or a declaration recompiles it;
-    semi-naive iterations skip plans whose delta relations are empty.
-    Join ordering is cost-based: rule bodies are reordered at compile
-    time by live relation cardinalities (the WDL031 greedy reorder
-    promoted into the planner). Each compiled rule keeps the
-    power-of-two cardinality band of every relation its orders read;
-    each stage re-plans only the rules with a band that moved
-    ({!Wdl_eval.Program.replan}), so a relation no rule reads never
-    costs a check. A stage where some order changed is counted in
-    [wdl_eval_replans_total{peer=...}], any other stage served by the
-    cached program in [wdl_eval_program_cache_hits_total]. Compile time
-    is observed per kind ([full], [patch], and [replan] for stages
-    where a band moved) in
-    [wdl_eval_compile_microseconds{peer=...,kind=...}]. *)
+    batches are sent only when they changed; semi-naive iterations skip
+    plans whose delta relations are empty. The compiled program is
+    cached across stages by the peer's rule set ({!Wdl_eval.Rules}). *)
 
 val name : t -> string
 val database : t -> Wdl_store.Database.t
@@ -124,18 +110,15 @@ val delegated_rules : t -> (string * Rule.t) list
 (** Installed delegations as [(origin, rule)], oldest first. *)
 
 val rule_id : t -> Rule.t -> string option
-(** Diagnostic id of an installed rule, or [None] if unknown. Own
-    rules are ["name#k"], [k] 1-based by current program position —
-    the ids {!Wdl_analysis.Flow.build} assigns to a file's rules.
-    Delegated rules answer with the id of the origin rule whose
-    evaluation shipped them (carried by the install's origin
-    metadata); after a restore that metadata is gone and they fall
-    back to ["origin#?"]. A rule held more than once (as an own rule
-    and a delegation, or delegated by several origins) answers with
-    the first holder's id, in that order. Outbound messages are tagged
-    with these ids ({!Message.t}[.fact_origins]/[.install_origins]):
-    each compiled plan carries its rule's id as its label, so tagging
-    never compares rules. *)
+(** Diagnostic id of an installed rule, or [None] if unknown: its
+    label ({!Wdl_eval.Rules}). Own rules are ["name#k"], the ids
+    {!Wdl_analysis.Flow.build} assigns to a file's rules; delegated
+    rules answer with the id of the origin rule whose evaluation
+    shipped them, or ["origin#?"] after a restore, which loses that
+    metadata. Outbound messages are tagged with these ids
+    ({!Message.t}[.fact_origins]/[.install_origins]): each compiled plan
+    carries its rule's id as its label, so tagging never compares
+    rules. *)
 
 val flow : t -> Wdl_analysis.Flow.t
 (** Knowledge-flow graph of the peer's current program — own rules

@@ -648,12 +648,8 @@ let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
     match program with
     | Some p -> Ok p
     | None ->
-      let intensional rel =
-        match Database.kind db rel with
-        | Some Decl.Intensional -> true
-        | Some Decl.Extensional | None -> false
-      in
-      Prog.compile ~self ~intensional (Prog.sources rules)
+      Prog.compile ~self ~intensional:(Database.is_intensional db)
+        (Prog.sources rules)
   in
   match compiled with
   | Error e -> Error e

@@ -99,7 +99,7 @@ val run :
     whose relation kinds match [db]'s — the [rules] argument is then
     ignored and the cached stratification and plans are used directly,
     saving the per-call [Stratify.compute] + [Plan.compile] work.
-    [Peer] caches one program and patches it as its rule set changes.
+    {!Rules} caches one program and patches it as its rule set changes.
     Without [program], [rules] are compiled with {!Program.sources}'
     ids and labels.
 

@@ -347,12 +347,7 @@ let run_stratum st all_rules =
   loop ()
 
 let run ?(record_provenance = false) ~self db rules =
-  let intensional rel =
-    match Database.kind db rel with
-    | Some Decl.Intensional -> true
-    | Some Decl.Extensional | None -> false
-  in
-  match Stratify.compute ~self ~intensional rules with
+  match Stratify.compute ~self ~intensional:(Database.is_intensional db) rules with
   | Error e -> Error e
   | Ok { Stratify.strata } ->
     let st =

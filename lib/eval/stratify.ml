@@ -54,14 +54,16 @@ let body_deps ~self ~intensional body =
   in
   go [] body
 
-let is_sink ~self ~intensional (r : Rule.t) =
-  head_node ~self ~intensional r.head = None
-  && (not (Rule.is_aggregate r))
+let monotone (r : Rule.t) =
+  (not (Rule.is_aggregate r))
   && List.for_all
        (function
          | Literal.Neg _ -> false
          | Literal.Pos _ | Literal.Cmp _ | Literal.Assign _ -> true)
        r.body
+
+let is_sink ~self ~intensional (r : Rule.t) =
+  head_node ~self ~intensional r.head = None && monotone r
 
 let assign ~self ~intensional rules =
   let deps =

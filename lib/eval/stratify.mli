@@ -54,10 +54,13 @@ val assign :
   (int list, error) result
 (** Each rule's stratum, in input order: what {!compute} groups by. *)
 
+val monotone : Rule.t -> bool
+(** No negated body literal and no aggregate: the rule adds no edge that
+    splits a stratum. *)
+
 val is_sink : self:string -> intensional:(string -> bool) -> Rule.t -> bool
-(** Whether the rule is a sink: its head has no {!head_node} (a remote
-    or extensional head), and its body has no negated literal and it
-    has no aggregate. *)
+(** Whether the rule is a sink: {!monotone}, and its head has no
+    {!head_node} (a remote or extensional head). *)
 
 (** {1 Dependency introspection}
 

@@ -56,6 +56,10 @@ let ensure t ~rel ~arity =
 
 let find t name = Hashtbl.find_opt t.rels name
 let kind t name = Option.map (fun i -> i.kind) (find t name)
+let is_intensional t name =
+  match find t name with
+  | Some { kind = Decl.Intensional; _ } -> true
+  | Some { kind = Decl.Extensional; _ } | None -> false
 
 let insert t ~rel tuple =
   Result.map

@@ -47,6 +47,10 @@ val ensure : t -> rel:string -> arity:int -> (info, error) result
 val find : t -> string -> info option
 val kind : t -> string -> Decl.kind option
 
+val is_intensional : t -> string -> bool
+(** [false] for an unknown name: unknown relations auto-create
+    extensional. *)
+
 val insert : t -> rel:string -> Tuple.t -> (bool, error) result
 (** Auto-creates unknown relations. [Ok true] iff the tuple is new. *)
 

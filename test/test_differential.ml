@@ -227,13 +227,21 @@ let sink_pool =
   ]
 
 type patch_op =
-  | Install of string  (* a sink from the pool *)
-  | Retract of int  (* the k-th sink held, modulo their count *)
+  | Install of string * string  (* origin, a rule: sink or not *)
+  | Twin of string * int  (* origin, the k-th own rule held: its twin *)
+  | Add of string  (* an own rule *)
+  | Retract of int  (* the k-th delegation held, modulo their count *)
+  | Remove of int  (* the k-th own rule held, modulo their count *)
+  | Relabel of int  (* the k-th delegation held gets a new origin label *)
   | Grow of (string * int list) list  (* base facts: may cross bands *)
 
 let patch_op_print = function
-  | Install r -> "install " ^ r
+  | Install (src, r) -> Printf.sprintf "install from %s: %s" src r
+  | Twin (src, k) -> Printf.sprintf "twin from %s of own #%d" src k
+  | Add r -> "add " ^ r
   | Retract k -> Printf.sprintf "retract #%d" k
+  | Remove k -> Printf.sprintf "remove own #%d" k
+  | Relabel k -> Printf.sprintf "relabel #%d" k
   | Grow facts ->
     "grow "
     ^ String.concat " "
@@ -242,16 +250,26 @@ let patch_op_print = function
              Printf.sprintf "%s(%s)" r (String.concat "," (List.map string_of_int args)))
            facts)
 
+let strip_semicolon r = String.sub r 0 (String.length r - 1)
+let pool_rules = List.map strip_semicolon rule_pool
+
 let patch_arb =
   let gen =
     QCheck.Gen.(
       let* spec = dspec_gen in
+      let origin = oneofl [ "q"; "r" ] in
       let* ops =
-        list_size (int_range 1 8)
+        list_size (int_range 1 10)
           (frequency
              [
-               (3, map (fun r -> Install r) (oneofl sink_pool));
+               (3, map2 (fun src r -> Install (src, r)) origin (oneofl sink_pool));
+               (1, map2 (fun src r -> Install (src, r)) origin (oneofl pool_rules));
+               (3, map2 (fun src k -> Twin (src, k)) origin (int_range 0 7));
+               (2, map (fun r -> Add r) (oneofl sink_pool));
+               (1, map (fun r -> Add r) (oneofl pool_rules));
                (2, map (fun k -> Retract k) (int_range 0 7));
+               (1, map (fun k -> Remove k) (int_range 0 7));
+               (1, map (fun k -> Relabel k) (int_range 0 7));
                (2, map (fun l -> Grow l) (list_size (int_range 1 12) fact_gen));
              ])
       in
@@ -260,30 +278,41 @@ let patch_arb =
   QCheck.make gen ~print:(fun (spec, ops) ->
       dspec_print spec ^ "\n" ^ String.concat "\n" (List.map patch_op_print ops))
 
-(* Run [ops] twice over: on a program patched with [Program.patch]
-   and [Program.replan] as a peer does, and on a fresh
-   [Program.compile] of the same sources. Installs and retracts queue
-   up, as between a peer's stages; each [Grow] and the end of the ops
-   is a stage: the queue is patched in as one batch (so a sink can come
-   and go inside it), the program re-planned where a band moved, and
-   both programs must then compute the same views, messages,
-   suspensions and attribution. *)
+let monotone (r : Rule.t) =
+  (not (Rule.is_aggregate r))
+  && List.for_all
+       (function Literal.Neg _ -> false | Literal.Pos _ | Literal.Cmp _ | Literal.Assign _ -> true)
+       r.Rule.body
+
+(* Drive a peer's rule registry through [ops] as a peer does (admitted
+   rules only, own rules from the spec first) and hold it to what a
+   fresh [Program.compile] of its sources computes. Rule changes queue
+   up, as between a peer's stages; each [Grow], the start and the end of
+   the ops is a stage: the registry patches in its queue (so a sink can
+   come and go inside it) or recompiles, and re-plans where a band
+   moved. Both programs must then compute the same views, messages,
+   suspensions and attribution. The registry's monotone flag must match
+   its held rules after every op. *)
 let patched_agrees (spec, ops) =
   let db = build_db spec in
-  let intensional rel = Database.kind db rel = Some Decl.Intensional in
+  let intensional = Database.is_intensional db in
   let stats rel =
     match Database.find db rel with
     | Some i -> Relation.cardinal i.Database.data
     | None -> 0
   in
-  let next = ref 0 in
-  let source text =
-    incr next;
-    { Program.id = !next; label = Printf.sprintf "L%d" !next; rule = Parser.parse_rule text }
+  let rules = Rules.create ~self:"p" ~intensional ~head_error:(fun _ -> None) in
+  let hold holder rule =
+    if not (Rules.mem rules holder rule) && Result.is_ok (Rules.admit rules rule)
+    then Rules.add rules holder rule
   in
-  let held =
-    ref (List.map (fun r -> source (String.sub r 0 (String.length r - 1))) spec.rules)
+  List.iter (fun r -> hold Rules.Own (Parser.parse_rule (strip_semicolon r))) spec.rules;
+  let labels = ref 0 in
+  let relabel (src, rule) =
+    incr labels;
+    Rules.set_label rules ~src rule (Printf.sprintf "%s#%d" src !labels)
   in
+  let nth l k = match l with [] -> None | _ -> Some (List.nth l (k mod List.length l)) in
   let observe program =
     let db = Database.copy db in
     match Fixpoint.run ~program ~self:"p" db [] with
@@ -296,49 +325,57 @@ let patched_agrees (spec, ops) =
           r.Fixpoint.origins,
           r.Fixpoint.susp_sources )
   in
-  match Program.compile ~stats ~self:"p" ~intensional !held with
-  | Error _ -> true
-  | Ok p0 ->
-    let patched = ref p0 in
-    let add = ref [] and remove = ref [] in
-    let stage () =
-      patched := Program.patch ~stats ~self:"p" !patched ~add:(List.rev !add) ~remove:!remove;
-      add := [];
-      remove := [];
-      Option.iter (fun (p, _) -> patched := p) (Program.replan ~self:"p" ~stats !patched);
-      match Program.compile ~stats ~self:"p" ~intensional !held with
-      | Error _ -> false
-      | Ok fresh -> observe !patched = observe fresh
-    in
-    List.for_all
-      (function
-        | Install text ->
-          let s = source text in
-          held := !held @ [ s ];
-          add := s :: !add;
-          true
-        | Retract k -> (
-          let sinks =
-            List.filter (fun (s : Program.source) ->
-                Stratify.is_sink ~self:"p" ~intensional s.rule) !held
-          in
-          match sinks with
-          | [] -> true
-          | _ ->
-            let s = List.nth sinks (k mod List.length sinks) in
-            held := List.filter (fun (h : Program.source) -> h.id <> s.id) !held;
-            remove := s.id :: !remove;
-            true)
-        | Grow facts ->
-          List.iter
-            (fun (rel, args) ->
-              ignore
-                (Database.insert db ~rel
-                   (Tuple.of_list (List.map (fun n -> Value.Int n) args))))
-            facts;
-          stage ())
-      ops
-    && stage ()
+  let stage () =
+    match
+      ( Rules.program rules ~stats,
+        Program.compile ~stats ~self:"p" ~intensional (Rules.sources rules) )
+    with
+    | Ok cached, Ok fresh -> observe cached = observe fresh
+    | Error _, Error _ -> true
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  let apply = function
+    | Install (src, text) ->
+      let rule = Parser.parse_rule text in
+      (* Every other install brings its origin label, recorded first as
+         on receipt; the others fall back to ["src#?"]. *)
+      if !labels mod 2 = 0 then relabel (src, rule) else incr labels;
+      hold (Rules.Delegated src) rule;
+      true
+    | Twin (src, k) ->
+      Option.iter (hold (Rules.Delegated src)) (nth (Rules.own_rules rules) k);
+      true
+    | Add text ->
+      hold Rules.Own (Parser.parse_rule text);
+      true
+    | Retract k ->
+      Option.iter
+        (fun (src, rule) -> ignore (Rules.remove rules (Rules.Delegated src) rule : bool))
+        (nth (Rules.delegations rules) k);
+      true
+    | Remove k ->
+      Option.iter
+        (fun rule -> ignore (Rules.remove rules Rules.Own rule : bool))
+        (nth (Rules.own_rules rules) k);
+      true
+    | Relabel k ->
+      Option.iter relabel (nth (Rules.delegations rules) k);
+      true
+    | Grow facts ->
+      List.iter
+        (fun (rel, args) ->
+          ignore
+            (Database.insert db ~rel
+               (Tuple.of_list (List.map (fun n -> Value.Int n) args))))
+        facts;
+      stage ()
+  in
+  stage ()
+  && List.for_all
+       (fun op ->
+         apply op && Rules.monotone rules = List.for_all monotone (Rules.held rules))
+       ops
+  && stage ()
 
 let tests =
   [

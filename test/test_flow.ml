@@ -294,6 +294,48 @@ let tagging_pin () =
     check_bool "q's flow covers p" (any || List.mem "p" named)
   | _ -> Alcotest.failf "expected one message back to p, got %d" (List.length back)
 
+(* The label a peer answers for each rule it holds is one of the rule
+   ids of its flow graph: for own rules, for a delegation that is a
+   twin of an own rule (it answers with the own rule's id), and for a
+   restored peer, whose delegations fall back to ["src#?"]. *)
+let label_agreement () =
+  let agrees what p =
+    let graph = Peer.flow p in
+    List.iter
+      (fun r ->
+        match Peer.rule_id p r with
+        | None -> Alcotest.failf "%s: a held rule has no id" what
+        | Some id ->
+          check_bool
+            (Printf.sprintf "%s: %s is a flow rule id" what id)
+            (Flow.rule_info graph id <> None))
+      (Peer.rules p @ List.map snd (Peer.delegated_rules p))
+  in
+  let q = Peer.create "q" in
+  ok'
+    (Peer.load_string q
+       "ext data@q(x);\nout@p($x) :- data@q($x);\nbig@p($x) :- data@q($x), $x > 1;");
+  agrees "own rules" q;
+  let twin = Parser.parse_rule "out@p($x) :- data@q($x)" in
+  let far = Parser.parse_rule "far@p($x) :- data@q($x), $x > 5" in
+  Peer.receive q
+    (Message.make ~src:"p" ~dst:"q" ~stage:1 ~installs:[ twin; far ]
+       ~install_origins:[ "p#7"; "p#8" ] ());
+  ignore (Peer.stage q);
+  Alcotest.(check int) "two delegations" 2 (List.length (Peer.delegated_rules q));
+  Alcotest.(check (option string))
+    "a twin answers with its own rule's id" (Some "q#1") (Peer.rule_id q twin);
+  Alcotest.(check (option string)) "origin id" (Some "p#8") (Peer.rule_id q far);
+  agrees "a delegation twinned with an own rule" q;
+  let restored =
+    match Peer.restore (Peer.snapshot q) with
+    | Ok r -> r
+    | Error e -> Alcotest.failf "restore: %s" e
+  in
+  Alcotest.(check (option string))
+    "a restored delegation falls back" (Some "p#?") (Peer.rule_id restored far);
+  agrees "a restored peer" restored
+
 (* ------------------------------------------------------------------ *)
 (* The QCheck oracle                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -316,5 +358,8 @@ let oracle_tests =
 
 let suite =
   graph_suite @ diag_suite @ wire_suite
-  @ [ tc "runtime origin tagging pin" tagging_pin ]
+  @ [
+      tc "runtime origin tagging pin" tagging_pin;
+      tc "rule_id answers a flow rule id: own, twin, restored" label_agreement;
+    ]
   @ List.map QCheck_alcotest.to_alcotest oracle_tests
