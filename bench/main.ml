@@ -4,9 +4,8 @@
    The demo paper has no quantitative tables, so the experiment set is
    (a) its figures/scenarios turned into measured, checked runs
    (F2/F3/D1/D3/D4) and (b) the engine characterisation in the spirit
-   of the companion technical report (T2, T3, T5-T7, A2, FT), plus the
-   STORE microbench of the columnar store against the boxed layout it
-   replaced. One Bechamel test per experiment measures wall time;
+   of the companion technical report (T2, T3, T5-T7, A2, FT). One
+   Bechamel test per experiment measures wall time;
    count-based columns (rounds, messages, bytes) come from
    instrumented single runs. End-to-end timings with medians and
    spreads live in wdlbench/; correctness checks live in test/.
@@ -602,270 +601,10 @@ let ft () =
       ((clean -. raw) /. raw *. 100.)
   | _ -> ()
 
-(* {1 STORE: interned columnar relations vs the boxed baseline}
-
-   Microbenchmark for the tuple-storage core on relations of 100k+
-   tuples. The columnar side is the live [Wdl_store.Relation] (interned
-   flat int rows, open-addressing dedup, int-key indexes); the
-   boxed baseline reconstructs the seed layout in place — a generic
-   hashtable keyed by boxed [Tuple.t] for dedup plus a per-column
-   value-keyed hashtable for probes — so the rows measure exactly what
-   the rewrite replaced. Best of three, fresh structures per timed run
-   where the op mutates. Emits BENCH_store.json. *)
-
-module Tup_tbl = Hashtbl.Make (struct
-  type t = Wdl_store.Tuple.t
-
-  let equal = Wdl_store.Tuple.equal
-  let hash = Wdl_store.Tuple.hash
-end)
-
-(* The seed's relation store, reproduced verbatim (minus the unused
-   paths): boxed tuples behind a generic hashtable, indexes as
-   value-array-keyed buckets of tuple hashtables, probe keys rebuilt
-   and re-hashed on every lookup. *)
-module Boxed = struct
-  module Key_tbl = Hashtbl.Make (struct
-    type t = Value.t array
-
-    let equal = Wdl_store.Tuple.equal
-    let hash = Wdl_store.Tuple.hash
-  end)
-
-  type index = {
-    positions : int array;
-    buckets : Wdl_store.Tuple.t Tup_tbl.t Key_tbl.t;
-  }
-
-  type t = { tuples : unit Tup_tbl.t; mutable indexes : index list }
-
-  let create ?(size = 64) () = { tuples = Tup_tbl.create size; indexes = [] }
-  let cardinal r = Tup_tbl.length r.tuples
-  let project positions (t : Wdl_store.Tuple.t) = Array.map (fun i -> t.(i)) positions
-
-  let index_add idx t =
-    let key = project idx.positions t in
-    let bucket =
-      match Key_tbl.find_opt idx.buckets key with
-      | Some b -> b
-      | None ->
-        let b = Tup_tbl.create 4 in
-        Key_tbl.add idx.buckets key b;
-        b
-    in
-    Tup_tbl.replace bucket t t
-
-  let index_remove idx t =
-    let key = project idx.positions t in
-    match Key_tbl.find_opt idx.buckets key with
-    | None -> ()
-    | Some b ->
-      Tup_tbl.remove b t;
-      if Tup_tbl.length b = 0 then Key_tbl.remove idx.buckets key
-
-  let insert r t =
-    if Tup_tbl.mem r.tuples t then false
-    else begin
-      Tup_tbl.replace r.tuples t ();
-      List.iter (fun idx -> index_add idx t) r.indexes;
-      true
-    end
-
-  let delete r t =
-    if Tup_tbl.mem r.tuples t then begin
-      Tup_tbl.remove r.tuples t;
-      List.iter (fun idx -> index_remove idx t) r.indexes;
-      true
-    end
-    else false
-
-  let iter f r = Tup_tbl.iter (fun t () -> f t) r.tuples
-
-  let build_index r positions =
-    let idx = { positions; buckets = Key_tbl.create 64 } in
-    iter (fun t -> index_add idx t) r;
-    r.indexes <- idx :: r.indexes
-
-  (* The seed's per-probe work: sort the bindings, rebuild the
-     signature and the boxed probe key, hash it into the index. *)
-  let lookup r bound f =
-    let sorted = List.sort (fun (i, _) (j, _) -> Int.compare i j) bound in
-    let n = List.length sorted in
-    let positions = Array.make n 0 in
-    let key = Array.make n (Value.Int 0) in
-    List.iteri
-      (fun k (i, v) ->
-        positions.(k) <- i;
-        key.(k) <- v)
-      sorted;
-    match List.find_opt (fun idx -> idx.positions = positions) r.indexes with
-    | None ->
-      iter
-        (fun t ->
-          if List.for_all (fun (i, v) -> Value.equal t.(i) v) bound then f t)
-        r
-    | Some idx -> (
-      match Key_tbl.find_opt idx.buckets key with
-      | None -> ()
-      | Some bucket -> Tup_tbl.iter (fun t _ -> f t) bucket)
-end
-
-(* Arity 3: a unique id, a skewed join key, a pooled string tag —
-   ints for row arithmetic, strings for the intern table. *)
-let store_tuples ~n =
-  Array.init n (fun i ->
-      Wdl_store.Tuple.of_list
-        [ Value.Int i; Value.Int (i mod 997);
-          Value.String ("tag" ^ string_of_int (i mod 1000)) ])
-
-let store_best_of_3 f =
-  let best = ref infinity in
-  for _ = 1 to 3 do
-    let t0 = Wdl_obs.Obs.now_us () in
-    f ();
-    best := Float.min !best (Wdl_obs.Obs.now_us () -. t0)
-  done;
-  !best /. 1e3
-
-let store_measure ~n =
-  let tuples = store_tuples ~n in
-  let col_fill () =
-    let r = Wdl_store.Relation.create ~arity:3 () in
-    Array.iter (fun t -> ignore (Wdl_store.Relation.insert r t)) tuples;
-    r
-  in
-  let boxed_fill () =
-    let r = Boxed.create () in
-    Array.iter (fun t -> ignore (Boxed.insert r t)) tuples;
-    r
-  in
-  let insert_row =
-    ( "insert",
-      store_best_of_3 (fun () -> ignore (col_fill ())),
-      store_best_of_3 (fun () -> ignore (boxed_fill ())) )
-  in
-  (* Batch insert with capacity known up front: both sides pre-sized
-     (columnar via [reserve], boxed via its table size), so the row
-     isolates per-tuple cost from growth rehashes. *)
-  let insert_reserved_row =
-    ( "insert_reserved",
-      store_best_of_3 (fun () ->
-          let r = Wdl_store.Relation.create ~arity:3 () in
-          Wdl_store.Relation.reserve r n;
-          Array.iter (fun t -> ignore (Wdl_store.Relation.insert r t)) tuples),
-      store_best_of_3 (fun () ->
-          let r = Boxed.create ~size:n () in
-          Array.iter (fun t -> ignore (Boxed.insert r t)) tuples) )
-  in
-  let col = col_fill () in
-  let boxed = boxed_fill () in
-  let dedup_row =
-    (* every insert is a duplicate: pure membership-probe cost *)
-    ( "dedup_reinsert",
-      store_best_of_3 (fun () ->
-          Array.iter (fun t -> ignore (Wdl_store.Relation.insert col t)) tuples),
-      store_best_of_3 (fun () ->
-          Array.iter (fun t -> ignore (Boxed.insert boxed t)) tuples) )
-  in
-  let scan_row =
-    let cnt = ref 0 in
-    ( "scan",
-      store_best_of_3 (fun () ->
-          cnt := 0;
-          Wdl_store.Relation.iter (fun _ -> incr cnt) col),
-      store_best_of_3 (fun () ->
-          cnt := 0;
-          Boxed.iter (fun _ -> incr cnt) boxed) )
-  in
-  (* Hash join on the skewed column-1 key, the fixpoint's access
-     pattern: scan a 1/8-size probe relation, look each key up in the
-     big one, touch every match. Indexes are built up front on both
-     sides — index selection is the planner's job now; the row
-     measures steady-state probe throughput. *)
-  let m = n / 8 in
-  let probe_tuples =
-    Array.init m (fun i ->
-        Wdl_store.Tuple.of_list [ Value.Int (i * 7919 mod 997); Value.Int i ])
-  in
-  let col_probe = Wdl_store.Relation.create ~pool:(Wdl_store.Relation.pool col) ~arity:2 () in
-  let boxed_probe = Boxed.create () in
-  Array.iter (fun t -> ignore (Wdl_store.Relation.insert col_probe t)) probe_tuples;
-  Array.iter (fun t -> ignore (Boxed.insert boxed_probe t)) probe_tuples;
-  let col_hits = ref 0 and boxed_hits = ref 0 in
-  (* One probe with a stored key builds the column-1 index. *)
-  Wdl_store.Relation.lookup_key col [| 1 |] [| tuples.(0).(1) |] ignore;
-  Boxed.build_index boxed [| 1 |];
-  let join_row =
-    ( "join",
-      store_best_of_3 (fun () ->
-          col_hits := 0;
-          (* The fixpoint's pattern: a full scan of the probe side, then
-             one keyed lookup per slot, reading the key column from the
-             pool. *)
-          Wdl_store.Relation.lookup_key col_probe [||] [||] (fun slot ->
-              Wdl_store.Relation.lookup_key col [| 1 |]
-                [| Wdl_store.Relation.value col_probe slot 0 |]
-                (fun _ -> incr col_hits))),
-      store_best_of_3 (fun () ->
-          boxed_hits := 0;
-          Boxed.iter
-            (fun t ->
-              Boxed.lookup boxed [ (1, t.(0)) ] (fun _ -> incr boxed_hits))
-            boxed_probe) )
-  in
-  (* Churn with the index live: both stores pay index maintenance. *)
-  let half = Array.sub tuples 0 (n / 2) in
-  let delete_row =
-    ( "delete_half",
-      store_best_of_3 (fun () ->
-          Array.iter (fun t -> ignore (Wdl_store.Relation.delete col t)) half;
-          Array.iter (fun t -> ignore (Wdl_store.Relation.insert col t)) half),
-      store_best_of_3 (fun () ->
-          Array.iter (fun t -> ignore (Boxed.delete boxed t)) half;
-          Array.iter (fun t -> ignore (Boxed.insert boxed t)) half) )
-  in
-  let consistent =
-    Wdl_store.Relation.cardinal col = Boxed.cardinal boxed
-    && !col_hits = !boxed_hits
-    && !col_hits > 0
-  in
-  (consistent,
-   [ insert_row; insert_reserved_row; dedup_row; scan_row; join_row;
-     delete_row ])
-
-let store_write_json ~n rows =
-  let oc = open_out "BENCH_store.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"store\",\n  \"schema\": 1,\n  \"tuples\": %d,\n\
-    \  \"ops\": [" n;
-  List.iteri
-    (fun i (name, col_ms, boxed_ms) ->
-      Printf.fprintf oc "%s\n    { \"name\": %S, \"columnar_ms\": %.3f, \
-                         \"boxed_ms\": %.3f, \"speedup\": %.2f }"
-        (if i > 0 then "," else "")
-        name col_ms boxed_ms (boxed_ms /. col_ms))
-    rows;
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc
-
-let store () =
-  header "STORE  columnar store vs the boxed baseline -> BENCH_store.json";
-  let n = 120_000 in
-  let consistent, rows = store_measure ~n in
-  if not consistent then failwith "storage microbench: stores diverged";
-  pf "%-20s %14s %14s %10s@." "op" "columnar" "boxed" "speedup";
-  List.iter
-    (fun (name, col_ms, boxed_ms) ->
-      pf "%-20s %12.3fms %12.3fms %9.1fx@." name col_ms boxed_ms
-        (boxed_ms /. col_ms))
-    rows;
-  store_write_json ~n rows;
-  pf "wrote BENCH_store.json@."
-
 let experiments =
   [ ("t2", t2); ("t3", t3); ("t5", t5); ("t6", t6); ("t7", t7);
     ("a2", a2); ("f2", f2); ("f3", f3); ("d1", d1);
-    ("d3", d3); ("d4", d4); ("ft", ft); ("store", store) ]
+    ("d3", d3); ("d4", d4); ("ft", ft) ]
 
 let () =
   let requested =

@@ -28,6 +28,21 @@ let envelope_sizer e =
 
 let attendees = [ "alice"; "bob"; "carol" ]
 
+(* A fresh directory under the system temp dir for bob's journal and
+   checkpoint, removed with its contents when [f] returns or raises. *)
+let with_temp_dir f =
+  let dir = Filename.temp_file "wdl_ft_example" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm (Filename.concat path e)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
 (* sigmod aggregates everyone's pictures into the conference album;
    every attendee mirrors the album back home. *)
 let load sys =
@@ -83,9 +98,7 @@ let () =
   pf "partition healed.@.";
 
   (* Crash bob after checkpointing: his journal is his memory. *)
-  let dir = Filename.temp_file "wdl_ft_example" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
+  with_temp_dir @@ fun dir ->
   Webdamlog.Persist.attach (System.peer sys "bob") ~dir;
   ignore (ok (System.run ~max_rounds:2000 sys));
   Webdamlog.Persist.checkpoint (System.peer sys "bob") ~dir;

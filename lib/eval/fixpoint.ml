@@ -48,39 +48,56 @@ end
 module Head_tbl = Hashtbl.Make (Head_key)
 
 (* A delegation boundary hit, by identity: the target peer, the rule,
-   the boundary literal and the values of the variables the residual
-   keeps ([Plan.match_step.resid]). Equal keys ship equal residuals, so
-   the residual is built once per key. *)
+   the boundary literal and the ids of the variables the residual keeps
+   ([Plan.match_step.resid]), canonical so equal values give equal
+   keys. Equal keys ship equal residuals, so the residual is built once
+   per key. *)
 module Hit = struct
-  type t = {
-    target : string;
-    id : int;
-    pos : int;
-    binding : Value.t option array;
-  }
+  type t = { target : string; id : int; pos : int; binding : int array }
 
   let equal a b =
     a.id = b.id && a.pos = b.pos && String.equal a.target b.target
-    && Array.for_all2 (Option.equal Value.equal) a.binding b.binding
+    && Array.for_all2 Int.equal a.binding b.binding
 
   let hash k =
     Array.fold_left
-      (fun h v -> (h * 31) + match v with Some v -> Value.hash v | None -> 7)
+      (fun h id -> (h lxor id) * 0x01000193)
       ((Hashtbl.hash k.target * 17) + (k.id * 13) + k.pos)
       k.binding
+    land max_int
 end
 
 module Hit_tbl = Hashtbl.Make (Hit)
 
 type shipped = { residual : Rule.t; source : Rule.t; label : string }
 
-(* Evaluation state shared across a whole run. *)
+(* A local relation some head writes, resolved once per run: its store
+   and, while [gen] is the run's, its relation in [delta_next]. *)
+type target = {
+  rel : string;
+  info : Database.info;
+  mutable next : Relation.t;
+  mutable gen : int;
+}
+
+(* Evaluation state shared across a whole run.
+
+   Environments, probe keys and head rows hold ids of [ids], the run's
+   scratch table over the database pool: pool ids for stored values,
+   scratch ids for values the pool lacks (constants, assignment
+   results, enumerated relation names), so the pool only grows when a
+   head stores a value. Every relation a run reads shares that pool. *)
 type state = {
   self : string;
   db : Database.t;
+  ids : Intern.scratch;
+  decode : int -> Value.t;
+  mutable self_id : int;  (* the last id seen naming [self] *)
   (* delta.(rel) = intensional tuples new as of the previous iteration *)
   mutable delta : (string, Relation.t) Hashtbl.t;
   mutable delta_next : (string, Relation.t) Hashtbl.t;
+  mutable gen : int;  (* bumped whenever [delta_next] is replaced *)
+  targets : (string, target) Hashtbl.t;
   induced : unit Head_tbl.t;
   messages : unit Head_tbl.t;
   suspensions : shipped Hit_tbl.t;
@@ -102,23 +119,62 @@ let report st e =
   st.error_count <- st.error_count + 1;
   if st.error_count <= max_errors then st.errors <- e :: st.errors
 
-let delta_add st rel tuple =
-  let r =
-    match Hashtbl.find_opt st.delta_next rel with
-    | Some r -> r
-    | None ->
-      (* Deltas are discarded after one iteration: auto-building
-         binding-pattern indexes on them is pure waste. They share the
-         database's intern pool so delta probes stay id comparisons
-         and never re-intern values the store already holds. *)
-      let r =
-        Relation.create ~pool:(Database.pool st.db) ~indexing:false
-          ~arity:(Tuple.arity tuple) ()
-      in
-      Hashtbl.add st.delta_next rel r;
-      r
-  in
-  ignore (Relation.insert r tuple)
+let give_back st delta =
+  Hashtbl.iter (fun rel r -> Database.give_scratch st.db ~rel r) delta
+
+(* The delta just filled becomes the one the next iteration reads; the
+   one it replaces is read no more, so its storage goes back to the
+   database for the next deltas. *)
+let advance st =
+  give_back st st.delta;
+  st.delta <- st.delta_next;
+  st.delta_next <- Hashtbl.create 8;
+  st.gen <- st.gen + 1
+
+(* [rel]'s relation in [delta_next], taken on its first tuple. Deltas
+   live one iteration and are never indexed. They share the database's
+   intern pool, so delta probes stay id comparisons, and their storage
+   is the database's scratch: a stage reuses the arrays earlier stages
+   grew, where allocating them afresh made most of a recomputing
+   stage's major-heap garbage. *)
+let delta_relation st rel ~arity =
+  match Hashtbl.find_opt st.delta_next rel with
+  | Some r -> r
+  | None ->
+    let r = Database.take_scratch st.db ~rel ~arity in
+    Hashtbl.add st.delta_next rel r;
+    r
+
+let target_delta st (t : target) =
+  if t.gen <> st.gen then begin
+    t.next <- delta_relation st t.rel ~arity:t.info.Database.arity;
+    t.gen <- st.gen
+  end;
+  t.next
+
+(* Where a head goes. [Unroutable] is an error in the head's names,
+   reported per valuation; [Store_failed] a store refusal, reported per
+   derivation. *)
+type dest =
+  | Local of target
+  | Message of string * string  (* relation, destination peer *)
+  | Unroutable of Runtime_error.t
+  | Store_failed of Runtime_error.t
+
+(* A head for [rel] at this peer, its target resolved once per run. *)
+let local_dest st rel ~arity =
+  match Hashtbl.find_opt st.targets rel with
+  | Some (t : target) when t.info.Database.arity = arity -> Local t
+  | Some _ | None -> (
+    match Database.ensure st.db ~rel ~arity with
+    | Ok info ->
+      let t : target = { rel; info; next = info.Database.data; gen = -1 } in
+      Hashtbl.replace st.targets rel t;
+      Local t
+    | Error e ->
+      Store_failed
+        (Runtime_error.Store_error
+           { rel; message = Format.asprintf "%a" Database.pp_error e }))
 
 (* Every relation of [arity] in the source an unbound relation
    position enumerates: the full store or the previous iteration's
@@ -134,67 +190,123 @@ let readable_relations st ~use_delta ~arity =
         if info.arity = arity then Some (info.name, info.data) else None)
       (Database.relations st.db)
 
-(* Provenance: instantiate the plan's positive body atoms. *)
-let premises_of_env (plan : Plan.t) env =
-  List.filter_map
-    (fun (rel, peer, args) ->
-      let name = function
-        | Plan.Fixed n -> Some n
-        | Plan.Name_slot s -> Option.bind env.(s) Value.as_name
-      in
-      match name rel, name peer, Plan.instantiate_args args env with
-      | Some rel, Some peer, Some values ->
-        Some (Fact.make ~rel ~peer (Array.to_list values))
-      | _, _, _ -> None)
-    plan.Plan.premise_patterns
-
-(* Route a ground, locally produced head of the rule labelled
-   [label]. [prov] lazily builds the provenance entry when a new view
-   fact is stored. *)
-let dispatch_head st ~label ~prov ~rel ~peer (tuple : Tuple.t) =
-  st.derivations <- st.derivations + 1;
-  if not (String.equal peer st.self) then begin
-    Head_tbl.replace st.messages { Head_key.rel; peer; tuple } ();
-    Hashtbl.replace st.origins (peer, label) ()
-  end
-  else
-    match Database.ensure st.db ~rel ~arity:(Tuple.arity tuple) with
-    | Error e ->
-      report st
-        (Runtime_error.Store_error
-           { rel; message = Format.asprintf "%a" Database.pp_error e })
-    | Ok info -> (
-      match info.Database.kind with
-      | Decl.Extensional ->
-        Head_tbl.replace st.induced { Head_key.rel; peer; tuple } ()
-      | Decl.Intensional ->
-        if Relation.insert info.Database.data tuple then begin
-          delta_add st rel tuple;
-          match st.provenance with
-          | Some tbl ->
-            let fact = Fact.make ~rel ~peer (Tuple.to_list tuple) in
-            Fact_tbl.replace tbl fact (prov fact)
-          | None -> ()
-        end)
-
-(* Resolve a compiled name reference under the environment. *)
+(* Resolve a compiled relation name under the environment. *)
 type resolved =
   | RName of string
   | RUnbound of string  (* the variable's name *)
   | RBad of Value.t
 
-let resolve plan env = function
+let resolve st (plan : Plan.t) env = function
   | Plan.Fixed n -> RName n
+  | Plan.Name_slot s ->
+    let id = env.(s) in
+    if id = Plan.unbound then RUnbound plan.Plan.slot_names.(s)
+    else
+      let v = st.decode id in
+      match Value.as_name v with Some n -> RName n | None -> RBad v
+
+(* Resolve a compiled peer name. A slot holding the id last seen naming
+   this peer is [Self] without a decode; any other id is decoded, which
+   happens at a delegation boundary or a remote head. *)
+type peer =
+  | Self
+  | Remote of string
+  | Peer_unbound of string
+  | Peer_bad of Value.t
+
+let resolve_peer st (plan : Plan.t) env = function
+  | Plan.Fixed n -> if String.equal n st.self then Self else Remote n
   | Plan.Name_slot s -> (
-    match env.(s) with
-    | None -> RUnbound plan.Plan.slot_names.(s)
-    | Some v -> (
-      match Value.as_name v with Some n -> RName n | None -> RBad v))
+    let id = env.(s) in
+    if id = Plan.unbound then Peer_unbound plan.Plan.slot_names.(s)
+    else if id = st.self_id then Self
+    else
+      let v = st.decode id in
+      match Value.as_name v with
+      | Some n when String.equal n st.self ->
+        st.self_id <- id;
+        Self
+      | Some n -> Remote n
+      | None -> Peer_bad v)
+
+let decode_row st row = Array.map st.decode row
+
+(* Provenance: instantiate the plan's positive body atoms. *)
+let premises_of_env st (plan : Plan.t) env =
+  List.filter_map
+    (fun (rel, peer, args) ->
+      let name = function
+        | Plan.Fixed n -> Some n
+        | Plan.Name_slot s ->
+          if env.(s) = Plan.unbound then None else Value.as_name (st.decode env.(s))
+      in
+      match
+        name rel, name peer, Plan.instantiate_args ~decode:st.decode args env
+      with
+      | Some rel, Some peer, Some values ->
+        Some (Fact.make ~rel ~peer (Array.to_list values))
+      | _, _, _ -> None)
+    plan.Plan.premise_patterns
+
+let head_dest st (plan : Plan.t) env =
+  let head = plan.Plan.rule.Rule.head in
+  match
+    resolve st plan env plan.Plan.head_rel,
+    resolve_peer st plan env plan.Plan.head_peer
+  with
+  | RBad v, _ | _, Peer_bad v ->
+    Unroutable (Runtime_error.Not_a_name { value = v; atom = head })
+  | RUnbound x, _ | _, Peer_unbound x ->
+    Unroutable (Runtime_error.Unbound_at_eval { var = x; where = "rule head" })
+  | RName rel, Remote peer -> Message (rel, peer)
+  | RName rel, Self -> local_dest st rel ~arity:(Array.length plan.Plan.head_args)
+
+(* Route a ground head row of [plan]. A view fact's provenance names
+   the rule as the user wrote it, with the premises of [env] — unless
+   [agg], whose facts carry none. *)
+let dispatch st (plan : Plan.t) ~agg dest row env =
+  match dest with
+  | Unroutable e -> report st e
+  | Store_failed e ->
+    st.derivations <- st.derivations + 1;
+    report st e
+  | Message (rel, peer) ->
+    st.derivations <- st.derivations + 1;
+    Head_tbl.replace st.messages { Head_key.rel; peer; tuple = decode_row st row } ();
+    Hashtbl.replace st.origins (peer, plan.Plan.label) ()
+  | Local t -> (
+    st.derivations <- st.derivations + 1;
+    match t.info.Database.kind with
+    | Decl.Extensional ->
+      Head_tbl.replace st.induced
+        { Head_key.rel = t.rel; peer = st.self; tuple = decode_row st row }
+        ()
+    | Decl.Intensional ->
+      (* Storing the row is what may grow the pool: a value first seen
+         as foreign is interned here, as its fact is stored. *)
+      for i = 0 to Array.length row - 1 do
+        if row.(i) < 0 then row.(i) <- Intern.settle st.ids row.(i)
+      done;
+      if Relation.insert_ids t.info.Database.data row then begin
+        ignore (Relation.insert_ids (target_delta st t) row : bool);
+        match st.provenance with
+        | Some tbl ->
+          let fact =
+            Fact.make ~rel:t.rel ~peer:st.self (Array.to_list (decode_row st row))
+          in
+          let d =
+            if agg then { fact; rule = plan.Plan.rule; premises = [] }
+            else
+              { fact; rule = plan.Plan.source; premises = premises_of_env st plan env }
+          in
+          Fact_tbl.replace tbl fact d
+        | None -> ()
+      end)
 
 (* Residual rule shipped at a delegation point: the instantiated head
    plus the substituted body suffix starting at [pos]. *)
-let residual_rule (plan : Plan.t) env pos =
-  let sigma = Plan.subst_of_env plan env in
+let residual_rule st (plan : Plan.t) env pos =
+  let sigma = Plan.subst_of_env plan ~decode:st.decode env in
   let body =
     List.filteri (fun i _ -> i >= pos) plan.Plan.rule.Rule.body
     |> List.map (Literal.subst sigma)
@@ -209,78 +321,88 @@ let suspend st (plan : Plan.t) (m : Plan.match_step) env target =
       Hit.target;
       id = plan.Plan.id;
       pos = m.Plan.pos;
-      binding = Array.map (fun s -> env.(s)) m.Plan.resid;
+      binding = Array.map (fun s -> Intern.canon st.ids env.(s)) m.Plan.resid;
     }
   in
   if not (Hit_tbl.mem st.suspensions key) then
     Hit_tbl.add st.suspensions key
       {
-        residual = residual_rule plan env m.Plan.pos;
+        residual = residual_rule st plan env m.Plan.pos;
         source = plan.Plan.source;
         label = plan.Plan.label;
       }
 
-let head_key st (plan : Plan.t) env =
-  match
-    ( resolve plan env plan.Plan.head_rel,
-      resolve plan env plan.Plan.head_peer,
-      Plan.instantiate_args plan.Plan.head_args env )
-  with
-  | RName rel, RName peer, Some values -> Some (rel, peer, values)
-  | RBad v, _, _ | _, RBad v, _ ->
-    report st (Runtime_error.Not_a_name { value = v; atom = plan.Plan.rule.Rule.head });
-    None
-  | RUnbound x, _, _ | _, RUnbound x, _ ->
-    report st (Runtime_error.Unbound_at_eval { var = x; where = "rule head" });
-    None
-  | RName _, RName _, None ->
-    report st
-      (Runtime_error.Unbound_at_eval
-         { var = String.concat "," (Atom.vars plan.Plan.rule.Rule.head);
-           where = "rule head" });
-    None
+(* An argument's id: a constant's is cached per run. *)
+let arg_id st env = function
+  | Plan.Const c -> Plan.const_id st.ids c
+  | Plan.Slot s -> env.(s)
+
+(* Fill [key] from [srcs], canonical; [false] when some id is foreign
+   to the pool (or unbound), so nothing stored can match. *)
+let rec fill_key st env (srcs : Plan.arg array) (key : int array) k =
+  k >= Array.length srcs
+  ||
+  let id = Intern.canon st.ids (arg_id st env srcs.(k)) in
+  key.(k) <- id;
+  id >= 0 && fill_key st env srcs key (k + 1)
+
+let rec has_unbound env (args : Plan.arg array) i =
+  i < Array.length args
+  && ((match args.(i) with Plan.Slot s -> env.(s) = Plan.unbound | Plan.Const _ -> false)
+     || has_unbound env args (i + 1))
+
+(* Do the repeated free positions of the row in [slot] hold the ids
+   their first occurrences bound? *)
+let rec checks_hold env relation slot (checks : (int * int) array) j =
+  j >= Array.length checks
+  ||
+  let i, s = checks.(j) in
+  env.(s) = Relation.id relation slot i && checks_hold env relation slot checks (j + 1)
 
 (* Execute a compiled plan. [emit env] is called on every complete
    valuation; [delta_pos] marks the literal that reads the delta. *)
 let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
-  let env = Array.make (max plan.Plan.nslots 1) None in
+  let env = Array.make (max plan.Plan.nslots 1) Plan.unbound in
   let slot_names = plan.Plan.slot_names in
+  let decode = st.decode in
   let rec step steps =
     match steps with
     | [] -> emit env
     | Plan.Cmp (op, e1, e2, lit) :: rest -> (
       match
-        Plan.eval_cexpr e1 env ~slot_names, Plan.eval_cexpr e2 env ~slot_names
+        ( Plan.eval_cexpr ~decode e1 env ~slot_names,
+          Plan.eval_cexpr ~decode e2 env ~slot_names )
       with
       | Ok v1, Ok v2 -> if Literal.eval_cmp op v1 v2 then step rest
       | Error e, _ | _, Error e ->
         report st (Runtime_error.Expr_failed { error = e; literal = lit }))
     | Plan.Assign (s, e, lit) :: rest -> (
-      match Plan.eval_cexpr e env ~slot_names with
+      match Plan.eval_cexpr ~decode e env ~slot_names with
       | Error e -> report st (Runtime_error.Expr_failed { error = e; literal = lit })
-      | Ok v -> (
-        match env.(s) with
-        | Some v' -> if Value.equal v v' then step rest
-        | None ->
-          env.(s) <- Some v;
+      | Ok v ->
+        let bound = env.(s) in
+        if bound <> Plan.unbound then (if Value.equal v (decode bound) then step rest)
+        else begin
+          env.(s) <- Intern.encode st.ids v;
           step rest;
-          env.(s) <- None))
+          env.(s) <- Plan.unbound
+        end)
     | Plan.Match m :: rest ->
       if m.Plan.neg then (if neg_holds m then step rest) else match_pos m rest
 
   and neg_holds (m : Plan.match_step) =
-    match resolve plan env m.Plan.peer with
-    | RBad v ->
+    match resolve_peer st plan env m.Plan.peer with
+    | Peer_bad v ->
       report st (Runtime_error.Not_a_name { value = v; atom = m.Plan.atom });
       false
-    | RUnbound x ->
+    | Peer_unbound x ->
       report st (Runtime_error.Unbound_at_eval { var = x; where = "negated atom" });
       false
-    | RName p when p <> st.self ->
+    | Remote p ->
       report st (Runtime_error.Remote_negation { peer = p; atom = m.Plan.atom });
       false
-    | RName _ -> (
-      match resolve plan env m.Plan.rel with
+    | Self -> (
+      match resolve st plan env m.Plan.rel with
       | RBad v ->
         report st (Runtime_error.Not_a_name { value = v; atom = m.Plan.atom });
         false
@@ -288,115 +410,116 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
         report st
           (Runtime_error.Unbound_at_eval { var = x; where = "negated atom" });
         false
-      | RName c -> (
-        match Plan.instantiate_args m.Plan.args env with
-        | None ->
+      | RName c ->
+        let args = m.Plan.args in
+        if has_unbound env args 0 then begin
           report st
             (Runtime_error.Unbound_at_eval { var = "?"; where = "negated atom" });
           false
-        | Some values -> (
+        end
+        else (
           match Database.find st.db c with
           | None -> true
           | Some info ->
-            info.Database.arity <> Array.length values
-            || not (Relation.mem info.Database.data values))))
+            info.Database.arity <> Array.length args
+            (* A foreign id: the atom is stored nowhere. *)
+            || (not (fill_key st env args m.Plan.key 0))
+            || not (Relation.mem_ids info.Database.data m.Plan.key)))
 
   and match_pos (m : Plan.match_step) rest =
-    match resolve plan env m.Plan.peer with
-    | RBad v -> report st (Runtime_error.Not_a_name { value = v; atom = m.Plan.atom })
-    | RUnbound x ->
+    match resolve_peer st plan env m.Plan.peer with
+    | Peer_bad v ->
+      report st (Runtime_error.Not_a_name { value = v; atom = m.Plan.atom })
+    | Peer_unbound x ->
       report st (Runtime_error.Unbound_at_eval { var = x; where = "peer position" })
-    | RName p when p <> st.self ->
+    | Remote p ->
       (* Delegation boundary: ship the residual rule to [p]. *)
       suspend st plan m env p
-    | RName _ ->
-      let use_delta = delta_pos = Some m.Plan.pos in
-      let arity = Array.length m.Plan.args in
-      (* The binding pattern is static (plan.bpos/bsrc): fill the flat
-         probe key from constants and bound slots, then let the store
-         walk the matching tuples — no per-call association list, no
-         per-tuple trail. *)
-      let np = Array.length m.Plan.bpos in
-      let key = Array.make np (Value.Int 0) in
-      let run_source relation =
-        for k = 0 to np - 1 do
-          match m.Plan.bsrc.(k) with
-          | Plan.Const v -> key.(k) <- v
-          | Plan.Slot s -> (
-            match env.(s) with
-            | Some v -> key.(k) <- v
-            | None ->
-              (* Statically bound: a linear plan binds deterministically. *)
-              assert false)
-        done;
-        (* The store hands back a slot; columns are read straight from
-           the pool, so a hit allocates no tuple. *)
-        Relation.lookup_key relation m.Plan.bpos key (fun slot ->
-            let binds = m.Plan.out_binds in
-            let nb = Array.length binds in
-            for j = 0 to nb - 1 do
-              let i, s = binds.(j) in
-              env.(s) <- Some (Relation.value relation slot i)
-            done;
-            let checks = m.Plan.out_checks in
-            let nc = Array.length checks in
-            let ok = ref true in
-            for j = 0 to nc - 1 do
-              let i, s = checks.(j) in
-              match env.(s) with
-              | Some v ->
-                if not (Value.equal v (Relation.value relation slot i)) then
-                  ok := false
-              | None -> assert false
-            done;
-            if !ok then step rest;
-            for j = 0 to nb - 1 do
-              env.(snd binds.(j)) <- None
-            done)
+    | Self -> (
+      let use_delta =
+        match delta_pos with Some p -> p = m.Plan.pos | None -> false
       in
-      (match resolve plan env m.Plan.rel with
-      | RBad v ->
-        report st (Runtime_error.Not_a_name { value = v; atom = m.Plan.atom })
-      | RName c ->
-        (* Fixed (or bound) relation name: exactly one source, looked
-           up directly — no intermediate list. *)
-        if use_delta then (
-          match Hashtbl.find_opt st.delta c with
-          | Some r when Relation.arity r = arity -> run_source r
-          | Some _ | None -> ())
-        else (
-          match Database.find st.db c with
-          | Some info when info.Database.arity = arity ->
-            run_source info.Database.data
-          | Some _ | None -> ())
-      | RUnbound _ ->
-        let enum_slot =
-          match m.Plan.rel with Plan.Name_slot s -> Some s | Plan.Fixed _ -> None
-        in
-        List.iter
-          (fun (name, relation) ->
-            (match enum_slot with
-            | Some s -> env.(s) <- Some (Value.String name)
-            | None -> ());
-            run_source relation;
-            match enum_slot with Some s -> env.(s) <- None | None -> ())
-          (readable_relations st ~use_delta ~arity))
+      let arity = Array.length m.Plan.args in
+      match m.Plan.rel with
+      | Plan.Fixed c -> match_named m rest ~use_delta ~arity c
+      | Plan.Name_slot s -> (
+        match resolve st plan env m.Plan.rel with
+        | RBad v ->
+          report st (Runtime_error.Not_a_name { value = v; atom = m.Plan.atom })
+        | RName c -> match_named m rest ~use_delta ~arity c
+        | RUnbound _ ->
+          List.iter
+            (fun (name, relation) ->
+              env.(s) <- Intern.encode st.ids (Value.String name);
+              match_in m rest relation;
+              env.(s) <- Plan.unbound)
+            (readable_relations st ~use_delta ~arity)))
+
+  (* Fixed (or bound) relation name: exactly one source, looked up
+     directly — no intermediate list. *)
+  and match_named m rest ~use_delta ~arity c =
+    if use_delta then (
+      match Hashtbl.find_opt st.delta c with
+      | Some r when Relation.arity r = arity -> match_in m rest r
+      | Some _ | None -> ())
+    else
+      match Database.find st.db c with
+      | Some info when info.Database.arity = arity ->
+        match_in m rest info.Database.data
+      | Some _ | None -> ()
+
+  (* The binding pattern is static (plan.bpos/bsrc): fill the step's
+     key buffer with ids, then let the store walk the matching rows,
+     whose ids bind and check slots directly. *)
+  and match_in m rest relation =
+    if fill_key st env m.Plan.bsrc m.Plan.key 0 then
+      Relation.lookup_key relation m.Plan.bpos m.Plan.key (fun slot ->
+          let binds = m.Plan.out_binds in
+          for j = 0 to Array.length binds - 1 do
+            let i, s = binds.(j) in
+            env.(s) <- Relation.id relation slot i
+          done;
+          if checks_hold env relation slot m.Plan.out_checks 0 then step rest;
+          for j = 0 to Array.length binds - 1 do
+            env.(snd binds.(j)) <- Plan.unbound
+          done)
   in
   step plan.Plan.steps
 
-let emit_rule st (plan : Plan.t) env =
-  match head_key st plan env with
-  | None -> ()
-  | Some (rel, peer, tuple) ->
-    (* Provenance names the rule as the user wrote it, not the
-       planner's reordered body. *)
-    let prov fact =
-      { fact; rule = plan.Plan.source; premises = premises_of_env plan env }
-    in
-    dispatch_head st ~label:plan.Plan.label ~prov ~rel ~peer tuple
+(* A complete valuation of [plan]: its head row, built in the plan's
+   buffer, routed to [dest]. A head whose names are constants resolves
+   its destination once per execution ([cache]). *)
+let emit_rule st (plan : Plan.t) cache env =
+  let dest =
+    match !cache with
+    | Some d -> d
+    | None ->
+      let d = head_dest st plan env in
+      (match plan.Plan.head_rel, plan.Plan.head_peer with
+      | Plan.Fixed _, Plan.Fixed _ -> cache := Some d
+      | _, _ -> ());
+      d
+  in
+  match dest with
+  | Unroutable e -> report st e
+  | Local _ | Message _ | Store_failed _ ->
+    let row = plan.Plan.row and args = plan.Plan.head_args in
+    let complete = ref true in
+    for i = 0 to Array.length args - 1 do
+      let id = arg_id st env args.(i) in
+      if id = Plan.unbound then complete := false;
+      row.(i) <- id
+    done;
+    if !complete then dispatch st plan ~agg:false dest row env
+    else
+      report st
+        (Runtime_error.Unbound_at_eval
+           { var = String.concat "," (Atom.vars plan.Plan.rule.Rule.head);
+             where = "rule head" })
 
 let eval_plan st ~delta_pos (plan : Plan.t) =
-  exec_plan st plan ~delta_pos ~emit:(fun env -> emit_rule st plan env)
+  let cache = ref None in
+  exec_plan st plan ~delta_pos ~emit:(fun env -> emit_rule st plan cache env)
 
 (* {1 Aggregate rules} *)
 
@@ -408,6 +531,10 @@ let statically_local ~self (rule : Rule.t) =
       | Literal.Cmp _ | Literal.Assign _ -> true)
     rule.Rule.body
 
+(* Valuations group by the ids of the head's grouping positions; the
+   aggregated values are decoded only to be combined. The pool does not
+   grow while one rule's valuations are collected and grouped, so equal
+   values have equal ids throughout. *)
 let eval_agg_plan st (plan : Plan.t) =
   let rule = plan.Plan.rule in
   if not (statically_local ~self:st.self rule) then
@@ -423,93 +550,76 @@ let eval_agg_plan st (plan : Plan.t) =
     (* Collect distinct complete valuations as environment snapshots. *)
     let sigmas = Hashtbl.create 64 in
     exec_plan st plan ~delta_pos:None ~emit:(fun env ->
-        let snapshot = Array.copy env in
-        Hashtbl.replace sigmas snapshot ());
+        Hashtbl.replace sigmas (Array.copy env) ());
+    let args = plan.Plan.head_args in
+    let aggs = Array.of_list rule.Rule.aggs in
     let groups = Hashtbl.create 16 in
     Hashtbl.iter
       (fun env () ->
         match
-          ( resolve plan env plan.Plan.head_rel,
-            resolve plan env plan.Plan.head_peer )
+          ( resolve st plan env plan.Plan.head_rel,
+            resolve st plan env plan.Plan.head_peer )
         with
         | RName rel, RName peer ->
-          (* key_args: Some v at grouping positions, None at aggregate
-             positions. Safety guarantees grouping slots are bound. *)
+          (* Grouping positions hold their ids, aggregate positions
+             [unbound]. Safety guarantees grouping slots are bound. *)
           let valid = ref true in
-          let key_args =
-            Array.to_list
-              (Array.mapi
-                 (fun i a ->
-                   if List.mem_assoc i rule.Rule.aggs then None
-                   else
-                     match a with
-                     | Plan.Const v -> Some v
-                     | Plan.Slot s ->
-                       (match env.(s) with None -> valid := false | Some _ -> ());
-                       env.(s))
-                 plan.Plan.head_args)
+          let key =
+            Array.mapi
+              (fun i a ->
+                if List.mem_assoc i rule.Rule.aggs then Plan.unbound
+                else begin
+                  let id = arg_id st env a in
+                  if id = Plan.unbound then valid := false;
+                  Intern.canon st.ids id
+                end)
+              args
           in
-          if !valid then begin
-            let key = (rel, peer, key_args) in
-            let agg_values =
-              List.map
-                (fun (i, (_ : Aggregate.spec)) ->
-                  let v =
-                    match plan.Plan.head_args.(i) with
-                    | Plan.Slot s -> env.(s)
-                    | Plan.Const v -> Some v
-                  in
-                  (i, v))
-                rule.Rule.aggs
-            in
-            match Hashtbl.find_opt groups key with
-            | None -> Hashtbl.replace groups key (ref [ agg_values ])
-            | Some l -> l := agg_values :: !l
-          end
-          else
+          if not !valid then
             report st
-              (Runtime_error.Unbound_at_eval
-                 { var = "?"; where = "aggregate head" })
+              (Runtime_error.Unbound_at_eval { var = "?"; where = "aggregate head" })
+          else begin
+            let values = Array.map (fun (i, _) -> arg_id st env args.(i)) aggs in
+            match Hashtbl.find_opt groups (rel, peer, key) with
+            | None -> Hashtbl.replace groups (rel, peer, key) (ref [ values ])
+            | Some l -> l := values :: !l
+          end
         | _, _ ->
           report st
-            (Runtime_error.Unbound_at_eval
-               { var = "?"; where = "aggregate head" }))
+            (Runtime_error.Unbound_at_eval { var = "?"; where = "aggregate head" }))
       sigmas;
     Hashtbl.iter
-      (fun (rel, peer, key_args) collected ->
+      (fun (rel, peer, key) collected ->
+        (* Every aggregate's value, or the first one's error. *)
         let computed =
-          List.fold_left
-            (fun acc (i, (spec : Aggregate.spec)) ->
-              match acc with
-              | Error _ as e -> e
-              | Ok assoc -> (
-                let values =
-                  List.filter_map
-                    (fun row ->
-                      List.find_map (fun (j, v) -> if i = j then v else None) row)
-                    !collected
-                in
-                match Aggregate.apply spec.Aggregate.op values with
-                | Ok v -> Ok ((i, v) :: assoc)
-                | Error msg -> Error msg))
-            (Ok []) rule.Rule.aggs
+          Array.fold_right
+            (fun r acc ->
+              match r, acc with
+              | Ok v, Ok vs -> Ok (v :: vs)
+              | Error msg, _ | Ok _, Error msg -> Error msg)
+            (Array.mapi
+               (fun k (_, (spec : Aggregate.spec)) ->
+                 Aggregate.apply spec.Aggregate.op
+                   (List.filter_map
+                      (fun values ->
+                        let id = values.(k) in
+                        if id = Plan.unbound then None else Some (st.decode id))
+                      !collected))
+               aggs)
+            (Ok [])
         in
         match computed with
         | Error msg ->
-          report st
-            (Runtime_error.Store_error { rel = "<aggregate>"; message = msg })
-        | Ok assoc ->
-          let args =
-            List.mapi
-              (fun i slot ->
-                match slot with
-                | Some v -> v
-                | None -> List.assoc i assoc)
-              key_args
+          report st (Runtime_error.Store_error { rel = "<aggregate>"; message = msg })
+        | Ok vs ->
+          let row = plan.Plan.row in
+          Array.blit key 0 row 0 (Array.length key);
+          List.iteri (fun k v -> row.(fst aggs.(k)) <- Intern.encode st.ids v) vs;
+          let dest =
+            if String.equal peer st.self then local_dest st rel ~arity:(Array.length row)
+            else Message (rel, peer)
           in
-          let prov fact = { fact; rule; premises = [] } in
-          dispatch_head st ~label:plan.Plan.label ~prov ~rel ~peer
-            (Tuple.of_list args))
+          dispatch st plan ~agg:true dest row [||])
       groups
   end
 
@@ -543,8 +653,8 @@ let seminaive_iteration st (stratum : Prog.stratum) =
   if skipped > 0 then Wdl_obs.Obs.inc ~by:skipped st.skipped_ctr
 
 let run_stratum ?seed st (stratum : Prog.stratum) =
-  st.delta <- Hashtbl.create 8;
-  st.delta_next <- Hashtbl.create 8;
+  (* The previous stratum ended on an empty [delta_next]. *)
+  advance st;
   (* Aggregate rules read complete lower strata, so they run once, up
      front; their outputs then feed the stratum's fixpoint normally. *)
   List.iter (fun p -> eval_agg_plan st p) stratum.Prog.agg_plans;
@@ -556,9 +666,13 @@ let run_stratum ?seed st (stratum : Prog.stratum) =
     (* Delta staging: the database already holds the previous fixpoint
        and the seed tuples; the first iteration is one semi-naive pass
        driven by exactly the new tuples. *)
-    List.iter (fun (rel, tuple) -> delta_add st rel tuple) pairs;
-    st.delta <- st.delta_next;
-    st.delta_next <- Hashtbl.create 8;
+    List.iter
+      (fun (rel, tuple) ->
+        ignore
+          (Relation.insert (delta_relation st rel ~arity:(Tuple.arity tuple)) tuple
+            : bool))
+      pairs;
+    advance st;
     seminaive_iteration st stratum);
   st.iterations <- st.iterations + 1;
   let rec loop () =
@@ -569,8 +683,7 @@ let run_stratum ?seed st (stratum : Prog.stratum) =
            (Hashtbl.fold
               (fun _ r acc -> acc + Relation.cardinal r)
               st.delta_next 0));
-      st.delta <- st.delta_next;
-      st.delta_next <- Hashtbl.create 8;
+      advance st;
       st.iterations <- st.iterations + 1;
       seminaive_iteration st stratum;
       loop ()
@@ -655,12 +768,18 @@ let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
   | Error e -> Error e
   | Ok prog ->
     let h = match h with Some h -> h | None -> handles ~self in
+    let ids = Intern.scratch (Database.pool db) in
     let st =
       {
         self;
         db;
+        ids;
+        decode = Intern.decode ids;
+        self_id = Plan.unbound;
         delta = Hashtbl.create 8;
         delta_next = Hashtbl.create 8;
+        gen = 0;
+        targets = Hashtbl.create 8;
         induced = Head_tbl.create 64;
         messages = Head_tbl.create 64;
         suspensions = Hit_tbl.create 32;
@@ -683,6 +802,8 @@ let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
     in
     Wdl_obs.Obs.time h.stage_hist (fun () ->
         Array.iter (run_stratum ?seed st) prog.Prog.strata);
+    give_back st st.delta;
+    give_back st st.delta_next;
     Wdl_obs.Obs.observe h.iter_hist (float_of_int st.iterations);
     (* Canonical result assembly: derived sets are sorted, so journal
        writes, snapshots and trace fact order are a function of the

@@ -16,7 +16,17 @@
       become the paper's delegations.
 
     Evaluation is semi-naive with rule-activation scheduling; see
-    {!run}. *)
+    {!run}.
+
+    {b Ids end to end.} Plans bind, probe and insert the database
+    pool's ids ({!Plan}); a run gives values the pool lacks (constants,
+    assignment results, enumerated relation names) scratch ids of its
+    own {!Wdl_store.Intern.scratch}, so probes never grow the pool and
+    a remote head's values never enter it. Only storing a view fact
+    interns. Values are decoded at the edges alone: comparisons and
+    assignments, residual rules, remote and inductive heads,
+    provenance, errors and aggregate combination. Delegation-hit and
+    aggregate grouping keys are id arrays. *)
 
 (* No [open Wdl_syntax] here: it would shadow this library's [Program]
    module with the syntax-level one of the same name. *)

@@ -1,10 +1,15 @@
 open Wdl_syntax
+module Intern = Wdl_store.Intern
 
 type slot = int
 
+type const = { value : Value.t; mutable run : int; mutable id : int }
+
 type arg =
-  | Const of Value.t
+  | Const of const
   | Slot of slot
+
+let unbound = -1
 
 type name_ref =
   | Fixed of string
@@ -40,6 +45,9 @@ type match_step = {
       (* slots of the variables a residual at this step keeps (head and
          body from [pos] on), by variable name: the same list for every
          plan of one rule, so it keys a boundary hit across them *)
+  key : int array;
+      (* probe-key buffer: aligned with [bsrc] for a positive step, with
+         [args] for a negated one *)
 }
 
 type step =
@@ -59,6 +67,7 @@ type t = {
   nslots : int;
   slot_names : string array;
   premise_patterns : (name_ref * name_ref * arg array) list;
+  row : int array;  (* head-row buffer *)
 }
 
 type compiler = {
@@ -77,8 +86,9 @@ let slot_of c x =
     Hashtbl.replace c.tbl x s;
     s
 
+(* [run = 0] matches no scratch serial: resolved on first use. *)
 let compile_term c = function
-  | Term.Const v -> Const v
+  | Term.Const v -> Const { value = v; run = 0; id = unbound }
   | Term.Var x -> Slot (slot_of c x)
 
 let compile_name c = function
@@ -163,13 +173,15 @@ let compile ?source ?(id = 0) ?(label = "") (rule : Rule.t) =
           in
           Match
             { pos; neg = false; rel; peer; args; atom = a; bpos; bsrc;
-              out_binds; out_checks; resid = [||] }
+              out_binds; out_checks; resid = [||];
+              key = Array.make (Array.length bpos) unbound }
         | Literal.Neg a ->
           let rel, peer, args = compile_atom c a in
           let bpos, bsrc, out_binds, out_checks = no_probe in
           Match
             { pos; neg = true; rel; peer; args; atom = a; bpos; bsrc;
-              out_binds; out_checks; resid = [||] }
+              out_binds; out_checks; resid = [||];
+              key = Array.make (Array.length args) unbound }
         | Literal.Cmp (op, e1, e2) ->
           Cmp (op, compile_expr c e1, compile_expr c e2, lit)
         | Literal.Assign (x, e) ->
@@ -223,6 +235,7 @@ let compile ?source ?(id = 0) ?(label = "") (rule : Rule.t) =
     nslots = c.count;
     slot_names = Array.of_list (List.rev c.names);
     premise_patterns;
+    row = Array.make (Array.length head_args) unbound;
   }
 
 (* {1 Cost-based body ordering}
@@ -336,45 +349,51 @@ let order_body ?bound ~self ~stats (r : Rule.t) =
           | Error _ -> r
     end
 
-let subst_of_env plan env =
+let const_id ids c =
+  let serial = Intern.serial ids in
+  if c.run <> serial then begin
+    c.run <- serial;
+    c.id <- Intern.encode ids c.value
+  end
+  else if c.id < 0 then c.id <- Intern.canon ids c.id;
+  c.id
+
+let subst_of_env plan ~decode env =
   let s = ref Subst.empty in
   Array.iteri
-    (fun i v ->
-      match v with
-      | Some v -> s := Subst.bind_exn plan.slot_names.(i) v !s
-      | None -> ())
+    (fun i id ->
+      if id <> unbound then s := Subst.bind_exn plan.slot_names.(i) (decode id) !s)
     env;
   !s
 
-let instantiate_args args env =
+let instantiate_args ~decode args env =
   let n = Array.length args in
   let out = Array.make n (Value.Int 0) in
   let ok = ref true in
   for i = 0 to n - 1 do
     match args.(i) with
-    | Const v -> out.(i) <- v
-    | Slot s -> (
-      match env.(s) with
-      | Some v -> out.(i) <- v
-      | None -> ok := false)
+    | Const c -> out.(i) <- c.value
+    | Slot s ->
+      let id = env.(s) in
+      if id = unbound then ok := false else out.(i) <- decode id
   done;
   if !ok then Some out else None
 
 let ( let* ) = Result.bind
 
-let rec eval_cexpr e env ~slot_names =
+let rec eval_cexpr ~decode e env ~slot_names =
   match e with
   | CConst v -> Ok v
-  | CSlot s -> (
-    match env.(s) with
-    | Some v -> Ok v
-    | None -> Error (Expr.Unbound_variable slot_names.(s)))
-  | CAdd (a, b) -> binary Expr.add a b env ~slot_names
-  | CSub (a, b) -> binary Expr.sub a b env ~slot_names
-  | CMul (a, b) -> binary Expr.mul a b env ~slot_names
-  | CDiv (a, b) -> binary Expr.div a b env ~slot_names
+  | CSlot s ->
+    let id = env.(s) in
+    if id = unbound then Error (Expr.Unbound_variable slot_names.(s))
+    else Ok (decode id)
+  | CAdd (a, b) -> binary ~decode Expr.add a b env ~slot_names
+  | CSub (a, b) -> binary ~decode Expr.sub a b env ~slot_names
+  | CMul (a, b) -> binary ~decode Expr.mul a b env ~slot_names
+  | CDiv (a, b) -> binary ~decode Expr.div a b env ~slot_names
 
-and binary op a b env ~slot_names =
-  let* va = eval_cexpr a env ~slot_names in
-  let* vb = eval_cexpr b env ~slot_names in
+and binary ~decode op a b env ~slot_names =
+  let* va = eval_cexpr ~decode a env ~slot_names in
+  let* vb = eval_cexpr ~decode b env ~slot_names in
   op va vb

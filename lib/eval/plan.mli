@@ -8,6 +8,16 @@
     evaluator ({!Fixpoint}) executes plans with a binding trail, so a
     tuple match costs array reads and writes instead of allocations.
 
+    {b Environments hold ids.} A slot environment is an [int array]:
+    each bound slot holds an id of the run's {!Wdl_store.Intern.scratch}
+    (a pool id, or a scratch id for a value the pool lacks), an
+    unbound one holds {!unbound}. Probe keys and head rows are ids too;
+    values are decoded only where the evaluator needs them (comparisons,
+    assignments, residual rules, remote and inductive heads, provenance,
+    errors). Each plan carries its own probe-key and head-row buffers
+    and caches its constants' ids per run, so a plan must not run in
+    two evaluations at once.
+
     Compilation is purely structural — the paper's left-to-right
     semantics, dynamic delegation boundary and safety guarantees are
     untouched. *)
@@ -16,9 +26,19 @@ open Wdl_syntax
 
 type slot = int
 
+type const = {
+  value : Value.t;
+  mutable run : int;  (** {!Wdl_store.Intern.serial} [id] was resolved in *)
+  mutable id : int;  (** [value]'s id in that run; see {!const_id} *)
+}
+(** A rule constant with its per-run id cache. *)
+
 type arg =
-  | Const of Value.t
+  | Const of const
   | Slot of slot
+
+val unbound : int
+(** The environment entry of an unbound slot ([-1]: never an id). *)
 
 type name_ref =
   | Fixed of string   (** constant relation/peer name *)
@@ -54,6 +74,9 @@ type match_step = {
           from [pos] on), ordered by variable name: every plan of one
           rule lists the same variables here, so their values key a
           delegation boundary hit; empty for a negated atom *)
+  key : int array;
+      (** probe-key buffer the evaluator fills: aligned with [bsrc] for
+          a positive atom, with [args] for a negated one *)
 }
 
 type step =
@@ -77,6 +100,7 @@ type t = {
   premise_patterns : (name_ref * name_ref * arg array) list;
       (** positive body atoms of [source], in written order, for
           provenance instantiation *)
+  row : int array;  (** head-row buffer the evaluator fills *)
 }
 
 val compile : ?source:Rule.t -> ?id:int -> ?label:string -> Rule.t -> t
@@ -101,12 +125,24 @@ val order_body :
     check, and literals it cannot place trail in source order; the
     caller checks the rule it assembles. *)
 
-val subst_of_env : t -> Value.t option array -> Subst.t
-(** The bound slots as a substitution (used to build residual rules at
-    delegation points — rare, so allocation there is fine). *)
+val const_id : Wdl_store.Intern.scratch -> const -> int
+(** The constant's id in the run that owns the scratch table: resolved
+    on the run's first use and cached, and re-checked against the pool
+    while it is a scratch id, so it is the pool id as soon as the pool
+    holds the value. *)
 
-val instantiate_args : arg array -> Value.t option array -> Value.t array option
-(** [None] if any slot is unbound. *)
+val subst_of_env : t -> decode:(int -> Value.t) -> int array -> Subst.t
+(** The bound slots as a substitution, values decoded (used to build
+    residual rules at delegation points — rare, so allocation there is
+    fine). *)
+
+val instantiate_args :
+  decode:(int -> Value.t) -> arg array -> int array -> Value.t array option
+(** The arguments' values; [None] if any slot is unbound. *)
 
 val eval_cexpr :
-  cexpr -> Value.t option array -> slot_names:string array -> (Value.t, Expr.error) result
+  decode:(int -> Value.t) ->
+  cexpr ->
+  int array ->
+  slot_names:string array ->
+  (Value.t, Expr.error) result

@@ -7,7 +7,9 @@
     evaluator reports message origins and delegation sources by label,
     so tagging an emission never touches the rule's structure.
 
-    A [t] is immutable. Besides {!compile}, two cheaper operations
+    A [t] is immutable, up to the probe buffers and per-run constant
+    ids its plans carry for the evaluator ({!Plan}). Besides
+    {!compile}, two cheaper operations
     derive a new program from an old one:
     - {!patch} adds or removes {!Stratify.is_sink} rules (no local
       intensional head, no negation, no aggregate). A

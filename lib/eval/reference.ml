@@ -188,12 +188,16 @@ let rec walk st rule ~emit ~delta_pos pos sigma lits =
               | None -> ()
               | Some sigma ->
                 let positions, key = bound_key a.Atom.args in
-                Relation.lookup_key relation positions key (fun slot ->
-                    let tuple = Array.init arity (Relation.value relation slot) in
-                    match match_tuple sigma a.Atom.args tuple with
-                    | Some sigma ->
-                      walk st rule ~emit ~delta_pos (pos + 1) sigma rest
-                    | None -> ()))
+                (* A constant the pool never saw is in no tuple. *)
+                match Intern.find_all (Relation.pool relation) key with
+                | None -> ()
+                | Some key ->
+                  Relation.lookup_key relation positions key (fun slot ->
+                      let tuple = Array.init arity (Relation.value relation slot) in
+                      match match_tuple sigma a.Atom.args tuple with
+                      | Some sigma ->
+                        walk st rule ~emit ~delta_pos (pos + 1) sigma rest
+                      | None -> ()))
             sources)))
 
 and neg_holds st sigma a =

@@ -11,6 +11,7 @@ type info = {
 type t = {
   pool : Intern.t;  (* shared by every relation of this database *)
   rels : (string, info) Hashtbl.t;
+  scratch : (string, Relation.t) Hashtbl.t;  (* cleared, by relation *)
 }
 
 type error =
@@ -24,7 +25,8 @@ let pp_error ppf = function
     Format.fprintf ppf "relation %s is already declared %a" rel Decl.pp_kind
       declared
 
-let create () = { pool = Intern.create (); rels = Hashtbl.create 16 }
+let create () =
+  { pool = Intern.create (); rels = Hashtbl.create 16; scratch = Hashtbl.create 8 }
 
 let pool t = t.pool
 
@@ -91,6 +93,19 @@ let clear_intensional t =
       | Decl.Extensional -> ())
     t.rels
 
+(* Several scratch relations per name may be out at once (a run's
+   current and next delta); [Hashtbl.add] keeps each returned one. *)
+let take_scratch t ~rel ~arity =
+  match Hashtbl.find_opt t.scratch rel with
+  | Some r when Relation.arity r = arity ->
+    Hashtbl.remove t.scratch rel;
+    r
+  | Some _ | None -> Relation.create ~pool:t.pool ~indexing:false ~arity ()
+
+let give_scratch t ~rel r =
+  Relation.clear r;
+  Hashtbl.add t.scratch rel r
+
 let interned_count t = Intern.size t.pool
 
 let memory_bytes t =
@@ -103,7 +118,11 @@ let copy t =
   (* The copy gets its own pool with the same ids, so values it derives
      (an ad-hoc query's, say) never grow the original's pool. *)
   let fresh =
-    { pool = Intern.copy t.pool; rels = Hashtbl.create (Hashtbl.length t.rels) }
+    {
+      pool = Intern.copy t.pool;
+      rels = Hashtbl.create (Hashtbl.length t.rels);
+      scratch = Hashtbl.create 8;
+    }
   in
   Hashtbl.iter
     (fun name info ->

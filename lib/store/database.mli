@@ -67,9 +67,19 @@ val fold : (info -> 'a -> 'a) -> t -> 'a -> 'a
 val clear_intensional : t -> unit
 (** Empties every intensional relation (start of a stage). *)
 
+val take_scratch : t -> rel:string -> arity:int -> Relation.t
+(** An empty relation over {!pool}, without indexes: storage for an
+    evaluation's delta of [rel]. It reuses a relation given back with
+    {!give_scratch} when there is one, so repeated evaluations stop
+    reallocating (and regrowing) their deltas. *)
+
+val give_scratch : t -> rel:string -> Relation.t -> unit
+(** Clear a relation {!take_scratch} handed out and keep its storage for
+    the next call. The database holds it until then. *)
+
 val copy : t -> t
 (** Deep copy: relations, kinds, contents and the intern pool (same
-    ids, {!Intern.copy}). Used to evaluate ad-hoc queries without
+    ids, {!Intern.copy}); no scratch storage. Used to evaluate ad-hoc queries without
     touching live state, pool included. *)
 
 val pp : peer:string -> Format.formatter -> t -> unit

@@ -4,13 +4,15 @@ module Value = Wdl_syntax.Value
 
    A relation keeps each tuple once, as its interned image: [rows] is a
    flat [int array] with [arity] consecutive pool ids per slot. Dedup,
-   index keys and bound scans are pure int work; reads decode through
-   the pool — [value] one column at a time for the compiled-plan
-   lookup, whole tuples for [iter]/[fold]/[to_list].
+   index keys and bound scans are pure int work. The compiled
+   evaluator stays in ids: it probes with id keys, reads ids with [id]
+   and inserts id rows with [insert_ids]. Value reads decode through
+   the pool — [value] one column at a time, whole tuples for
+   [iter]/[fold]/[to_list].
 
    Slots are recycled through a free list; [live] marks which slots
    hold a tuple. Set-semantics dedup is an open-addressing table of
-   slot ids hashed over the interned row: insert interns each value
+   slot ids hashed over the interned row: [insert] interns each value
    exactly once (find-or-add) and every subsequent compare is int
    work — one array, no per-entry allocation. *)
 
@@ -52,12 +54,10 @@ end
 module Ikey = struct
   type t = int array
 
-  let equal a b =
-    let n = Array.length a in
-    n = Array.length b
-    &&
-    let rec go i = i >= n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
+  let rec equal_from (a : int array) b i =
+    i >= Array.length a || (a.(i) = b.(i) && equal_from a b (i + 1))
+
+  let equal a b = a == b || (Array.length a = Array.length b && equal_from a b 0)
 
   (* FNV-1a over the ids. *)
   let hash a =
@@ -133,52 +133,39 @@ let row_hash rows off arity =
   done;
   !h land max_int
 
-let row_equal r slot (ids : int array) =
-  let off = slot * r.arity in
-  let rec go i =
-    i >= r.arity || (Array.unsafe_get r.rows (off + i) = ids.(i) && go (i + 1))
-  in
-  go 0
+(* The dedup probe runs once per insert and per membership test, so its
+   loops are top-level functions: no closure is allocated per call. *)
+let rec row_equal rows off (ids : int array) i =
+  i >= Array.length ids
+  || (Array.unsafe_get rows (off + i) = ids.(i) && row_equal rows off ids (i + 1))
+
+let rec probe_from r (ids : int array) mask i =
+  match r.table.(i) with
+  | -1 -> -1
+  | s when s >= 0 && row_equal r.rows (s * r.arity) ids 0 -> i
+  | _ -> probe_from r ids mask ((i + 1) land mask)
 
 (* Table position holding the row equal to [ids] (hash [h]), or -1. *)
 let find_pos_ids r (ids : int array) h =
   let mask = Array.length r.table - 1 in
-  let rec go i =
-    match r.table.(i) with
-    | -1 -> -1
-    | s when s >= 0 && row_equal r s ids -> i
-    | _ -> go ((i + 1) land mask)
-  in
-  go (h land mask)
+  probe_from r ids mask (h land mask)
 
 (* Interned image of [t] without growing the pool; [None] when some
    value is foreign (hence [t] cannot be stored here). *)
 let resolve_row r (t : Tuple.t) =
-  if Array.length t <> r.arity then None
-  else
-    let ids = Array.make r.arity 0 in
-    let rec go i =
-      if i >= r.arity then true
-      else
-        match Intern.find r.pool t.(i) with
-        | None -> false
-        | Some id ->
-          ids.(i) <- id;
-          go (i + 1)
-    in
-    if go 0 then Some ids else None
+  if Array.length t <> r.arity then None else Intern.find_all r.pool t
 
-(* Insert [slot] (known absent); true iff a fresh cell was consumed. *)
-let table_put table mask hash slot =
-  let rec go i =
-    if table.(i) < 0 then begin
-      let fresh = table.(i) = -1 in
-      table.(i) <- slot;
-      fresh
-    end
-    else go ((i + 1) land mask)
-  in
-  go (hash land mask)
+(* Put [slot] (known absent) at the first free cell from [i]; true iff
+   a fresh cell was consumed. *)
+let rec put_from table mask i slot =
+  if table.(i) < 0 then begin
+    let fresh = table.(i) = -1 in
+    table.(i) <- slot;
+    fresh
+  end
+  else put_from table mask ((i + 1) land mask) slot
+
+let table_put table mask hash slot = put_from table mask (hash land mask) slot
 
 (* Rebuild the dedup table at [size] cells (sweeps tombstones). *)
 let rehash_to r size =
@@ -221,9 +208,6 @@ let index_remove r idx slot =
   | Some b ->
     Ivec.remove b slot;
     if b.Ivec.n = 0 then Ikey_tbl.remove idx.buckets key
-
-let find_index r positions =
-  List.find_opt (fun idx -> Ikey.equal idx.positions positions) r.indexes
 
 let builds_total = ref 0
 
@@ -277,18 +261,7 @@ let reserve r extra =
     rehash_to r !size
   end
 
-let insert r t =
-  if Array.length t <> r.arity then
-    invalid_arg
-      (Printf.sprintf "Relation.insert: arity mismatch (expected %d, got %d)"
-         r.arity (Array.length t));
-  (* One pool probe per value: find-or-add up front, then every dedup
-     compare is on the ids (duplicates re-find existing pool entries,
-     so the pool still only ever holds stored values). *)
-  let ids = r.scratch in
-  for i = 0 to r.arity - 1 do
-    ids.(i) <- Intern.intern r.pool t.(i)
-  done;
+let insert_ids r (ids : int array) =
   let h = Ikey.hash ids in
   if find_pos_ids r ids h >= 0 then false
   else begin
@@ -311,6 +284,20 @@ let insert r t =
     true
   end
 
+let insert r t =
+  if Array.length t <> r.arity then
+    invalid_arg
+      (Printf.sprintf "Relation.insert: arity mismatch (expected %d, got %d)"
+         r.arity (Array.length t));
+  (* One pool probe per value: find-or-add up front, then every dedup
+     compare is on the ids (duplicates re-find existing pool entries,
+     so the pool still only ever holds stored values). *)
+  let ids = r.scratch in
+  for i = 0 to r.arity - 1 do
+    ids.(i) <- Intern.intern r.pool t.(i)
+  done;
+  insert_ids r ids
+
 let delete r t =
   match resolve_row r t with
   | None -> false
@@ -326,14 +313,18 @@ let delete r t =
       r.n <- r.n - 1;
       true)
 
+let mem_ids r (ids : int array) = find_pos_ids r ids (Ikey.hash ids) >= 0
+
 let mem r t =
   match resolve_row r t with
   | None -> false
-  | Some ids -> find_pos_ids r ids (Ikey.hash ids) >= 0
+  | Some ids -> mem_ids r ids
 
 (* {2 Reads} *)
 
-let value r slot i = Intern.value r.pool r.rows.((slot * r.arity) + i)
+let id r slot i = r.rows.((slot * r.arity) + i)
+
+let value r slot i = Intern.value r.pool (id r slot i)
 
 let iter f r =
   for s = 0 to r.limit - 1 do
@@ -389,10 +380,11 @@ let scan_ids r positions key f =
     then f s
   done
 
+(* Exception-based find: a probe allocates no option. *)
 let probe_bucket idx (key : int array) f =
-  match Ikey_tbl.find_opt idx.buckets key with
-  | None -> ()
-  | Some b ->
+  match Ikey_tbl.find idx.buckets key with
+  | exception Not_found -> ()
+  | b ->
     for k = 0 to b.Ivec.n - 1 do
       f b.Ivec.a.(k)
     done
@@ -401,35 +393,43 @@ let probe_bucket idx (key : int array) f =
    and will probe the same signature for every candidate binding, so
    the index is built on first use once the relation is big enough,
    and kept. *)
-let lookup_key r (positions : int array) (vkey : Value.t array) f =
-  let np = Array.length positions in
-  let key = Array.make np 0 in
-  let rec ids k =
-    if k >= np then true
-    else
-      match Intern.find r.pool vkey.(k) with
-      | None -> false
-      | Some id ->
-        key.(k) <- id;
-        ids (k + 1)
-  in
-  if ids 0 then
-    match find_index r positions with
-    | Some idx -> probe_bucket idx key f
-    | None ->
-      if r.indexing && np > 0 && r.n >= index_threshold then
-        probe_bucket (build_index r positions) key f
-      else scan_ids r positions key f
+let rec lookup_in r indexes (positions : int array) (key : int array) f =
+  match indexes with
+  | idx :: rest ->
+    if Ikey.equal idx.positions positions then probe_bucket idx key f
+    else lookup_in r rest positions key f
+  | [] ->
+    if r.indexing && Array.length positions > 0 && r.n >= index_threshold then
+      probe_bucket (build_index r positions) key f
+    else scan_ids r positions key f
+
+let lookup_key r positions key f = lookup_in r r.indexes positions key f
 
 (* {2 Lifecycle} *)
 
+(* Empty the dedup cell holding [slot], probing from [i]. *)
+let rec unput table mask i slot =
+  if table.(i) = slot then table.(i) <- -1
+  else unput table mask ((i + 1) land mask) slot
+
 let clear r =
+  (* Without tombstones, emptying each live row's cell empties the
+     table, so a clear costs the rows, not the capacity: a relation
+     that once grew large (a reused delta) clears small contents
+     cheaply. A table with tombstones, or well filled, is refilled
+     whole. *)
+  let size = Array.length r.table in
+  if r.entries = r.n && 8 * r.n < size then
+    for s = 0 to r.limit - 1 do
+      if Bytes.unsafe_get r.live s <> '\000' then
+        unput r.table (size - 1) (row_hash r.rows (s * r.arity) r.arity land (size - 1)) s
+    done
+  else Array.fill r.table 0 size (-1);
+  Bytes.fill r.live 0 r.limit '\000';
   r.limit <- 0;
   r.n <- 0;
   r.free.Ivec.n <- 0;
-  Array.fill r.table 0 (Array.length r.table) (-1);
   r.entries <- 0;
-  Bytes.fill r.live 0 (Bytes.length r.live) '\000';
   (* Keep index skeletons: a planner hint survives the per-stage clear
      of intensional relations, so refills re-index incrementally. *)
   List.iter (fun idx -> Ikey_tbl.reset idx.buckets) r.indexes

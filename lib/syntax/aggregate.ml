@@ -44,6 +44,7 @@ let float op x =
   else Ok (Value.Float x)
 
 let apply op values =
+  let values = List.sort Value.compare values in
   match op, values with
   | _, [] -> Error "aggregate over an empty group"
   | Count, _ -> Ok (Value.Int (List.length values))

@@ -23,4 +23,7 @@ val apply : op -> Value.t list -> (Value.t, string) result
 (** Aggregates a non-empty multiset. [Count] accepts any values;
     [Sum]/[Min]/[Max] need numbers (mixing int and float promotes to
     float); [Avg] is always a float. The [Error] carries a
-    human-readable reason. *)
+    human-readable reason. The result does not depend on the list's
+    order: values are combined in {!Value.compare} order, so float sums
+    round the same way and a [Min]/[Max] tie between [1] and [1.]
+    resolves the same way however an evaluator enumerated the group. *)

@@ -377,6 +377,153 @@ let patched_agrees (spec, ops) =
        ops
   && stage ()
 
+(* {1 Mixed values}
+
+   Facts and rule constants drawn from every value tag, with the values
+   an id-based evaluator can get wrong: [0.] and [-0.] (equal, one pool
+   id), the infinities and [min_int], the confusable [1] / [1.] / ["1"]
+   (three distinct values), and strings that need escaping. The rules
+   cover a repeated variable (the out-check path, which compares ids),
+   comparisons across tags, assignments whose results no relation
+   stores, probes and negations on such values, and aggregates over
+   mixed numerics. *)
+
+let mixed_values =
+  Value.
+    [ Int 0; Int 1; Int (-1); Int min_int; Float 0.; Float (-0.); Float 1.;
+      Float 2.5; Float infinity; Float neg_infinity; String "1"; String "";
+      String "q\"uo\\te\n"; String "é"; Bool true; Bool false ]
+
+let numerics =
+  List.filter (function Value.Int _ | Value.Float _ -> true | _ -> false) mixed_values
+
+(* The other representation of an equal value, where there is one. *)
+let twin = function
+  | Value.Float f when f = 0. -> Value.Float (-.f)
+  | v -> v
+
+(* (view, arity, rule given one constant); arity 0: no view. *)
+let mixed_templates =
+  [
+    ("same", 1, fun _ -> "same@p($x) :- e@p($x, $x)");
+    ("hit", 1, fun c -> Printf.sprintf "hit@p($y) :- e@p(%s, $y)" c);
+    ("lt", 2, fun _ -> "lt@p($x, $y) :- r@p($x), s@p($y), $x < $y");
+    ("eqc", 1, fun c -> Printf.sprintf "eqc@p($x) :- r@p($x), $x = %s" c);
+    ("shift", 1, fun c -> Printf.sprintf "shift@p($y) :- r@p($x), $y := $x + %s" c);
+    ("joined", 1, fun _ -> "joined@p($x) :- shift@p($x), s@p($x)");
+    ( "back", 1,
+      fun c -> Printf.sprintf "back@p($x) :- r@p($x), $y := $x + %s, shift@p($y)" c );
+    ("probe", 1, fun c -> Printf.sprintf "probe@p($x) :- r@p($x), $y := $x * %s, s@p($y)" c);
+    ("nf", 1, fun c -> Printf.sprintf "nf@p($x) :- r@p($x), not s@p(%s)" c);
+    ("ng", 1, fun c -> Printf.sprintf "ng@p($x) :- r@p($x), not e@p($x, %s)" c);
+    ("nsum", 1, fun _ -> "nsum@p(sum($x)) :- n@p($x)");
+    ("nmax", 1, fun _ -> "nmax@p(max($x)) :- n@p($x)");
+    ("navg", 1, fun _ -> "navg@p(avg($x)) :- n@p($x)");
+    ("tot", 2, fun _ -> "tot@p($x, sum($y)) :- e@p($x, $y)");
+    ("cnt", 2, fun _ -> "cnt@p($x, count($y)) :- e@p($x, $y)");
+    ("away", 1, fun c -> Printf.sprintf "away@p($x) :- r@p($x), data@q($x, %s)" c);
+    ("", 0, fun c -> Printf.sprintf "out@q($y) :- s@p($x), $y := $x * %s" c);
+    ("", 0, fun _ -> "acc@p($x) :- same@p($x)");
+  ]
+
+type mspec = {
+  mfacts : (string * Value.t list) list;
+  mrules : (int * Value.t) list;  (* template index, its constant *)
+}
+
+let mspec_gen =
+  QCheck.Gen.(
+    let value = oneofl mixed_values in
+    let fact =
+      frequency
+        [
+          (3, map2 (fun a b -> ("e", [ a; b ])) value value);
+          (1, map (fun a -> ("e", [ a; twin a ])) value);
+          (2, map (fun a -> ("r", [ a ])) value);
+          (2, map (fun a -> ("s", [ a ])) value);
+          (2, map (fun a -> ("n", [ a ])) (oneofl numerics));
+        ]
+    in
+    let* mfacts = list_size (int_range 3 20) fact in
+    let* mrules =
+      list_size (int_range 1 6)
+        (pair (int_range 0 (List.length mixed_templates - 1)) value)
+    in
+    return { mfacts; mrules })
+
+let mspec_rules spec =
+  List.sort_uniq compare
+    (List.map
+       (fun (k, c) ->
+         let _, _, rule = List.nth mixed_templates k in
+         rule (Value.to_string c))
+       spec.mrules)
+
+let mspec_print spec =
+  Printf.sprintf "facts=[%s]\n%s"
+    (String.concat "; "
+       (List.map
+          (fun (r, args) ->
+            Printf.sprintf "%s(%s)" r (String.concat "," (List.map Value.to_string args)))
+          spec.mfacts))
+    (String.concat "\n" (mspec_rules spec))
+
+let mixed_views =
+  List.filter_map
+    (fun (v, arity, _) -> if arity > 0 then Some (v, arity) else None)
+    mixed_templates
+
+(* Views, inductive updates, messages and suspensions after one run.
+   Equal values may print differently ([-0.] and [0.]), so results are
+   compared with the value-level equalities, not as text. *)
+let run_mixed engine spec =
+  let db = Database.create () in
+  List.iter
+    (fun (v, arity) ->
+      ignore
+        (Database.declare db
+           (Decl.make ~kind:Decl.Intensional ~rel:v ~peer:"p"
+              (List.init arity (Printf.sprintf "c%d")))))
+    mixed_views;
+  List.iter
+    (fun (rel, args) -> ignore (Database.insert db ~rel (Tuple.of_list args)))
+    spec.mfacts;
+  let rules = List.map Parser.parse_rule (mspec_rules spec) in
+  match engine ~self:"p" db rules with
+  | Error _ -> None
+  | Ok (r : Fixpoint.result) ->
+    let views =
+      List.map
+        (fun (v, _) ->
+          match Database.find db v with
+          | Some info -> Relation.to_sorted_list info.Database.data
+          | None -> [])
+        mixed_views
+    in
+    let susp =
+      List.sort
+        (fun (d1, r1) (d2, r2) ->
+          match String.compare d1 d2 with 0 -> Rule.compare r1 r2 | c -> c)
+        r.Fixpoint.suspensions
+    in
+    Some
+      ( views,
+        List.sort Fact.compare r.Fixpoint.induced,
+        List.sort Fact.compare r.Fixpoint.messages,
+        susp )
+
+let mixed_equal a b =
+  match a, b with
+  | None, None -> true
+  | Some (v1, i1, m1, s1), Some (v2, i2, m2, s2) ->
+    List.equal (List.equal Tuple.equal) v1 v2
+    && List.equal Fact.equal i1 i2
+    && List.equal Fact.equal m1 m2
+    && List.equal
+         (fun (d1, r1) (d2, r2) -> String.equal d1 d2 && Rule.equal r1 r2)
+         s1 s2
+  | Some _, None | None, Some _ -> false
+
 let tests =
   [
     QCheck.Test.make ~count:150 ~long_factor:20
@@ -386,6 +533,15 @@ let tests =
         = run_engine
             (fun ~self db rules -> Result.map fst (Reference.run ~self db rules))
             spec);
+    QCheck.Test.make ~count:150 ~long_factor:20
+      ~name:"compiled evaluator agrees with the reference oracle on mixed values"
+      (QCheck.make ~print:mspec_print mspec_gen)
+      (fun spec ->
+        mixed_equal
+          (run_mixed (fun ~self db rules -> Fixpoint.run ~self db rules) spec)
+          (run_mixed
+             (fun ~self db rules -> Result.map fst (Reference.run ~self db rules))
+             spec));
     QCheck.Test.make ~count:60 ~long_factor:20
       ~name:"provenance premises agree on derived facts" dspec_arb
       (fun spec ->

@@ -176,6 +176,19 @@ let suite =
           (List.exists
              (function Runtime_error.Not_a_name _ -> true | _ -> false)
              r.Fixpoint.errors));
+    tc "an unbound peer variable is an error, not this peer" (fun () ->
+        (* Unsafe rules reach the evaluator only through its API; an
+           unbound peer slot must never compare equal to the peer's own
+           (not yet seen) name id. *)
+        let db = db_of "data@p(1); int v@p(x);" in
+        let r = run db [ "v@p($x) :- data@$a($x)"; "w@$b($x) :- data@p($x)" ] in
+        check_int "v empty" 0 (List.length (rel_facts db "v"));
+        check_int "no messages" 0 (List.length r.Fixpoint.messages);
+        check_int "two errors" 2
+          (List.length
+             (List.filter
+                (function Runtime_error.Unbound_at_eval _ -> true | _ -> false)
+                r.Fixpoint.errors)));
     tc "remote negation reports an error" (fun () ->
         let db = db_of "a@p(1);" in
         let r = run db [ "v@p($x) :- a@p($x), not b@q($x)" ] in

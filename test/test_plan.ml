@@ -19,6 +19,9 @@ let activations (s : Program.stratum) rel =
 let is_base (s : Program.stratum) (a : Program.activation) =
   List.exists (fun p -> p == a.Program.plan) s.Program.plans
 
+(* Environments hold ids; in these tests id [n] stands for [Int n]. *)
+let decode n = Value.Int n
+
 let tc_rules =
   [ "tc@p($x,$y) :- edge@p($x,$y)"; "tc@p($x,$z) :- edge@p($x,$y), tc@p($y,$z)" ]
 
@@ -46,19 +49,22 @@ let suite =
         let plan = Plan.compile (Parser.parse_rule "h@p($x) :- m@q(1, $x)") in
         match plan.Plan.steps with
         | [ Plan.Match { rel = Plan.Fixed "m"; peer = Plan.Fixed "q";
-                         args = [| Plan.Const (Value.Int 1); Plan.Slot _ |]; _ } ] ->
+                         args = [| Plan.Const { value = Value.Int 1; _ }; Plan.Slot _ |];
+                         _ } ] ->
           ()
         | _ -> Alcotest.fail "unexpected compilation");
     tc "instantiate_args needs every slot bound" (fun () ->
-        let args = [| Plan.Const (Value.Int 7); Plan.Slot 0 |] in
-        check_bool "unbound" (Plan.instantiate_args args [| None |] = None);
+        let args =
+          [| Plan.Const { value = Value.Int 7; run = 0; id = Plan.unbound }; Plan.Slot 0 |]
+        in
+        check_bool "unbound" (Plan.instantiate_args ~decode args [| Plan.unbound |] = None);
         check_bool "bound"
-          (Plan.instantiate_args args [| Some (Value.Int 3) |]
+          (Plan.instantiate_args ~decode args [| 3 |]
           = Some [| Value.Int 7; Value.Int 3 |]));
     tc "subst_of_env maps bound slots back to variable names" (fun () ->
         let plan = Plan.compile (Parser.parse_rule "h@p($x, $y) :- m@p($x, $y)") in
-        let env = [| Some (Value.Int 1); None |] in
-        let s = Plan.subst_of_env plan env in
+        let env = [| 1; Plan.unbound |] in
+        let s = Plan.subst_of_env plan ~decode env in
         check_bool "x" (Subst.find "x" s = Some (Value.Int 1));
         check_bool "y free" (Subst.find "y" s = None));
     tc "eval_cexpr matches Expr.eval" (fun () ->
@@ -67,9 +73,9 @@ let suite =
         in
         match plan.Plan.steps with
         | [ _; Plan.Assign (_, ce, _) ] -> (
-          let env = Array.make plan.Plan.nslots None in
-          env.(0) <- Some (Value.Int 5);
-          match Plan.eval_cexpr ce env ~slot_names:plan.Plan.slot_names with
+          let env = Array.make plan.Plan.nslots Plan.unbound in
+          env.(0) <- 5;
+          match Plan.eval_cexpr ~decode ce env ~slot_names:plan.Plan.slot_names with
           | Ok (Value.Int 11) -> ()
           | Ok v -> Alcotest.fail ("got " ^ Value.to_string v)
           | Error _ -> Alcotest.fail "eval failed")

@@ -42,6 +42,43 @@ let suite =
           check_bool "derived" (a.Peer.rows = [ [ Value.Int (1 + k) ] ])
         done;
         check_int "interned values unchanged" pooled (interned ()));
+    tc "the pool holds only stored values" (fun () ->
+        (* A negation and a join on constants no relation stores, and a
+           remote head whose values are new: none of them may grow the
+           pool, which then holds exactly the stored values 1 and 2. *)
+        let p =
+          peer_with
+            {|ext base@p(x); ext pair@p(x, y); int v@p(x); int w@p(x);
+              base@p(1); base@p(2);
+              v@p($x) :- base@p($x), not base@p(999);
+              w@p($x) :- base@p($x), base@p("foreign");
+              out@q($y) :- base@p($x), $y := $x + 1000;
+              sum@q($z) :- pair@p($x, $y), $z := $x + $y + 500;|}
+        in
+        let interned () = Wdl_store.Database.interned_count (Peer.database p) in
+        check_int "stored values only" 2 (interned ());
+        check_int "v derived" 2 (List.length (Peer.query p "v"));
+        (* A stage whose only new values go to a remote head: the new
+           tuple holds values the pool has. *)
+        ok'
+          (Peer.insert p
+             (Fact.make ~rel:"pair" ~peer:"p" [ Value.Int 1; Value.Int 2 ]));
+        let sent = Peer.stage p in
+        check_bool "messages sent" (sent <> []);
+        check_int "remote heads intern nothing" 2 (interned ());
+        (* One new stored value grows it by one, not by its remote image. *)
+        ok' (Peer.insert p (Fact.make ~rel:"base" ~peer:"p" [ Value.Int 3 ]));
+        ignore (Peer.stage p);
+        check_int "one stored value" 3 (interned ());
+        List.iter
+          (fun q -> ignore (ok' (Peer.ask p q)))
+          [ "q@p($x) :- base@p($x), not base@p(4242)";
+            {|q@p($x) :- base@p($x), base@p("nope")|};
+            "q@p($y) :- base@p($x), $y := $x * 77";
+            {|q@p("label", $x) :- v@p($x), w@p(-5)|} ];
+        ignore (Peer.query p "v");
+        ignore (Peer.query p "nothing");
+        check_int "queries intern nothing" 3 (interned ()));
     tc "recursive ad-hoc query" (fun () ->
         let p = peer_with "e@p(1,2); e@p(2,3); e@p(3,4);" in
         (* The query head itself can be recursive through the program's

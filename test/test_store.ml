@@ -5,14 +5,22 @@ open Check
 let t ints = Tuple.of_list (List.map (fun n -> Value.Int n) ints)
 
 (* Every tuple matching the [(position, value)] constraints, decoded
-   from the slots [Relation.lookup_key] hands back, sorted. *)
+   from the slots [Relation.lookup_key] hands back, sorted; the key is
+   resolved to pool ids first. *)
 let collect_lookup rel bound =
   let bound = List.sort compare bound in
   let acc = ref [] in
-  Relation.lookup_key rel
-    (Array.of_list (List.map fst bound))
-    (Array.of_list (List.map snd bound))
-    (fun slot -> acc := Array.init (Relation.arity rel) (Relation.value rel slot) :: !acc);
+  (* A value the pool never saw matches nothing. *)
+  (match
+     Intern.find_all (Relation.pool rel) (Array.of_list (List.map snd bound))
+   with
+  | None -> ()
+  | Some key ->
+    Relation.lookup_key rel
+      (Array.of_list (List.map fst bound))
+      key
+      (fun slot ->
+        acc := Array.init (Relation.arity rel) (Relation.value rel slot) :: !acc));
   List.sort Tuple.compare !acc
 
 let suite =
