@@ -19,6 +19,42 @@ let compare_delegation (d1, r1) (d2, r2) =
 
 type shed_policy = Drop_newest | Drop_oldest
 
+(* Why a stage takes the full path. *)
+type full_reason =
+  [ `Provenance | `Builtin | `Error | `Session | `Rule_change | `Delete
+  | `Nonadditive_inbox | `Strata | `Guarded ]
+
+(* Precedence order: a stage with several reasons counts the first.
+   The peer's own features come first, then what ended the run of
+   additive inputs (the gravest first), then the inbox, then the
+   program's shape and where the new facts lie. *)
+let full_reasons : full_reason list =
+  [ `Provenance; `Builtin; `Error; `Session; `Rule_change; `Delete;
+    `Nonadditive_inbox; `Strata; `Guarded ]
+
+let reason_label : full_reason -> string = function
+  | `Provenance -> "provenance"
+  | `Builtin -> "builtin"
+  | `Error -> "error"
+  | `Session -> "session"
+  | `Rule_change -> "rule_change"
+  | `Delete -> "delete"
+  | `Nonadditive_inbox -> "nonadditive_inbox"
+  | `Strata -> "strata"
+  | `Guarded -> "guarded"
+
+let reason_rank r =
+  let rec go i = function
+    | [] -> assert false
+    | x :: rest -> if x = r then i else go (i + 1) rest
+  in
+  go 0 full_reasons
+
+(* What the inputs did since the last completed stage: exactly the
+   fresh insertions [adds] and the installs of the sinks with ids
+   [fresh], or something no seeded pass can follow. *)
+type run = Additive of { adds : Fact.t list; fresh : int list } | Broken of full_reason
+
 let shed_policy_string = function
   | Drop_newest -> "drop-newest"
   | Drop_oldest -> "drop-oldest"
@@ -59,15 +95,15 @@ type t = {
   mutable stage_no : int;
   mutable dirty : bool;
   mutable last_errors : Wdl_eval.Runtime_error.t list;
-  (* Delta staging.  [stage_adds = Some facts] means every base-data
-     change since the last completed stage is exactly those fresh
-     insertions — then, for a monotone rule set with purely additive
-     inbox batches, the stage keeps the previous intensional state and
-     seeds semi-naive with just the delta.  Any deletion, rule change,
-     cache eviction, restore or stage that reported runtime errors sets
-     [None], forcing the next stage to recompute from scratch. *)
-  mutable stage_adds : Fact.t list option;
+  (* Delta staging. While [run] is [Additive], the next stage may keep
+     the previous intensional state and seed semi-naive with just the
+     new facts and rules ([prepare] has the rest of the gate). Any
+     deletion, other rule change, cache eviction, session reset,
+     restore or stage that reported runtime errors breaks the run,
+     forcing the next stage to recompute from scratch. *)
+  mutable run : run;
   mutable n_delta_stages : int;
+  n_full_stages : int array;  (* by [reason_rank] *)
   eval_handles : Wdl_eval.Fixpoint.handles;
   (* Builtin relation modules (time, windows, TTL, sketches): private
      state keyed by relation name, ticked at every stage boundary.
@@ -115,6 +151,14 @@ let register_metrics t =
     "Stages evaluated by delta staging (retained fixpoint + seeded \
      semi-naive pass) instead of full recomputation" (fun () ->
       t.n_delta_stages);
+  List.iter
+    (fun r ->
+      Wdl_obs.Obs.on_collect
+        ~help:"Stages recomputed from scratch, by the first reason that applied"
+        ~labels:[ ("peer", t.name); ("reason", reason_label r) ]
+        ~kind:`Counter "wdl_eval_full_stage_total" (fun () ->
+          float_of_int t.n_full_stages.(reason_rank r)))
+    full_reasons;
   field ~kind:`Gauge "wdl_store_interned_values"
     "Distinct values interned by this peer's store pool" (fun () ->
       Database.interned_count t.db);
@@ -205,8 +249,9 @@ let create ?policy ?trace_capacity ?(inbox_capacity = max_int)
     dirty = false;
     last_errors = [];
     (* The first stage of any peer (fresh or restored) is a full one. *)
-    stage_adds = None;
+    run = Broken `Session;
     n_delta_stages = 0;
+    n_full_stages = Array.make (List.length full_reasons) 0;
     eval_handles = Wdl_eval.Fixpoint.handles ~self:name;
     builtins;
     clock = (fun () -> Wdl_obs.Obs.now_us () /. 1e6);
@@ -220,11 +265,28 @@ let create ?policy ?trace_capacity ?(inbox_capacity = max_int)
 let name t = t.name
 let database t = t.db
 
+(* Ends the additive run, keeping the graver reason when it already
+   ended. *)
+let break_run t reason =
+  match t.run with
+  | Broken r when reason_rank r <= reason_rank reason -> ()
+  | Additive _ | Broken _ -> t.run <- Broken reason
+
+let note_add t fact =
+  match t.run with
+  | Additive r -> t.run <- Additive { r with adds = fact :: r.adds }
+  | Broken _ -> ()
+
 (* A rule-set change ends the current additive run: a new (or
-   retracted) rule can derive facts no seeded pass would find. *)
-let rules_changed t =
+   retracted) rule can derive facts no seeded pass would find, unless
+   it is an installed sink ([fresh] is its id), which the seeded pass
+   runs once. *)
+let rules_changed ?fresh t =
   t.dirty <- true;
-  t.stage_adds <- None
+  match fresh, t.run with
+  | Some id, Additive r -> t.run <- Additive { r with fresh = id :: r.fresh }
+  | Some _, Broken _ -> ()
+  | None, _ -> break_run t `Rule_change
 
 let set_journal t j = t.journal <- j
 let journal t = t.journal
@@ -286,7 +348,7 @@ let add_rule t rule =
       Wdl_analysis.Analysis.added_rule_warnings ~self:t.name ~kind_of
         ~existing:(all_rules t) rule
     in
-    Rules.add t.rules Rules.Own rule;
+    ignore (Rules.add t.rules Rules.Own rule : int);
     rules_changed t;
     record_event t (Trace.Rule_added { peer = t.name; rule });
     List.iter
@@ -359,9 +421,7 @@ let insert t (fact : Fact.t) =
     | Ok fresh ->
       if fresh then begin
         t.dirty <- true;
-        (match t.stage_adds with
-        | Some adds -> t.stage_adds <- Some (fact :: adds)
-        | None -> ());
+        note_add t fact;
         journal_entry t (Journal.Insert fact);
         record_event t (Trace.Fact_inserted { peer = t.name; fact })
       end;
@@ -387,7 +447,7 @@ let delete t (fact : Fact.t) =
     | Ok removed ->
       if removed then begin
         t.dirty <- true;
-        t.stage_adds <- None;  (* deletions are not additive *)
+        break_run t `Delete;
         journal_entry t (Journal.Delete fact);
         record_event t (Trace.Fact_deleted { peer = t.name; fact })
       end;
@@ -425,7 +485,7 @@ let load_program t (program : Program.t) =
             (* A declaration can turn a name intensional, which changes
                stratification for rules mentioning it. *)
             Rules.invalidate t.rules;
-            t.stage_adds <- None;
+            break_run t `Rule_change;
             match d.Decl.builtin with
             | None ->
               if Builtin.Registry.mem t.builtins d.Decl.rel then
@@ -584,8 +644,8 @@ let install_delegation t ~src rule =
         (Trace.Delegation_rejected { peer = t.name; src; rule; reason });
       false
     | Ok () ->
-      Rules.add t.rules (Rules.Delegated src) rule;
-      rules_changed t;
+      let id = Rules.add t.rules (Rules.Delegated src) rule in
+      rules_changed ?fresh:(if Rules.sink t.rules rule then Some id else None) t;
       record_event t (Trace.Delegation_installed { peer = t.name; src; rule });
       true
 
@@ -622,7 +682,7 @@ let apply_extensional t (fact : Fact.t) =
     | Error msg -> record_store_error t fact.Fact.rel msg)
   | None ->
     if insert_tuple t fact.Fact.rel (Tuple.of_list fact.Fact.args) then begin
-      t.stage_adds <- Option.map (List.cons fact) t.stage_adds;
+      note_add t fact;
       journal_entry t (Journal.Insert fact);
       record_event t (Trace.Fact_inserted { peer = t.name; fact })
     end
@@ -661,7 +721,7 @@ let forget_origin t ~src =
     Hashtbl.remove t.remote_cache src;
     t.dirty <- true;
     (* Evicting a cache removes the intensional facts it carried. *)
-    t.stage_adds <- None
+    break_run t `Session
   end;
   List.length doomed
 
@@ -675,7 +735,7 @@ let forget_destination t ~dst =
     t.dirty <- true;
     (* A delta stage can only extend the last sent batch; with that
        memory dropped, the next stage must rebuild it from scratch. *)
-    t.stage_adds <- None
+    break_run t `Session
   end
 
 let reset_session t =
@@ -683,7 +743,7 @@ let reset_session t =
   Hashtbl.reset t.batch_origins;
   t.last_delegations <- [];
   t.dirty <- true;
-  t.stage_adds <- None
+  break_run t `Session
 
 (* {1 Why-provenance} *)
 
@@ -1021,9 +1081,11 @@ let restore text =
         facts
     in
     let* own = times n_rule (fun st -> rule st "an own rule") [] st in
-    List.iter (Rules.add t.rules Rules.Own) own;
+    List.iter (fun r -> ignore (Rules.add t.rules Rules.Own r : int)) own;
     let* delegated = times n_deleg (tagged_rule "from" "a delegated rule") [] st in
-    List.iter (fun (src, r) -> Rules.add t.rules (Rules.Delegated src) r) delegated;
+    List.iter
+      (fun (src, r) -> ignore (Rules.add t.rules (Rules.Delegated src) r : int))
+      delegated;
     let* pending = times n_pending (tagged_rule "from" "a delegated rule") [] st in
     List.iter (fun (src, r) -> Acl.enqueue t.acl ~src r) pending;
     let* cache = times n_cache batch [] st in
@@ -1076,6 +1138,8 @@ type stats = {
   delegations_retracted : int;
   delegations_rejected : int;
   runtime_errors : int;
+  delta_stages : int;
+  full_stages : (string * int) list;
 }
 
 let stats t =
@@ -1089,6 +1153,9 @@ let stats t =
     delegations_retracted = t.n_retracted;
     delegations_rejected = t.n_rejected;
     runtime_errors = t.n_errors;
+    delta_stages = t.n_delta_stages;
+    full_stages =
+      List.map (fun r -> (reason_label r, t.n_full_stages.(reason_rank r))) full_reasons;
   }
 
 let pp_stats ppf s =
@@ -1193,41 +1260,31 @@ let live_cardinal t rel =
   | None -> 0
 
 (* The facts a message's batch adds over the cached batch from the
-   same source, accumulated onto [acc] — or [None] when the message is
-   not purely additive: it carries installs or retracts, or drops a
-   cached fact. Both batches are sorted by [Fact.compare] (the sender
+   same source, accumulated onto [acc] — or [None] when the batch drops
+   a cached fact. Both batches are sorted by [Fact.compare] (the sender
    sorts before caching and sending), so one linear merge walk
    decides; unsorted input merely falls back to [None], which costs a
-   full stage but never an unsound delta one. *)
+   full stage but never an unsound delta one. The message's installs
+   and retracts are judged where they change the rule set
+   ([rules_changed]). *)
 let batch_additions t (msg : Message.t) acc =
-  if msg.Message.installs <> [] || msg.Message.retracts <> [] then None
-  else
-    match msg.Message.facts with
-    | None -> Some acc
-    | Some batch ->
-      let cached =
-        Option.value ~default:[]
-          (Hashtbl.find_opt t.remote_cache msg.Message.src)
-      in
-      let rec walk old batch acc =
-        match (old, batch) with
-        | [], rest -> Some (List.rev_append rest acc)
-        | _ :: _, [] -> None
-        | (o :: os as old), b :: bs ->
-          let c = Fact.compare b o in
-          if c = 0 then walk os bs acc
-          else if c < 0 then walk old bs (b :: acc)
-          else None
-      in
-      walk cached batch acc
-
-(* The static half of the delta-staging gate: peer features and
-   rule-set shape. The dynamic half — were this stage's inputs purely
-   additive? — is [stage_adds] plus the inbox walk in [ingest]. *)
-let delta_capable t =
-  (not t.track_provenance)
-  && Builtin.Registry.is_empty t.builtins
-  && Rules.monotone t.rules
+  match msg.Message.facts with
+  | None -> Some acc
+  | Some batch ->
+    let cached =
+      Option.value ~default:[] (Hashtbl.find_opt t.remote_cache msg.Message.src)
+    in
+    let rec walk old batch acc =
+      match (old, batch) with
+      | [], rest -> Some (List.rev_append rest acc)
+      | _ :: _, [] -> None
+      | (o :: os as old), b :: bs ->
+        let c = Fact.compare b o in
+        if c = 0 then walk os bs acc
+        else if c < 0 then walk old bs (b :: acc)
+        else None
+    in
+    walk cached batch acc
 
 (* {2 The stage, phase by phase}
 
@@ -1236,10 +1293,14 @@ let delta_capable t =
    send, with the delta-or-full choice between loading and
    evaluating. *)
 
-(* How [evaluate] runs the fixpoint: one semi-naive pass seeded with
-   exactly these new tuples over the retained fixpoint, or a recompute
-   from scratch. *)
-type prepared = Delta of (string * Tuple.t) list | Full
+(* How [evaluate] runs the fixpoint: the stage's program, fetched
+   once, and either one semi-naive pass seeded with exactly the new
+   tuples and rules over the retained fixpoint, or ([seed = None]) a
+   recompute from scratch. *)
+type prepared = {
+  program : (Wdl_eval.Program.t, Wdl_eval.Stratify.error) result;
+  seed : Wdl_eval.Fixpoint.seed option;
+}
 
 (* tick: builtin modules advance to [stage_no] — time refresh, window
    and TTL expiry — and a change marks the peer dirty. *)
@@ -1279,18 +1340,45 @@ let ingest t =
   Queue.clear t.inbox;
   inbox_adds
 
-(* prepare: chooses [Delta] when every change since the last completed
-   stage is additive — fresh local or induced insertions ([stage_adds])
-   and inbox batches extending the cached ones — and the peer is
-   delta-capable: the previous fixpoint is then a sub-fixpoint of the
-   next, so the intensional store stays and only the new intensional
-   inbox facts enter it. Otherwise [Full]: intensional state is reloaded
-   from the remote caches. Aggregate builtins then rematerialize, so the
-   fixpoint reads one consistent snapshot. *)
+(* The part of the delta gate judged before the program is fetched:
+   the peer's features, then the run of inputs since the last stage,
+   then the inbox. [Ok] carries what the seed would hold. *)
+let seedable t inbox_adds =
+  if t.track_provenance then Error `Provenance
+  else if not (Builtin.Registry.is_empty t.builtins) then Error `Builtin
+  else
+    match (t.run, inbox_adds) with
+    | Broken reason, _ -> Error reason
+    | Additive _, None -> Error `Nonadditive_inbox
+    | Additive { adds; fresh }, Some inbox -> Ok (adds, fresh, inbox)
+
+(* prepare: seeds the stage when the peer has neither provenance nor
+   builtins, every change since the last completed stage is additive —
+   fresh local or induced insertions, inbox batches extending the
+   cached ones, installed sinks — the program has one stratum, and no
+   new fact lies in a guarded relation (Program.guarded). The previous
+   fixpoint is then a sub-fixpoint of the next, so the intensional
+   store stays and only the new intensional inbox facts enter it.
+   Otherwise the stage is full, counted under the first reason in
+   [full_reasons] that applies: intensional state is reloaded from the
+   remote caches. Aggregate builtins then rematerialize, so the
+   fixpoint reads one consistent snapshot. The program, fetched once,
+   is planned against the store as the stage loads it, except where
+   the gate needs the program to decide: a stage it sends full
+   ([strata], [guarded]) is planned against the retained store. *)
 let prepare t inbox_adds =
+  let full reason =
+    let k = reason_rank reason in
+    t.n_full_stages.(k) <- t.n_full_stages.(k) + 1;
+    refill_intensional t
+  in
+  let program () = Rules.program t.rules ~stats:(live_cardinal t) in
   let prepared =
-    match (t.stage_adds, inbox_adds) with
-    | Some local, Some inbox when delta_capable t ->
+    match seedable t inbox_adds with
+    | Error reason ->
+      full reason;
+      { program = program (); seed = None }
+    | Ok (adds, fresh, inbox) -> (
       let inserted =
         List.filter_map
           (fun (f : Fact.t) ->
@@ -1302,11 +1390,23 @@ let prepare t inbox_adds =
           inbox
       in
       let pair (f : Fact.t) = (f.Fact.rel, Tuple.of_list f.Fact.args) in
-      t.n_delta_stages <- t.n_delta_stages + 1;
-      Delta (List.rev_append inserted (List.rev_map pair local))
-    | _ ->
-      refill_intensional t;
-      Full
+      let tuples = List.rev_append inserted (List.rev_map pair adds) in
+      let program = program () in
+      let reason =
+        match program with
+        | Error _ -> Some `Error
+        | Ok p when Array.length p.Wdl_eval.Program.strata > 1 -> Some `Strata
+        | Ok p when List.exists (fun (rel, _) -> Wdl_eval.Program.guarded p rel) tuples ->
+          Some `Guarded
+        | Ok _ -> None
+      in
+      match reason with
+      | Some reason ->
+        full reason;
+        { program; seed = None }
+      | None ->
+        t.n_delta_stages <- t.n_delta_stages + 1;
+        { program; seed = Some { Wdl_eval.Fixpoint.tuples; fresh } })
   in
   ignore (Builtin.Registry.flush_all t.builtins : bool);
   prepared
@@ -1316,16 +1416,16 @@ let prepare t inbox_adds =
    errors, inductive updates, the next additive run. [None] when the
    program does not stratify. *)
 let evaluate t prepared =
-  let seed = match prepared with Delta seed -> Some seed | Full -> None in
   match
-    Result.bind (Rules.program t.rules ~stats:(live_cardinal t)) (fun program ->
-        Wdl_eval.Fixpoint.run ~record_provenance:t.track_provenance ?seed
-          ~program ~handles:t.eval_handles ~self:t.name t.db [])
+    Result.bind prepared.program (fun program ->
+        Wdl_eval.Fixpoint.run ~record_provenance:t.track_provenance
+          ?seed:prepared.seed ~program ~handles:t.eval_handles ~self:t.name
+          t.db [])
   with
   | Error e ->
     (* The fixpoint did not run: retained intensional state is not a
        fixpoint of anything, so the next stage must be a full one. *)
-    t.stage_adds <- None;
+    t.run <- Broken `Error;
     record_store_error t "<program>"
       (Format.asprintf "%a" Wdl_eval.Stratify.pp_error e);
     None
@@ -1352,17 +1452,19 @@ let evaluate t prepared =
        reported runtime errors: a seeded pass only meets the new
        tuples, so it would drop the errors the retained state still
        causes. *)
-    t.stage_adds <-
-      (if result.Wdl_eval.Fixpoint.errors = [] then Some [] else None);
+    t.run <-
+      (if result.Wdl_eval.Fixpoint.errors = [] then Additive { adds = []; fresh = [] }
+       else Broken `Error);
     Some result
 
 (* emit: the messages that bring every destination up to this stage's
    outputs — fact batches diffed against [last_batches], delegations
-   against [last_delegations]. A [Delta] stage's outputs are the
-   previous ones plus what it derived, a [Full] stage's are what it
-   derived; the mode only picks that base. *)
+   against [last_delegations]. A seeded stage's outputs are the
+   previous ones plus what it derived — nothing its seed could reach
+   is read under negation or aggregation, so its outputs only grow — a
+   full stage's are what it derived; the mode only picks that base. *)
 let emit t ~stage_no prepared (result : Wdl_eval.Fixpoint.result) =
-  let delta = match prepared with Delta _ -> true | Full -> false in
+  let delta = Option.is_some prepared.seed in
   let by_dst = group_facts_by_dst result.Wdl_eval.Fixpoint.messages in
   let set_of tbl dst =
     Option.value ~default:Sset.empty (Hashtbl.find_opt tbl dst)

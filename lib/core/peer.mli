@@ -256,10 +256,21 @@ val has_work : t -> bool
 val stage : t -> Message.t list
 (** Runs one stage and returns the outbound messages. An idle stage
     (no {!has_work}) is an ordinary one: builtins tick and the stage
-    number advances; a delta-capable peer runs an empty delta, any
-    other recomputes. It emits nothing and leaves relations and
+    number advances; a peer the delta gate admits runs an empty seed,
+    any other recomputes. It emits nothing and leaves relations and
     fixpoint errors as they were, since a stage is a deterministic
-    function of (extensional db, remote cache, rules). *)
+    function of (extensional db, remote cache, rules).
+
+    {b The delta gate.} A stage keeps the previous fixpoint and runs
+    one semi-naive pass seeded with its new facts (and a first run of
+    each newly installed sink delegation) when the peer tracks no
+    provenance and holds no builtin module, every input since the last
+    completed stage only added (local and induced insertions, inbox
+    batches extending the cached ones, installs of
+    {!Wdl_eval.Stratify.is_sink} rules), the program has one stratum
+    and no new fact lies in a {!Wdl_eval.Program.guarded} relation.
+    Otherwise it recomputes from scratch; {!stats}[.full_stages] says
+    why. *)
 
 val last_errors : t -> Wdl_eval.Runtime_error.t list
 (** Runtime errors of the last stage. *)
@@ -276,6 +287,20 @@ type stats = {
   delegations_retracted : int;
   delegations_rejected : int;
   runtime_errors : int;
+  delta_stages : int;  (** stages seeded over the retained fixpoint *)
+  full_stages : (string * int) list;
+      (** stages recomputed from scratch, by reason, in precedence
+          order: [provenance] (the peer tracks provenance), [builtin]
+          (it holds builtin modules), [error] (the last stage reported
+          runtime errors or its program did not stratify), [session]
+          (first stage, restore, or a session reset or forget),
+          [rule_change] (an own rule, a declaration, or an install
+          that is not a sink, or a retract), [delete] (a local
+          deletion), [nonadditive_inbox] (a batch dropped a cached
+          fact), [strata] (the program has more than one stratum),
+          [guarded] (a new fact lies in a guarded relation,
+          {!Wdl_eval.Program.guarded}). A stage counts under the first
+          that applies. With [delta_stages] they sum to [stages]. *)
 }
 
 val stats : t -> stats

@@ -11,6 +11,8 @@ type derivation = {
   premises : Fact.t list;
 }
 
+type seed = { tuples : (string * Tuple.t) list; fresh : int list }
+
 type result = {
   induced : Fact.t list;
   messages : Fact.t list;
@@ -111,6 +113,9 @@ type state = {
   mutable iterations : int;
   delta_hist : Wdl_obs.Obs.histogram;
   skipped_ctr : Wdl_obs.Obs.counter;
+  mutable on_rows : (int -> unit) array;
+      (* the executing plan's row callbacks, by body position (see
+         [exec_plan]); executions never nest *)
 }
 
 let max_errors = 1000
@@ -359,10 +364,19 @@ let rec checks_hold env relation slot (checks : (int * int) array) j =
   let i, s = checks.(j) in
   env.(s) = Relation.id relation slot i && checks_hold env relation slot checks (j + 1)
 
+(* A step's row callback before its first probe: never called. *)
+let no_row (_ : int) = ()
+
+(* Empties [st.on_rows] for an execution of [n] steps. *)
+let clear_rows st n =
+  if Array.length st.on_rows < n then st.on_rows <- Array.make n no_row
+  else Array.fill st.on_rows 0 n no_row
+
 (* Execute a compiled plan. [emit env] is called on every complete
    valuation; [delta_pos] marks the literal that reads the delta. *)
 let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
   let env = Array.make (max plan.Plan.nslots 1) Plan.unbound in
+  clear_rows st (List.length plan.Plan.steps);
   let slot_names = plan.Plan.slot_names in
   let decode = st.decode in
   let rec step steps =
@@ -470,19 +484,33 @@ let exec_plan st (plan : Plan.t) ~delta_pos ~emit =
 
   (* The binding pattern is static (plan.bpos/bsrc): fill the step's
      key buffer with ids, then let the store walk the matching rows,
-     whose ids bind and check slots directly. *)
+     whose ids bind and check slots directly. A step with a fixed
+     relation name probes one relation all execution long (the delta
+     or the store's), so past the first step, where one execution may
+     probe many times, its row callback is made once per execution. *)
   and match_in m rest relation =
     if fill_key st env m.Plan.bsrc m.Plan.key 0 then
-      Relation.lookup_key relation m.Plan.bpos m.Plan.key (fun slot ->
-          let binds = m.Plan.out_binds in
-          for j = 0 to Array.length binds - 1 do
-            let i, s = binds.(j) in
-            env.(s) <- Relation.id relation slot i
-          done;
-          if checks_hold env relation slot m.Plan.out_checks 0 then step rest;
-          for j = 0 to Array.length binds - 1 do
-            env.(snd binds.(j)) <- Plan.unbound
-          done)
+      let k = m.Plan.pos in
+      let kept = match m.Plan.rel with Plan.Fixed _ -> k > 0 | Plan.Name_slot _ -> false in
+      let rows =
+        if kept && st.on_rows.(k) != no_row then st.on_rows.(k)
+        else begin
+          let rows slot =
+            let binds = m.Plan.out_binds in
+            for j = 0 to Array.length binds - 1 do
+              let i, s = binds.(j) in
+              env.(s) <- Relation.id relation slot i
+            done;
+            if checks_hold env relation slot m.Plan.out_checks 0 then step rest;
+            for j = 0 to Array.length binds - 1 do
+              env.(snd binds.(j)) <- Plan.unbound
+            done
+          in
+          if kept then st.on_rows.(k) <- rows;
+          rows
+        end
+      in
+      Relation.lookup_key relation m.Plan.bpos m.Plan.key rows
   in
   step plan.Plan.steps
 
@@ -652,28 +680,40 @@ let seminaive_iteration st (stratum : Prog.stratum) =
   let skipped = stratum.Prog.n_activations - !executed in
   if skipped > 0 then Wdl_obs.Obs.inc ~by:skipped st.skipped_ctr
 
+(* A rule's first run: aggregates once, up front, other rules over the
+   whole store. *)
+let run_member st (m : Prog.member) =
+  if Rule.is_aggregate m.Prog.source.Prog.rule then eval_agg_plan st m.Prog.base
+  else eval_plan st ~delta_pos:None m.Prog.base
+
 let run_stratum ?seed st (stratum : Prog.stratum) =
   (* The previous stratum ended on an empty [delta_next]. *)
   advance st;
-  (* Aggregate rules read complete lower strata, so they run once, up
-     front; their outputs then feed the stratum's fixpoint normally. *)
-  List.iter (fun p -> eval_agg_plan st p) stratum.Prog.agg_plans;
   (match seed with
   | None ->
-    (* Iteration 1: full evaluation of every rule. *)
+    (* Aggregate rules read complete lower strata, so they run once, up
+       front; their outputs then feed the stratum's fixpoint normally.
+       Iteration 1 then evaluates every other rule in full. *)
+    List.iter (fun p -> eval_agg_plan st p) stratum.Prog.agg_plans;
     List.iter (fun p -> eval_plan st ~delta_pos:None p) stratum.Prog.plans
-  | Some pairs ->
+  | Some { tuples; fresh } ->
     (* Delta staging: the database already holds the previous fixpoint
        and the seed tuples; the first iteration is one semi-naive pass
-       driven by exactly the new tuples. *)
+       driven by exactly the new tuples, plus a first run of each rule
+       new since that fixpoint. Aggregates read only guarded relations,
+       which the seed leaves as they were, so their outputs stand. *)
     List.iter
       (fun (rel, tuple) ->
         ignore
           (Relation.insert (delta_relation st rel ~arity:(Tuple.arity tuple)) tuple
             : bool))
-      pairs;
+      tuples;
     advance st;
-    seminaive_iteration st stratum);
+    seminaive_iteration st stratum;
+    if fresh <> [] then
+      List.iter
+        (fun (m : Prog.member) -> if List.mem m.Prog.source.Prog.id fresh then run_member st m)
+        stratum.Prog.members);
   st.iterations <- st.iterations + 1;
   let rec loop () =
     if Hashtbl.length st.delta_next = 0 then ()
@@ -792,14 +832,13 @@ let run ?(record_provenance = false) ?seed ?program ?handles:h ~self db rules =
         iterations = 0;
         delta_hist = h.h_delta_hist;
         skipped_ctr = h.h_skipped_ctr;
+        on_rows = Array.make 8 no_row;
       }
     in
-    (* Seeding is only meaningful for a single-stratum (monotone)
-       program — a higher stratum reads complete lower strata, which a
-       seeded pass does not rebuild. *)
-    let seed =
-      if Array.length prog.Prog.strata > 1 then None else seed
-    in
+    (* A higher stratum reads complete lower strata, which a seeded
+       pass does not rebuild. *)
+    if Option.is_some seed && Array.length prog.Prog.strata > 1 then
+      invalid_arg "Fixpoint.run: seed for a program of more than one stratum";
     Wdl_obs.Obs.time h.stage_hist (fun () ->
         Array.iter (run_stratum ?seed st) prog.Prog.strata);
     give_back st st.delta;

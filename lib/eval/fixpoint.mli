@@ -78,9 +78,18 @@ val handles : self:string -> handles
     bundle to {!run} to keep registry lookups off the per-stage path.
     After a registry clear, resolve a fresh bundle. *)
 
+type seed = {
+  tuples : (string * Wdl_store.Tuple.t) list;
+      (** the new tuples, already stored *)
+  fresh : int list;
+      (** ids of the rules the program gained since the retained
+          fixpoint *)
+}
+(** What a seeded run starts from; see {!run}. *)
+
 val run :
   ?record_provenance:bool ->
-  ?seed:(string * Wdl_store.Tuple.t) list ->
+  ?seed:seed ->
   ?program:Program.t ->
   ?handles:handles ->
   self:string ->
@@ -93,16 +102,21 @@ val run :
 
     [seed] switches the run to {e delta staging}: instead of clearing
     intensional state and evaluating every rule from scratch, the
-    database is taken to already hold a fixpoint of the program minus
-    the seed tuples (which the caller has just inserted), and
-    evaluation starts with one semi-naive pass over exactly that
-    delta. The [result] then contains only facts, messages and
-    suspensions derivable from the new tuples — everything previously
-    derived is retained in the database untouched. Sound only for a
-    monotone (negation- and aggregate-free, hence single-stratum)
-    program under purely additive input changes; the caller is
-    responsible for that gate (see [Peer.stage]). A multi-stratum
-    program ignores [seed] and falls back to full evaluation.
+    database is taken to already hold a fixpoint of the program without
+    the [fresh] rules over the inputs without the seed tuples (which
+    the caller has just inserted), and evaluation starts with one
+    semi-naive pass over exactly those tuples, plus one run of each
+    [fresh] rule over the whole store. Aggregate rules do not run
+    again. The [result] then contains only facts, messages and
+    suspensions derivable from the new tuples and rules — everything
+    previously derived is retained in the database untouched. Exact
+    when the program has one stratum, no seed tuple lies in a
+    {!Program.guarded} relation, the inputs only grew, and every fresh
+    rule is a sink ({!Stratify.is_sink}): what negations and
+    aggregates read is then what the retained fixpoint read, so the
+    new fixpoint only adds to it. The caller is responsible for that
+    gate (see [Peer.stage]). Raises [Invalid_argument] for a seed
+    with a program of more than one stratum.
 
     [program], when given, must have been compiled (see
     {!Program.compile}, possibly patched since) against a database

@@ -26,7 +26,11 @@ type stratum = {
   n_plans : int;
 }
 
-type t = { strata : stratum array }
+module Sset = Set.Make (String)
+
+type guard = Unbounded | Rels of Sset.t
+
+type t = { strata : stratum array; guard : guard }
 
 (* Positive body atoms of a plan with the statically-known relation
    name read at each, or None for a relation variable. A variable may
@@ -185,8 +189,87 @@ let index members =
     n_plans = !n_plans;
   }
 
+(* {1 The guard} *)
+
+(* The atoms a rule's body reads here: those before the first atom at
+   a constant remote peer, which never runs locally. *)
+let local_atoms ~self (r : Rule.t) =
+  let rec go acc = function
+    | (Literal.Pos a | Literal.Neg a) :: _
+      when (match Term.as_name a.Atom.peer with Some p -> p <> self | None -> false)
+      -> List.rev acc
+    | Literal.Pos a :: rest -> go ((a, false) :: acc) rest
+    | Literal.Neg a :: rest -> go ((a, true) :: acc) rest
+    | (Literal.Cmp _ | Literal.Assign _) :: rest -> go acc rest
+    | [] -> List.rev acc
+  in
+  go [] r.Rule.body
+
+(* Which local intensional relations a rule's head may derive into
+   within a run: [`Rel c], [`Any] (a relation variable), or [`None]
+   (a constant remote peer, or an extensional relation, whose facts
+   only arrive at the next stage). *)
+let head_reach ~self ~intensional (r : Rule.t) =
+  let head = r.Rule.head in
+  match Term.as_name head.Atom.peer with
+  | Some p when p <> self -> `None
+  | Some _ | None -> (
+    match head.Atom.rel with
+    | Term.Var _ -> `Any
+    | Term.Const _ -> (
+      match Term.as_name head.Atom.rel with
+      | Some c when intensional c -> `Rel c
+      | Some _ | None -> `None))
+
+let add_reads atoms g =
+  List.fold_left
+    (fun g (a : Atom.t) ->
+      match g, a.Atom.rel with
+      | Unbounded, _ | _, Term.Var _ -> Unbounded
+      | Rels s, Term.Const _ -> (
+        match Term.as_name a.Atom.rel with Some c -> Rels (Sset.add c s) | None -> g))
+    g atoms
+
+(* Every local relation a negated literal or an aggregate body reads,
+   closed backwards through the rules that may derive into a guarded
+   intensional relation within a run. *)
+let guard_of ~self ~intensional rules =
+  let seeds =
+    List.fold_left
+      (fun g r ->
+        let atoms = local_atoms ~self r in
+        add_reads
+          (List.filter_map
+             (fun (a, neg) -> if neg || Rule.is_aggregate r then Some a else None)
+             atoms)
+          g)
+      (Rels Sset.empty) rules
+  in
+  let reaches s r =
+    match head_reach ~self ~intensional r with
+    | `None -> false
+    | `Rel c -> Sset.mem c s
+    | `Any -> Sset.exists intensional s
+  in
+  let rec close = function
+    | Unbounded -> Unbounded
+    | Rels s as g -> (
+      let g' =
+        List.fold_left
+          (fun g' r ->
+            if reaches s r then add_reads (List.map fst (local_atoms ~self r)) g' else g')
+          g rules
+      in
+      match g' with Rels s' when Sset.equal s s' -> g | _ -> close g')
+  in
+  close seeds
+
+let guarded t rel =
+  match t.guard with Unbounded -> true | Rels s -> Sset.mem rel s
+
 let compile ?stats ~self ~intensional sources =
-  match Stratify.assign ~self ~intensional (List.map (fun s -> s.rule) sources) with
+  let rules = List.map (fun s -> s.rule) sources in
+  match Stratify.assign ~self ~intensional rules with
   | Error e -> Error e
   | Ok placed ->
     let strata = Array.make (List.fold_left max 0 placed + 1) [] in
@@ -197,6 +280,7 @@ let compile ?stats ~self ~intensional sources =
           Array.map
             (fun l -> index (List.rev_map (compile_member ~self ?stats) l))
             strata;
+        guard = guard_of ~self ~intensional rules;
       }
 
 let patch ?stats ~self t ~add ~remove =
@@ -208,6 +292,7 @@ let patch ?stats ~self t ~add ~remove =
   in
   let last = Array.length t.strata - 1 in
   {
+    t with
     strata =
       Array.mapi
         (fun i s ->
@@ -244,6 +329,6 @@ let replan ~self ~stats t =
       else { s with members }
     in
     let strata = Array.map (fun s -> if touched s then replan_stratum s else s) t.strata in
-    Some ({ strata }, !changed)
+    Some ({ t with strata }, !changed)
 
 let plan_count t = Array.fold_left (fun acc s -> acc + s.n_plans) 0 t.strata

@@ -99,7 +99,28 @@ type stratum = {
   n_plans : int;  (** compiled plans, delta-first variants included *)
 }
 
-type t = { strata : stratum array  (** bottom-up stratification order *) }
+type guard
+(** The relations a run's new facts must avoid for a seeded pass to be
+    exact ({!guarded}). *)
+
+type t = {
+  strata : stratum array;  (** bottom-up stratification order *)
+  guard : guard;
+}
+
+val guarded : t -> string -> bool
+(** Whether [rel] is {e guarded}: a local relation that a negated
+    literal or an aggregate body reads, or one a rule whose head may be
+    a guarded local intensional relation reads in its local body
+    prefix (the set is closed backwards through such rules; a head
+    with a relation variable may be any local intensional relation).
+    Every relation is guarded when some guarded read, or some atom the
+    closure reaches, has a relation variable. A monotone program guards
+    nothing. Facts that avoid the guard cannot change what a negation
+    or an aggregate reads in a run, so over a one-stratum program they
+    only add to its fixpoint ({!Fixpoint.run}'s [seed]). Extensional
+    heads are not followed: their facts reach the store at the next
+    stage, as that stage's new facts. *)
 
 val compile :
   ?stats:(string -> int) ->
@@ -130,7 +151,9 @@ val patch :
     The caller guarantees that every added rule is a sink under the
     [intensional] the program was compiled with and has an id the
     program does not hold. Exact for sinks (see the patch invariant);
-    removing any other rule may leave the stratification stale. *)
+    removing any other rule may leave the stratification stale. A
+    sink leaves the guard as it was, so the patched program keeps
+    it. *)
 
 val replan : self:string -> stats:(string -> int) -> t -> (t * bool) option
 (** Re-derive, under [stats], the base and delta-first orders of every

@@ -30,7 +30,6 @@ type t = {
   ids : int Key_tbl.t;  (* entry -> id *)
   holders : int Rule_tbl.t;
       (* rule -> how many entries are structurally it *)
-  mutable n_nonmono : int;  (* entries that negate or aggregate *)
   origin_labels : string Key_tbl.t;
       (* (Delegated src, rule) -> the origin's id for the rule that
          shipped it, taken from the install's origin metadata *)
@@ -66,7 +65,6 @@ let create ~self ~intensional ~head_error =
     held = Imap.empty;
     ids = Key_tbl.create 16;
     holders = Rule_tbl.create 16;
-    n_nonmono = 0;
     origin_labels = Key_tbl.create 16;
     program = None;
     sinks_in = [];
@@ -91,8 +89,6 @@ let own_rules t = List.map snd (own t)
 let delegations t = List.map snd (delegated t)
 let held t = own_rules t @ List.map snd (delegations t)
 let mem t holder rule = Key_tbl.mem t.ids (holder, rule)
-
-let monotone t = t.n_nonmono = 0
 
 let sink t rule = Stratify.is_sink ~self:t.self ~intensional:t.intensional rule
 
@@ -187,27 +183,28 @@ let stratifies_if_intensional t rel =
    that is a sink with no twin (whose label it would share) is patched
    in or out; anything else recompiles. *)
 
-(* The counts of an entry coming ([d = 1]) or going ([d = -1]); the
-   rule's holder count after. *)
+(* The rule's holder count after an entry comes ([d = 1]) or goes
+   ([d = -1]). *)
 let count t rule d =
   let n = Option.value ~default:0 (Rule_tbl.find_opt t.holders rule) + d in
   if n = 0 then Rule_tbl.remove t.holders rule
   else Rule_tbl.replace t.holders rule n;
-  if not (Stratify.monotone rule) then t.n_nonmono <- t.n_nonmono + d;
   n
 
 let add t holder rule =
-  if not (mem t holder rule) then begin
+  match Key_tbl.find_opt t.ids (holder, rule) with
+  | Some id -> id
+  | None ->
     t.seq <- t.seq + 1;
     let id = t.seq in
     Key_tbl.replace t.ids (holder, rule) id;
     t.held <- Imap.add id (holder, rule) t.held;
     let twins = count t rule 1 - 1 in
-    match holder with
+    (match holder with
     | Delegated src when twins = 0 && sink t rule ->
       queue t (`In { Prog.id; label = origin_label t src rule; rule })
-    | Own | Delegated _ -> invalidate t
-  end
+    | Own | Delegated _ -> invalidate t);
+    id
 
 let remove t holder rule =
   Key_tbl.remove t.origin_labels (holder, rule);

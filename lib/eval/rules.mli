@@ -58,9 +58,10 @@ val stratifies_if_intensional : t -> string -> bool
 
 val mem : t -> holder -> Rule.t -> bool
 
-val add : t -> holder -> Rule.t -> unit
-(** Holds the rule, unless [holder] holds a structurally equal one.
-    Unchecked: {!admit} first. *)
+val add : t -> holder -> Rule.t -> int
+(** Holds the rule, unless [holder] holds a structurally equal one;
+    the entry's id either way (what the compiled program's plans of it
+    carry). Unchecked: {!admit} first. *)
 
 val remove : t -> holder -> Rule.t -> bool
 (** [false] when [holder] does not hold the rule. A delegation's label
@@ -75,11 +76,10 @@ val delegations : t -> (string * Rule.t) list
 val held : t -> Rule.t list
 (** Own rules, then delegations. *)
 
-val monotone : t -> bool
-(** No held rule negates or aggregates ({!Stratify.monotone}): derived
-    facts then only accumulate, so a previous stage's fixpoint stays
-    valid under purely additive inputs, and the program is one stratum,
-    as {!Fixpoint.run}'s [seed] requires. *)
+val sink : t -> Rule.t -> bool
+(** {!Stratify.is_sink} under the peer's relation kinds: installing
+    one only adds to a stage's fixpoint (see {!Fixpoint.run}'s
+    [seed]). *)
 
 (** {1 Labels} *)
 

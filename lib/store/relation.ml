@@ -431,8 +431,9 @@ let clear r =
   r.free.Ivec.n <- 0;
   r.entries <- 0;
   (* Keep index skeletons: a planner hint survives the per-stage clear
-     of intensional relations, so refills re-index incrementally. *)
-  List.iter (fun idx -> Ikey_tbl.reset idx.buckets) r.indexes
+     of intensional relations, so refills re-index incrementally, into
+     tables that keep the capacity they grew to. *)
+  List.iter (fun idx -> Ikey_tbl.clear idx.buckets) r.indexes
 
 let copy_index idx =
   let buckets = Ikey_tbl.create (Ikey_tbl.length idx.buckets) in

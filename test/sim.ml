@@ -98,9 +98,9 @@ let templates =
 let rule_text (o, q, t) = fill (snd templates.(t)) ~p:(peer_name o) ~q:(peer_name q)
 
 (* Templates an [Install] draws from: shapes no owner ships as a
-   delegation — a recursive rule, an aggregate (which flips a
-   delta-capable peer to full stages), an inductive head, a remote
-   head, and a rule that delegates on to [Q]. *)
+   delegation — a recursive rule, an aggregate (which guards [r], so
+   the target's new [r] facts take full stages), an inductive head, a
+   remote head, and a rule that delegates on to [Q]. *)
 let install_pool =
   let index text =
     let rec find i = if snd templates.(i) = text then i else find (i + 1) in
@@ -459,6 +459,8 @@ type state = {
   mutable snaps : Wdl_analysis.Flow.t list;
   mutable round : int;
   mutable phase : int;
+  mutable inserted : string list;
+      (* peers given a new local fact that have not staged since *)
 }
 
 let snapshot_flows st =
@@ -473,11 +475,26 @@ let check_flow st (m : Message.t) =
         violation "delivery (%s -> %s) not covered by a static send set" id m.Message.dst)
     (m.Message.fact_origins @ m.Message.install_origins)
 
+(* Seeded stages that took a new local fact, run by peers holding a
+   rule that negates or aggregates, over every run: the oracle must
+   see the gate admit such stages. *)
+let nonmono_seeded = ref 0
+
+(* Every stage is seeded or full for one reason. *)
+let stages_add_up p =
+  let s = Peer.stats p in
+  let full = List.fold_left (fun acc (_, n) -> acc + n) 0 s.Peer.full_stages in
+  if s.Peer.delta_stages + full <> s.Peer.stages then
+    violation "%s: %d seeded and %d full stages, but %d stages" (Peer.name p)
+      s.Peer.delta_stages full s.Peer.stages
+
 let round st =
   st.round <- st.round + 1;
   let received = Hashtbl.copy st.tap.received in
   let stage p = (Peer.name p, Peer.stage_number p) in
   let stages = List.map stage (System.peers st.sys) in
+  let seeded p = (Peer.name p, (Peer.stats p).Peer.delta_stages) in
+  let seeded0 = List.map seeded (System.peers st.sys) in
   if st.flow then snapshot_flows st;
   st.tap.outbox <- [];
   ignore (System.round st.sys);
@@ -488,11 +505,21 @@ let round st =
   List.iter
     (fun p ->
       let name = Peer.name p in
-      if not (List.mem (stage p) stages) then
+      stages_add_up p;
+      if not (List.mem (stage p) stages) then begin
+        if
+          List.mem name st.inserted
+          && (not (List.mem (seeded p) seeded0))
+          && List.exists
+               (fun r -> not (Wdl_eval.Stratify.monotone r))
+               (Peer.rules p @ List.map snd (Peer.delegated_rules p))
+        then incr nonmono_seeded;
+        st.inserted <- List.filter (( <> ) name) st.inserted;
         agrees st.tap p
           (Hashtbl.fold
              (fun (dst, src) b acc -> if dst = name then (src, b) :: acc else acc)
-             received []))
+             received [])
+      end)
     (System.peers st.sys)
 
 let rounds st n = for _ = 1 to n do round st done
@@ -510,7 +537,11 @@ let apply st op =
   let at i f = Option.iter f (System.find_peer st.sys (peer_name i)) in
   match op with
   | Insert (i, rel, args) ->
-    at i (fun p -> ignore (Peer.insert p (Fact.make ~rel ~peer:(peer_name i) args)))
+    at i (fun p ->
+        let f = Fact.make ~rel ~peer:(peer_name i) args in
+        if not (List.exists (Fact.equal f) (Peer.query p rel)) then
+          st.inserted <- Peer.name p :: st.inserted;
+        ignore (Peer.insert p f))
   | Delete (i, rel, args) ->
     at i (fun p -> ignore (Peer.delete p (Fact.make ~rel ~peer:(peer_name i) args)))
   | Add_rule (o, q, t) ->
@@ -611,7 +642,7 @@ let run ?(flow = false) spec =
   let sys = System.create ~transport:(tap_transport tap transport) ~drop_unknown:false () in
   Option.iter (System.wire_reliable sys) ctl;
   let st =
-    { sys; tap; flow; snaps = []; round = 0; phase = 0 }
+    { sys; tap; flow; snaps = []; round = 0; phase = 0; inserted = [] }
   in
   for i = 0 to spec.n_peers - 1 do
     let name = peer_name i in

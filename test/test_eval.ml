@@ -57,6 +57,17 @@ let tc_rules =
 
 let suite =
   [
+    tc "a seed for a program of two strata is refused" (fun () ->
+        let db = db_of "int w@p(x); int ok@p(x); a@p(1); b@p(1);" in
+        let srcs = [ "w@p($x) :- a@p($x)"; "ok@p($x) :- b@p($x), not w@p($x)" ] in
+        ignore (run db srcs);
+        Alcotest.check_raises "seeded"
+          (Invalid_argument "Fixpoint.run: seed for a program of more than one stratum")
+          (fun () ->
+            ignore
+              (Fixpoint.run ~self:"p"
+                 ~seed:{ Fixpoint.tuples = [ ("b", Tuple.of_list [ Value.Int 2 ]) ]; fresh = [] }
+                 db (List.map Parser.parse_rule srcs))));
     tc "transitive closure on a chain" (fun () ->
         let n = 20 in
         let db = chain_db n in

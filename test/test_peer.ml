@@ -24,9 +24,9 @@ let rows q rel =
   List.sort compare (List.map (fun (f : Fact.t) -> f.Fact.args) (Peer.query q rel))
 
 (* An idle stage (a settled peer, no new inputs) is an ordinary stage:
-   the stage number advances, a delta-capable peer runs an empty delta
-   and any other peer recomputes, and either way nothing is sent and no
-   relation or reported error changes. *)
+   the stage number advances, a peer the delta gate admits runs an
+   empty seed and any other peer recomputes, and either way nothing is
+   sent and no relation or reported error changes. *)
 let idle_stage_is_ordinary ~delta q =
   let name = Peer.name q in
   let deltas () =
@@ -42,7 +42,7 @@ let idle_stage_is_ordinary ~delta q =
   check_int (name ^ ": stage number advances") (stage0 + 1) (Peer.stage_number q);
   check_bool (name ^ ": relations unchanged") (dump () = relations);
   check_bool (name ^ ": errors unchanged") (Peer.last_errors q = errors);
-  check_int (name ^ ": delta stage only when delta-capable")
+  check_int (name ^ ": delta stage only when the gate admits it")
     (if delta then deltas0 + 1 else deltas0)
     (deltas ())
 
@@ -173,9 +173,10 @@ let suite =
              "int v@inc_p(x); a@inc_p(1); b@inc_p(1); b@inc_p(2); \
               b@inc_p(3); v@inc_p($x) :- a@inc_p($x), b@inc_p($x);");
         ignore (Peer.stage p);
-        (* Idle stages on three settled peers: a delta-capable one, one
-           whose negation rule forces the full path, and one whose
-           stages report runtime errors. *)
+        (* Idle stages on three settled peers: a monotone one and one
+           whose negation no new fact reaches, both seeded with
+           nothing, and one whose stages report runtime errors, which
+           recomputes. *)
         idle_stage_is_ordinary ~delta:true p;
         let full = Peer.create "idle_full" in
         ok
@@ -186,7 +187,16 @@ let suite =
               ok@idle_full($x) :- a@idle_full($x), not blocked@idle_full($x); \
               out@q($x) :- ok@idle_full($x);");
         check_int "full: first stage sends" 1 (List.length (Peer.stage full));
-        idle_stage_is_ordinary ~delta:false full;
+        idle_stage_is_ordinary ~delta:true full;
+        (* A new fact in the negated relation recomputes, and the
+           batch shrinks. *)
+        let seeded0 = read "wdl_eval_delta_stages_total" "idle_full" in
+        ok (Peer.insert full (fact "blocked" "idle_full" [ Value.Int 1 ]));
+        (match Peer.stage full with
+        | [ m ] -> check_bool "idle_full: batch emptied" (m.Message.facts = Some [])
+        | _ -> Alcotest.fail "idle_full: expected one message");
+        check_int "idle_full: a blocked fact is not seeded" seeded0
+          (read "wdl_eval_delta_stages_total" "idle_full");
         let err = Peer.create "idle_err" in
         ok
           (Peer.load_string err
@@ -281,20 +291,163 @@ let suite =
         ignore (Peer.stage p);
         check_int "deletion fell back to a full stage" 4 (deltas ());
         agrees "closure shrank identically";
-        (* Negation disqualifies the rule set entirely. *)
-        let n = Peer.create "dlt_n" in
-        ok
-          (Peer.load_string n
-             "ext a@dlt_n(x); ext blocked@dlt_n(x); int ok@dlt_n(x);\n\
-              a@dlt_n(1);\n\
-              ok@dlt_n($x) :- a@dlt_n($x), not blocked@dlt_n($x);");
-        ignore (Peer.stage n);
-        ok (Peer.insert n (fact "a" "dlt_n" [ Value.Int 2 ]));
-        ignore (Peer.stage n);
-        check_int "non-monotone rules never delta-stage" 0
-          (read "wdl_eval_delta_stages_total" "dlt_n");
-        check_int "and still compute correctly" 2
-          (List.length (Peer.query n "ok")));
+        (* Negation and aggregation: a stage seeds when none of its
+           new facts can reach a negated or aggregated read, and
+           recomputes otherwise; after every stage each relation equals
+           a fresh twin's. *)
+        let gate name prog facts steps =
+          let p = fresh_twin name prog facts in
+          let seeded () = read "wdl_eval_delta_stages_total" name in
+          ignore
+            (List.fold_left
+               (fun facts ((rel, args), seeds) ->
+                 let before = seeded () in
+                 ok (Peer.insert p (fact rel name args));
+                 ignore (Peer.stage p);
+                 let facts = facts @ [ (rel, args) ] in
+                 check_int
+                   (Printf.sprintf "%s: a %s fact %s" name rel
+                      (if seeds then "is seeded" else "recomputes"))
+                   (if seeds then before + 1 else before)
+                   (seeded ());
+                 let b = fresh_twin (name ^ "twin") prog facts in
+                 List.iter
+                   (fun rel ->
+                     check_bool
+                       (Printf.sprintf "%s: %s matches the fresh twin" name rel)
+                       (rows b rel = rows p rel))
+                   (Peer.relation_names p);
+                 facts)
+               facts steps)
+        in
+        let i n = Value.Int n in
+        gate "dltneg"
+          "ext a@_(x); ext blocked@_(x); int ok@_(x);\n\
+           ok@_($x) :- a@_($x), not blocked@_($x);"
+          [ ("a", [ i 1 ]) ]
+          [ (("a", [ i 2 ]), true); (("blocked", [ i 2 ]), false);
+            (("a", [ i 3 ]), true) ];
+        gate "dltagg"
+          "ext pics@_(id); ext rate@_(id, r); int best@_(id, r); int shown@_(id);\n\
+           best@_($i, max($r)) :- rate@_($i, $r);\n\
+           shown@_($i) :- pics@_($i);"
+          [ ("rate", [ i 1; i 2 ]) ]
+          [ (("pics", [ i 1 ]), true); (("rate", [ i 1; i 5 ]), false);
+            (("pics", [ i 2 ]), true); (("rate", [ i 2; i 1 ]), false) ];
+        (* A view feeding the negation puts it a stratum up. *)
+        gate "dltview"
+          "ext a@_(x); ext b@_(x); int w@_(x); int ok@_(x);\n\
+           w@_($x) :- a@_($x);\n\
+           ok@_($x) :- b@_($x), not w@_($x);"
+          [ ("b", [ i 1 ]) ]
+          [ (("a", [ i 1 ]), false); (("b", [ i 2 ]), false) ];
+        (* A negation on a relation variable may read anything. *)
+        gate "dltvar"
+          "ext a@_(x); ext names@_(n); ext b@_(x);\n\
+           out@r($x) :- a@_($x), names@_($n), not $n@_($x);"
+          [ ("names", [ Value.String "b" ]) ]
+          [ (("a", [ i 1 ]), false); (("b", [ i 1 ]), false) ]);
+    tc "delta staging: a sink install is seeded and equals a full twin"
+      (fun () ->
+        let read name =
+          int_of_float
+            (Wdl_obs.Obs.read_one ~labels:[ ("peer", name) ] "wdl_eval_delta_stages_total")
+        in
+        (* An aggregate keeps the program non-monotone; the install
+           arrives with a batch that only adds. *)
+        let prog =
+          "ext a@_(x); ext rate@_(id, r); int best@_(id, r);\n\
+           best@_($i, max($r)) :- rate@_($i, $r);"
+        in
+        let install name =
+          Message.make ~src:"q" ~dst:name ~stage:1
+            ~facts:(Some [ fact "a" name [ Value.Int 3 ] ])
+            ~installs:[ Parser.parse_rule (Printf.sprintf "out@q($x) :- a@%s($x)" name) ]
+            ()
+        in
+        let p =
+          fresh_twin "sinkp" prog [ ("a", [ Value.Int 1 ]); ("rate", [ Value.Int 1; Value.Int 4 ]) ]
+        in
+        let seeded0 = read "sinkp" in
+        Peer.receive p (install "sinkp");
+        let sent = Peer.stage p in
+        check_int "the install stage is seeded" (seeded0 + 1) (read "sinkp");
+        (* The twin holds the same facts and takes the same message on
+           its first stage, a full one. *)
+        let b = Peer.create "sinkb" in
+        ok (Peer.load_string b (String.concat "sinkb" (String.split_on_char '_' prog)));
+        List.iter
+          (fun (rel, args) -> ok (Peer.insert b (fact rel "sinkb" args)))
+          [ ("a", [ Value.Int 1 ]); ("rate", [ Value.Int 1; Value.Int 4 ]) ];
+        Peer.receive b (install "sinkb");
+        let twin = Peer.stage b in
+        check_int "the twin's first stage is full" 0 (read "sinkb");
+        let batches ms = List.map (fun (m : Message.t) -> (m.Message.dst, m.Message.facts)) ms in
+        check_bool "same batch as the full twin" (batches sent = batches twin);
+        check_bool "the batch holds every a fact"
+          (match sent with
+          | [ m ] -> Option.map List.length m.Message.facts = Some 2
+          | _ -> false);
+        check_bool "same views as the full twin" (rows b "best" = rows p "best"));
+    tc "every full stage names its reason" (fun () ->
+        (* One peer per reason: settled by a full first stage (session)
+           and an idle one, then driven to exactly one full stage whose
+           reason is the only count that moves. *)
+        let reasons q = (Peer.stats q).Peer.full_stages in
+        let drive reason ?(prog = "ext a@_(x); ext b@_(x); int ok@_(x);\n\
+                                    ok@_($x) :- a@_($x), not b@_($x);") act =
+          let name = "why" ^ String.concat "" (String.split_on_char '_' reason) in
+          let q = fresh_twin name prog [ ("a", [ Value.Int 1 ]) ] in
+          check_int (reason ^ ": first stage is a session one") 1
+            (List.assoc "session" (reasons q));
+          ignore (Peer.stage q);
+          (* A two-stratum program is never seeded, idle or not. *)
+          check_int (reason ^ ": idle stage seeded")
+            (if reason = "strata" then 0 else 1)
+            (Peer.stats q).Peer.delta_stages;
+          (* [act] may stage first: only its last stage is judged. *)
+          act q name;
+          let before = reasons q in
+          ignore (Peer.stage q);
+          let after = reasons q in
+          List.iter2
+            (fun (r, n) (r', n') ->
+              assert (r = r');
+              check_int
+                (Printf.sprintf "%s: %s count" reason r)
+                (if r = reason then n + 1 else n)
+                n')
+            before after;
+          let s = Peer.stats q in
+          check_int (reason ^ ": seeded and full stages add up") s.Peer.stages
+            (s.Peer.delta_stages + List.fold_left (fun acc (_, n) -> acc + n) 0 s.Peer.full_stages)
+        in
+        let insert rel args q name = ok (Peer.insert q (fact rel name args)) in
+        drive "provenance" (fun q _ -> Peer.set_track_provenance q true);
+        drive "builtin" (fun q name ->
+            ok (Peer.load_string q (Printf.sprintf "builtin time clock@%s(stage, now);" name)));
+        drive "error" (fun q name ->
+            (* The rule's stage reports errors (a rule change); the
+               next one recomputes because of them. *)
+            ok
+              (Peer.load_string q
+                 (Printf.sprintf "sel@%s(42); v@r($x) :- sel@%s($a), d@$a($x);" name name));
+            ignore (Peer.stage q));
+        drive "session" (fun q _ -> Peer.reset_session q);
+        drive "rule_change" (fun q name ->
+            ok (Peer.add_rule q (Parser.parse_rule (Printf.sprintf "out@r($x) :- a@%s($x)" name))));
+        drive "delete" (fun q name -> ok (Peer.delete q (fact "a" name [ Value.Int 1 ])));
+        drive "nonadditive_inbox" (fun q name ->
+            let batch facts = Message.make ~src:"r" ~dst:name ~stage:1 ~facts:(Some facts) () in
+            Peer.receive q (batch [ fact "a" name [ Value.Int 2 ] ]);
+            ignore (Peer.stage q);
+            Peer.receive q (batch []));
+        drive "strata"
+          ~prog:"ext a@_(x); ext b@_(x); int w@_(x); int ok@_(x);\n\
+                 w@_($x) :- a@_($x);\n\
+                 ok@_($x) :- b@_($x), not w@_($x);"
+          (insert "b" [ Value.Int 1 ]);
+        drive "guarded" (insert "b" [ Value.Int 1 ]));
     tc "trace records lifecycle events" (fun () ->
         let p = Peer.create "p" in
         ok (Peer.load_string p "int v@p(x); a@p(1); v@p($x) :- a@p($x);");
@@ -390,9 +543,9 @@ let suite =
                "wdl_eval_compile_microseconds")
         in
         let p = Peer.create "cmp_p" in
-        (* Not delta-capable: every stage plans against the store as
-           [refill_intensional] leaves it, so only [a]'s and [c]'s
-           growth below moves a band. *)
+        (* Provenance keeps every stage full: each plans against the
+           store as [refill_intensional] leaves it, so only [a]'s and
+           [c]'s growth below moves a band. *)
         Peer.set_track_provenance p true;
         ok
           (Peer.load_string p

@@ -175,4 +175,37 @@ let suite =
         in
         Alcotest.(check (list string))
           "b leads" [ "b"; "a"; "r" ] (body_rels grown));
+    tc "guard: negated and aggregated reads, closed through local views" (fun () ->
+        let guarded ?(intensional = fun _ -> false) srcs rels =
+          match
+            Program.compile ~self:"p" ~intensional
+              (Program.sources (List.map Parser.parse_rule srcs))
+          with
+          | Ok prog -> List.filter (Program.guarded prog) rels
+          | Error e -> Alcotest.fail (Format.asprintf "%a" Stratify.pp_error e)
+        in
+        let check label want got = Alcotest.(check (list string)) label want got in
+        let rels = [ "a"; "b"; "c"; "d"; "w"; "v"; "ok"; "best" ] in
+        check "a monotone program guards nothing" []
+          (guarded ~intensional:(( = ) "v") [ "v@p($x) :- a@p($x), b@p($x)" ] rels);
+        check "negated and aggregated reads" [ "b"; "c" ]
+          (guarded ~intensional:(fun r -> r = "ok" || r = "best")
+             [ "ok@p($x) :- a@p($x), not b@p($x)"; "best@p($i, max($r)) :- c@p($i, $r)" ]
+             rels);
+        (* [w] is read under negation, so the local body prefixes of
+           its rules are guarded too; [v] feeds only an extensional
+           head, whose facts arrive next stage. *)
+        check "closed through a local view" [ "a"; "b"; "d"; "w" ]
+          (guarded ~intensional:(fun r -> r = "w" || r = "ok")
+             [ "w@p($x) :- a@p($x), b@p($x)"; "ok@p($x) :- c@p($x), not w@p($x)";
+               "w@p($x) :- d@p($x), far@q($x), v@p($x)"; "b@p($x) :- v@p($x)" ]
+             rels);
+        check "a relation-variable head may be any guarded view" [ "a"; "w" ]
+          (guarded ~intensional:(fun r -> r = "w" || r = "ok")
+             [ "$n@p($x) :- a@p($x), names@p($n)"; "ok@p($x) :- c@p($x), not w@p($x)" ]
+             [ "a"; "w" ]);
+        check "a guarded relation variable guards everything" rels
+          (guarded [ "out@q($x) :- a@p($x), names@p($n), not $n@p($x)" ] rels);
+        check "a remote suffix is not read here" []
+          (guarded [ "out@q($x) :- a@p($x), b@q($x), not c@q($x)" ] rels));
   ]

@@ -273,6 +273,78 @@ let suite =
         ignore (ok (Wepic.run env));
         check_int "full frame" 117
           (List.length (Wepic.attendee_pictures env ~viewer)));
+    tc "seeded stages send what full stages send" (fun () ->
+        (* One seeded conference twice: by default, and with every peer
+           tracking provenance, which puts every stage on the full
+           path. Every round must send the same messages, and every
+           relation must end the same. *)
+        let conference ~provenance =
+          let sent = ref [] and system = ref None in
+          let inner = Wdl_net.Inmem.create () in
+          let round () = Option.fold ~none:0 ~some:Webdamlog.System.rounds !system in
+          let log (m : Webdamlog.Message.t) = sent := (round (), m) :: !sent in
+          let transport =
+            { inner with
+              Wdl_net.Transport.send =
+                (fun ~src ~dst m -> log m; inner.Wdl_net.Transport.send ~src ~dst m);
+              send_many =
+                (fun ~dst items ->
+                  List.iter (fun (_, m) -> log m) items;
+                  inner.Wdl_net.Transport.send_many ~dst items) }
+          in
+          let env = Wepic.create ~transport () in
+          system := Some (Wepic.system env);
+          let names = Array.init 6 (fun i -> Workload.attendee_name (i + 1)) in
+          Array.iter (fun n -> ignore (Wepic.add_attendee env n)) names;
+          if provenance then
+            List.iter
+              (fun p -> Webdamlog.Peer.set_track_provenance p true)
+              (Webdamlog.System.peers (Wepic.system env));
+          Array.iter (fun n -> Wepic.set_protocol env ~attendee:n ~protocol:"wepic") names;
+          let rng = Random.State.make [| 5 |] in
+          let any () = names.(Random.State.int rng (Array.length names)) in
+          let pics = ref [] and selected = ref [] in
+          for k = 1 to 80 do
+            (match Random.State.int rng 5 with
+            | 0 | 1 ->
+              let owner = any () in
+              Wepic.upload_picture env ~attendee:owner ~id:k
+                ~name:(Printf.sprintf "pic%d.jpg" k) ~data:"d";
+              pics := (owner, k) :: !pics
+            | 2 when !pics <> [] ->
+              let owner, id = List.nth !pics (Random.State.int rng (List.length !pics)) in
+              Wepic.rate env ~rater:(any ()) ~owner ~id ~rating:(1 + Random.State.int rng 5)
+            | 3 when !pics <> [] ->
+              let owner, id = List.nth !pics (Random.State.int rng (List.length !pics)) in
+              Wepic.tag env ~owner ~id ~who:(any ())
+            | _ ->
+              let viewer = any () and attendee = any () in
+              if viewer <> attendee then
+                if List.mem (viewer, attendee) !selected then begin
+                  Wepic.deselect_attendee env ~viewer ~attendee;
+                  selected := List.filter (( <> ) (viewer, attendee)) !selected
+                end
+                else begin
+                  Wepic.select_attendee env ~viewer ~attendee;
+                  selected := (viewer, attendee) :: !selected
+                end);
+            ignore (ok (Wepic.run env))
+          done;
+          let seeded =
+            List.fold_left
+              (fun acc p -> acc + (Webdamlog.Peer.stats p).Webdamlog.Peer.delta_stages)
+              0
+              (Webdamlog.System.peers (Wepic.system env))
+          in
+          (List.rev !sent, Album.dump (Wepic.system env), seeded)
+        in
+        let sent, dump, seeded = conference ~provenance:false in
+        let sent', dump', seeded' = conference ~provenance:true in
+        check_bool "the default run seeds stages" (seeded > 0);
+        check_int "the provenance run seeds none" 0 seeded';
+        check_int "as many messages" (List.length sent') (List.length sent);
+        check_bool "the same messages in every round" (sent = sent');
+        check_bool "the same relations at the end" (dump = dump'));
     tc "generators: chain and random edges" (fun () ->
         check_int "chain" 9 (List.length (Workload.chain_edges ~n:10));
         let e = Workload.random_edges ~seed:1 ~nodes:20 ~edges:50 in
