@@ -385,6 +385,21 @@ let t7 () =
       ()
   in
   let frame = Webdamlog.Wire.batch [ sample_msg ] in
+  (* What a Wepic peer ships: ten [pictures] facts with an id, a file
+     name, the owner and a 64-byte payload. *)
+  let wepic_msg =
+    Webdamlog.Message.make ~src:"Jules" ~dst:"Emilien" ~stage:3
+      ~facts:
+        (Some
+           (List.init 10 (fun i ->
+                Fact.make ~rel:"pictures" ~peer:"Emilien"
+                  [ Value.Int (10_000 + i);
+                    Value.String (Printf.sprintf "pic_%d.jpg" i);
+                    Value.String (if i mod 2 = 0 then "Jules" else "Julia");
+                    Value.String (Wdl_wepic.Workload.payload ~seed:i ~bytes:64) ])))
+      ()
+  in
+  let wepic_frame = Webdamlog.Wire.batch [ wepic_msg ] in
   let plan_rule =
     Parser.parse_rule
       "v@p($x, $z) :- a@p($x, $y), b@p($y, $z), not c@p($x), $z > 0"
@@ -398,6 +413,10 @@ let t7 () =
       ( "wire encode (10 facts + 1 rule)",
         fun () -> ignore (Webdamlog.Wire.batch [ sample_msg ]) );
       ("wire decode", fun () -> ignore (Webdamlog.Wire.unbatch frame));
+      ( "wire encode (Wepic 10-fact frame)",
+        fun () -> ignore (Webdamlog.Wire.batch [ wepic_msg ]) );
+      ( "wire decode (Wepic 10-fact frame)",
+        fun () -> ignore (Webdamlog.Wire.unbatch wepic_frame) );
       ("plan compile", fun () -> ignore (Wdl_eval.Plan.compile plan_rule));
       ( "relation insert (fresh tuples)",
         fun () ->

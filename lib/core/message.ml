@@ -18,10 +18,10 @@ let make ~src ~dst ~stage ?(facts = None) ?(installs = []) ?(retracts = [])
 let is_empty m = m.facts = None && m.installs = [] && m.retracts = []
 
 let size m =
-  (* One-line renderings, like the wire: facts through the wire's own
-     writer, rules unwrapped ([Format.asprintf] at its default margin
-     wraps long rules, and the inserted newline+indent made the sizer
-     overcount what the transport actually frames). *)
+  (* The text rendering: facts through the one-line fact writer, rules
+     unwrapped ([Format.asprintf] at its default margin wraps long
+     rules, and the inserted newline+indent would count bytes no
+     rendering holds). *)
   let buf = Buffer.create 256 in
   Option.iter (List.iter (Fact.add_to_buffer buf)) m.facts;
   let rule_size r = String.length (Pp_util.one_line Rule.pp r) in

@@ -15,8 +15,8 @@
     - [fact_origins]/[install_origins]: diagnostic metadata — ids of
       the source's rules whose evaluation produced the fact batch
       (resp. one id per install, index-aligned). They feed the
-      knowledge-flow oracle ({!Wdl_analysis.Flow}) and cost nothing
-      when empty: the wire encodes them only when present. *)
+      knowledge-flow oracle ({!Wdl_analysis.Flow}) and cost two zero
+      count bytes on the wire when empty. *)
 
 open Wdl_syntax
 
@@ -48,10 +48,12 @@ val make :
 val is_empty : t -> bool
 
 val size : t -> int
-(** Estimated wire size in bytes (used by transport statistics):
-    one-line renderings of facts and rules plus a small fixed header
-    overhead. Origin metadata is deliberately excluded — it is
-    diagnostic, optional on the wire, and must not perturb
-    backpressure accounting. *)
+(** The size in bytes of the message's text rendering — one-line
+    facts and rules plus a small fixed header overhead — which the
+    in-process transports ({!Wdl_net.Inmem}, {!Wdl_net.Simnet}) count
+    as its size. It is not the binary frame's size ([Wire] frames are
+    measured by their byte length). Origin metadata is deliberately
+    excluded — it is diagnostic and must not perturb backpressure
+    accounting. *)
 
 val pp : Format.formatter -> t -> unit

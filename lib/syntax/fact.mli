@@ -17,9 +17,9 @@ val pp : Format.formatter -> t -> unit
 
 val add_to_buffer : Buffer.t -> t -> unit
 (** Appends the one-line rendering of {!pp} (no line breaks at any
-    width): the one writer behind wire frames, journal lines,
-    snapshots and [Message.size]. A QCheck property pins it to
-    [Pp_util.one_line pp]. *)
+    width): the one writer behind journal lines, snapshots and
+    [Message.size]. Wire frames are binary ([Webdamlog.Wire]) and do
+    not use it. A QCheck property pins it to [Pp_util.one_line pp]. *)
 
 val to_string : t -> string
 (** {!add_to_buffer} into a fresh string. *)

@@ -14,16 +14,11 @@ type statement =
 
 type program = statement list
 
-let statement_span = function
-  | Decl { span; _ } | Fact { span; _ } -> span
-  | Rule { span; _ } -> span
-
-let strip_statement = function
-  | Decl { node; _ } -> Program.Decl node
-  | Fact { node; _ } -> Program.Fact node
-  | Rule { rule; _ } -> Program.Rule rule
-
-let strip p = List.map strip_statement p
+let strip =
+  List.map (function
+    | Decl { node; _ } -> Program.Decl node
+    | Fact { node; _ } -> Program.Fact node
+    | Rule { rule; _ } -> Program.Rule rule)
 
 let lit_span (r : rule) i =
   List.nth_opt r.lit_spans i |> Option.value ~default:r.span

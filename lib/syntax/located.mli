@@ -21,8 +21,6 @@ type statement =
 
 type program = statement list
 
-val statement_span : statement -> Span.t
-val strip_statement : statement -> Program.statement
 val strip : program -> Program.t
 
 val lit_span : rule -> int -> Span.t

@@ -31,12 +31,6 @@ val parse_fact : string -> Fact.t
 val parse_atom : string -> Atom.t
 val parse_literal : string -> Literal.t
 
-val parse_program_located : ?file:string -> string -> Located.program
-val parse_rule_located : ?file:string -> string -> Located.rule
-(** Like {!parse_program} / {!parse_rule} but every statement keeps the
-    {!Span} of its tokens ([file] defaults to ["<string>"]); feed the
-    result to [Wdl_analysis] for spanned diagnostics. *)
-
 val program : string -> (Program.t, string) result
 val rule : string -> (Rule.t, string) result
 val fact : string -> (Fact.t, string) result
@@ -44,6 +38,7 @@ val fact : string -> (Fact.t, string) result
 
 val program_located :
   ?file:string -> string -> (Located.program, string * Lexer.pos) result
-(** Non-raising variant of {!parse_program_located}; the error keeps
-    the raw message and position so callers can render it as a
-    diagnostic. *)
+(** Like {!program}, but every statement keeps the {!Span} of its
+    tokens ([file] defaults to ["<string>"]); feed the result to
+    [Wdl_analysis] for spanned diagnostics. The error keeps the raw
+    message and position so callers can render it as a diagnostic. *)

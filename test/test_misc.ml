@@ -11,16 +11,23 @@ let suite =
             (Wdl_obs.Obs.counter ~labels:[ ("transport", "wire") ]
                "wdl_net_undecodable_frames_total")
         in
+        let timed op =
+          Wdl_obs.Obs.histogram_count
+            (Wdl_obs.Obs.histogram ~labels:[ ("transport", "wire") ]
+               ("wdl_wire_" ^ op ^ "_microseconds"))
+        in
         let bytes = Wdl_net.Inmem.create () in
         let msgs = Wire.transport bytes in
         let before = dropped () in
+        let encoded = timed "encode" and decoded = timed "decode" in
         bytes.Wdl_net.Transport.send ~src:"a" ~dst:"b" "not a frame at all";
-        bytes.Wdl_net.Transport.send ~src:"a" ~dst:"b"
-          (Wire.batch
-             [ Message.make ~src:"a" ~dst:"b" ~stage:1 ~facts:(Some []) () ]);
+        msgs.Wdl_net.Transport.send ~src:"a" ~dst:"b"
+          (Message.make ~src:"a" ~dst:"b" ~stage:1 ~facts:(Some []) ());
         let delivered = msgs.Wdl_net.Transport.drain "b" in
         check_int "only the valid one" 1 (List.length delivered);
-        check_int "the dropped frame is counted" 1 (dropped () - before));
+        check_int "the dropped frame is counted" 1 (dropped () - before);
+        check_int "one frame encoded" 1 (timed "encode" - encoded);
+        check_int "both frames timed in decode" 2 (timed "decode" - decoded));
     tc "httpd turns handler exceptions into 500s" (fun () ->
         let server = Wdl_web.Httpd.start (fun _ -> failwith "boom") in
         Fun.protect

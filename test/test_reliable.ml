@@ -216,14 +216,16 @@ let unit_tests =
         (* A first session's header has the same five fields, with
            incarnation 0. *)
         let a0 = { a with Reliable.env_inc = 0 } in
-        let text = Wire.encode_envelope a0 in
+        let frame = Wire.encode_envelope a0 in
+        (* version 1, envelope; one string; src 0, inc 0, seq 0, ack 3
+           (zigzagged), no payload *)
         Alcotest.check Alcotest.string "one header shape"
-          "envelope@wire(\"Jules\", 0, 0, 3, false);\n" text;
+          "\001\001\001\005Jules\000\000\000\006\000" frame;
         check_int "first session" 0
-          (ok' (Wire.decode_envelope text)).Reliable.env_inc;
+          (ok' (Wire.decode_envelope frame)).Reliable.env_inc;
         check_bool "the four-field header is malformed"
           (Result.is_error
-             (Wire.decode_envelope "envelope@wire(\"Jules\", 0, 3, false);"));
+             (Wire.decode_envelope "\001\001\001\005Jules\000\000\006\000"));
         check_bool "garbage rejected"
           (Result.is_error (Wire.decode_envelope "nope")));
     tc "reliable over tcp + wire: ack crosses processes" (fun () ->

@@ -3,13 +3,26 @@ open Wdl_syntax
 open Webdamlog
 open Check
 
+(* Floats compare by their bits, so [-0.] must come back as [-0.]. *)
+let value_identical a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let fact_identical (a : Fact.t) (b : Fact.t) =
+  a.Fact.rel = b.Fact.rel && a.Fact.peer = b.Fact.peer
+  && List.equal value_identical a.Fact.args b.Fact.args
+
 let msg_equal (a : Message.t) (b : Message.t) =
   a.Message.src = b.Message.src
   && a.Message.dst = b.Message.dst
   && a.Message.stage = b.Message.stage
-  && Option.equal (List.equal Fact.equal) a.Message.facts b.Message.facts
+  && Option.equal (List.equal fact_identical) a.Message.facts b.Message.facts
   && List.equal Rule.equal a.Message.installs b.Message.installs
   && List.equal Rule.equal a.Message.retracts b.Message.retracts
+  && a.Message.fact_origins = b.Message.fact_origins
+  && a.Message.install_origins = b.Message.install_origins
 
 let sample_rule =
   Parser.parse_rule
@@ -44,23 +57,56 @@ let suite =
              ()));
     tc "decode rejects garbage" (fun () ->
         check_bool "garbage" (Result.is_error (Wire.unbatch "not a frame"));
-        check_bool "missing header"
-          (Result.is_error (Wire.unbatch "batch@wire(1); m@p(1);"));
+        check_bool "empty input" (Result.is_error (Wire.unbatch ""));
+        let frame =
+          Wire.batch
+            [ Message.make ~src:"a" ~dst:"b" ~stage:1
+                ~facts:(Some [ sample_fact ]) () ]
+        in
         check_bool "truncated"
           (Result.is_error
-             (Wire.unbatch
-                {|batch@wire(1); header@wire("a", "b", 1, 3, 0, 0, 0, 0); m@p(1);|}));
+             (Wire.unbatch (String.sub frame 0 (String.length frame - 1))));
         check_bool "a bare message section is not a frame"
           (Result.is_error
-             (Wire.unbatch {|header@wire("a", "b", 1, 1, 0, 0, 0, 0); m@p(1);|})));
-    tc "frames are single-line statements" (fun () ->
-        let m =
-          Message.make ~src:"a" ~dst:"b" ~stage:1 ~installs:[ sample_rule ] ()
+             (Wire.unbatch (String.sub frame 2 (String.length frame - 2))));
+        check_bool "an envelope is not a batch"
+          (Result.is_error
+             (Wire.unbatch
+                (Wire.encode_envelope
+                   { Wdl_net.Reliable.env_src = "a"; env_inc = 0; env_seq = 0;
+                     env_ack = 0; env_payload = None }))));
+    tc "frames carry rules as tagged trees, not text" (fun () ->
+        let m rule =
+          Message.make ~src:"a" ~dst:"b" ~stage:1 ~installs:[ rule ] ()
         in
-        let lines = String.split_on_char '\n' (Wire.batch [ m ]) in
-        (* batch + header + 1 rule + trailing empty *)
-        check_int "lines" 4 (List.length lines));
+        Alcotest.check Alcotest.string "v@p($x) :- r@p($x), byte for byte"
+          ("\001\000\006\001a\001b\001v\001p\001x\001r" (* 6 strings *)
+          ^ "\001\000\001\002" (* 1 message: a -> b, stage 1 *)
+          ^ "\000\001\000\000\000" (* no fact batch, 1 install *)
+          ^ "\002\002\002\003\001\005\004" (* head v@p($x) *)
+          ^ "\001\000\002\005\002\003\001\005\004" (* body r@p($x) *)
+          ^ "\000" (* no aggregates *))
+          (Wire.batch [ m (Parser.parse_rule "v@p($x) :- r@p($x)") ]);
+        let every_form =
+          Parser.parse_rule
+            {|agg@p($k, count($x), max($y)) :-
+                a@$q($k, $x, "s", 1.5, true, -7), not b@p($x), $x = 1,
+                $x != 2, $x < 3, $x <= 4, $x > 5, $x >= 6,
+                $y := ($x + 1) * ($x - 2) / 3, $z := "s" + $q|}
+        in
+        List.iter
+          (fun r ->
+            let frame = Wire.batch [ m r ] in
+            check_bool "no rule text in the frame"
+              (not (Str_helper.contains frame ":-"));
+            match Wire.unbatch frame with
+            | Ok [ m' ] -> check_bool "round-trip" (msg_equal (m r) m')
+            | _ -> Alcotest.fail "expected one message")
+          [ sample_rule; every_form ]);
     tc "batch: empty and singleton shapes" (fun () ->
+        Alcotest.check Alcotest.string "an empty batch: version, kind, no \
+           strings, no messages"
+          "\001\000\000\000" (Wire.batch []);
         check_bool "empty round-trips" (Wire.unbatch (Wire.batch []) = Ok []);
         let m =
           Message.make ~src:"a" ~dst:"b" ~stage:1
@@ -68,10 +114,17 @@ let suite =
         in
         Alcotest.check Alcotest.string
           "a singleton is a counted frame of one section"
-          "batch@wire(1);\n\
-             header@wire(\"a\", \"b\", 1, 1, 0, 0, 0, 0);\n\
-             pictures@sigmod(32, \"sea \\\"quoted\\\".jpg\", \"Émilien\", \
-             0.5, true);\n"
+          ("\001\000" (* version 1, batch *)
+          ^ "\006\001a\001b\008pictures\006sigmod\016sea \"quoted\".jpg\
+             \008\195\137milien" (* 6 strings *)
+          ^ "\001" (* 1 message *)
+          ^ "\000\001\002" (* src 0, dst 1, stage 1 zigzagged *)
+          ^ "\002\000\000\000\000" (* 1 fact + 1; no rules, no origins *)
+          ^ "\002\003\005" (* pictures@sigmod, 5 values *)
+          ^ "\000\064" (* 32 *)
+          ^ "\002\004\002\005" (* two strings *)
+          ^ "\001\000\000\000\000\000\000\224\063" (* 0.5 *)
+          ^ "\004" (* true *))
           (Wire.batch [ m ]);
         match Wire.unbatch (Wire.batch [ m ]) with
         | Ok [ m' ] -> check_bool "singleton round-trips" (msg_equal m m')
@@ -82,14 +135,80 @@ let suite =
             ~facts:(Some [ sample_fact ]) ()
         in
         let msgs = [ mk 1; mk 2; mk 3 ] in
-        (match Wire.unbatch (Wire.batch msgs) with
+        let frame = Wire.batch msgs in
+        (match Wire.unbatch frame with
         | Ok got -> check_bool "equal" (List.equal msg_equal msgs got)
         | Error e -> Alcotest.fail e);
         check_bool "garbage rejected" (Result.is_error (Wire.unbatch "nope"));
-        check_bool "malformed number rejected"
-          (Result.is_error (Wire.unbatch "batch@wire(1);\nv@p(4e+);"));
-        check_bool "a versioned header is malformed"
-          (Result.is_error (Wire.unbatch "batch@wire(1, 0);")));
+        check_bool "a float cut short is rejected"
+          (Result.is_error
+             (Wire.unbatch (String.sub frame 0 (String.length frame - 2))));
+        check_bool "a frame of another version is rejected"
+          (Result.is_error (Wire.unbatch ("\002" ^ String.sub frame 1 (String.length frame - 1)))));
+    tc "decode rejects huge counts, other versions, trailing bytes, empty names"
+      (fun () ->
+        let varint n =
+          let b = Buffer.create 8 in
+          let rec go n =
+            if n < 0x80 then Buffer.add_char b (Char.chr n)
+            else begin
+              Buffer.add_char b (Char.chr (n land 0x7f lor 0x80));
+              go (n lsr 7)
+            end
+          in
+          go n;
+          Buffer.contents b
+        in
+        let huge = varint (1 lsl 40) in
+        let rejected_at_once label frame =
+          let before = Gc.minor_words () in
+          check_bool label (Result.is_error (Wire.unbatch frame));
+          check_bool (label ^ ": no allocation for the claimed items")
+            (Gc.minor_words () -. before < 10_000.)
+        in
+        (* Each claim is followed by items that do decode. *)
+        let strings = String.concat "" (List.init 64 (fun _ -> "\001x")) in
+        rejected_at_once "2^40 strings" ("\001\000" ^ huge ^ strings);
+        rejected_at_once "2^40 messages"
+          ("\001\000\001\001a" ^ huge ^ String.make 64 '\000');
+        rejected_at_once "2^40 values"
+          ("\001\000\001\001a\001\000\000\000\002\000\000\000\000\000\000"
+          ^ huge ^ String.make 64 '\003');
+        let frame =
+          Wire.batch
+            [ Message.make ~src:"a" ~dst:"b" ~stage:1
+                ~facts:(Some [ sample_fact ]) () ]
+        in
+        List.iter
+          (fun v ->
+            check_bool
+              (Printf.sprintf "version byte %d" (Char.code v))
+              (Result.is_error
+                 (Wire.unbatch
+                    (String.make 1 v ^ String.sub frame 1 (String.length frame - 1)))))
+          [ '\000'; '\002'; 'b'; '\255' ];
+        check_bool "trailing bytes" (Result.is_error (Wire.unbatch (frame ^ "\000")));
+        check_bool "trailing bytes after an envelope"
+          (Result.is_error
+             (Wire.decode_envelope
+                (Wire.encode_envelope
+                   { Wdl_net.Reliable.env_src = "a"; env_inc = 0; env_seq = 0;
+                     env_ack = 0; env_payload = None }
+                ^ "\000")));
+        (* One message "" -> "", one fact with an empty name. *)
+        let fact_named rel peer =
+          "\001\000\002\000\001m\001\000\000\000\002\000\000\000\000"
+          ^ String.make 1 (Char.chr rel) ^ String.make 1 (Char.chr peer) ^ "\000"
+        in
+        check_bool "well-formed control" (Result.is_ok (Wire.unbatch (fact_named 1 1)));
+        check_bool "empty relation name" (Result.is_error (Wire.unbatch (fact_named 0 1)));
+        check_bool "empty peer name" (Result.is_error (Wire.unbatch (fact_named 1 0)));
+        check_bool "string id out of range"
+          (Result.is_error (Wire.unbatch (fact_named 2 1)));
+        check_bool "unknown value tag"
+          (Result.is_error
+             (Wire.unbatch
+                "\001\000\001\001m\001\000\000\000\002\000\000\000\000\000\000\001\005")));
     tc "tcp: send_many rides one connection, in order, and reuses it"
       (fun () ->
         let ta, ca = Wdl_net.Tcp.create () in
@@ -224,23 +343,35 @@ let msg_gen =
       oneof
         [
           map (fun i -> Value.Int i) small_signed_int;
-          map (fun s -> Value.String s) (oneofl [ "x"; {|é "quoted|}; "" ]);
+          map (fun i -> Value.Int i) (oneofl [ min_int; max_int; 0; -1 ]);
+          map (fun x -> Value.Float x)
+            (oneofl [ infinity; neg_infinity; -0.; 0.; 0.1; -1e300; 5e-324 ]);
+          map (fun s -> Value.String s)
+            (oneofl
+               [ "x"; {|é "quoted|}; ""; "nul\000byte"; "two\nlines"; "\"";
+                 "\255\254 not utf-8"; "back\\slash" ]);
           map (fun b -> Value.Bool b) bool;
         ]
     in
     let fact =
-      let* rel = oneofl [ "pictures"; "album"; "m" ] in
+      let* rel = oneofl [ "pictures"; "album"; "m"; "rel with spaces" ] in
       let* peer = name in
       let* args = list_size (int_bound 3) value in
       return (Fact.make ~rel ~peer args)
     in
+    let origin = oneofl [ "Jules#1"; "a#2"; ""; "origin\nwith a newline" ] in
+    let rule = oneof [ return sample_rule; Test_props.rule_gen ] in
     let* src = name in
     let* dst = name in
-    let* stage = int_bound 100 in
+    let* stage = oneof [ int_bound 100; oneofl [ max_int; -1 ] ] in
     let* facts = option (list_size (int_bound 4) fact) in
-    let* installs = list_size (int_bound 2) (return sample_rule) in
-    let* retracts = list_size (int_bound 1) (return sample_rule) in
-    return (Message.make ~src ~dst ~stage ~facts ~installs ~retracts ()))
+    let* installs = list_size (int_bound 2) rule in
+    let* retracts = list_size (int_bound 1) rule in
+    let* fact_origins = list_size (int_bound 2) origin in
+    let* install_origins = list_size (int_bound 2) origin in
+    return
+      (Message.make ~src ~dst ~stage ~facts ~installs ~retracts ~fact_origins
+         ~install_origins ()))
 
 let batch_prop =
   QCheck.Test.make ~count:200
@@ -344,6 +475,14 @@ let non_finite_test () =
   in
   check "inmem" (run (Wdl_net.Inmem.create ~sizer:Message.size ()));
   check "wire" (run (Wire.transport (Wdl_net.Inmem.create ())));
+  let nan_frame =
+    Wire.batch
+      [ Message.make ~src:"p" ~dst:"q" ~stage:1
+          ~facts:(Some [ Fact.make ~rel:"a" ~peer:"q" [ Value.Float nan ] ])
+          () ]
+  in
+  check_bool "a NaN in a frame is a decode error"
+    (Result.is_error (Wire.unbatch nan_frame));
   let p = Peer.create "p" in
   check_bool "NaN is not admitted"
     (Result.is_error
